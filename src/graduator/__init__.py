@@ -5,7 +5,7 @@ The package is organized by pipeline stage:
 - ``lattice``: base and gradual nullness domains
 - ``syntax``: PICL lexer/parser, surface checks, annotation erasure
 - ``cfg``: lowering to one-instruction-per-vertex control-flow graphs
-- ``analysis``: flow functions, fixpoint engine, warnings and check sites
+- ``analysis``: the transfer function, fixpoint engine, warnings and check sites
 - ``runtime``: small-step machine, plain and checked (gradual) execution
 - ``cli``: the ``graduator`` command
 - ``testkit``: seeded program generator and self-check oracles

@@ -1,12 +1,15 @@
 """Dataflow analysis: nullness facts per vertex, warnings, check sites.
 
-The static analysis interprets each instruction as a transfer function over
-partial maps from variables to base facts; the gradual analysis runs the
-same machinery over the gradual domain.  A transfer rule that writes a
-constant ignores its input; a rule that reads an operand drops its target
-when the operand is not yet defined.  Entry instructions (main, proc) ignore
-their input entirely and seed every variable of the procedure's universe
-with Null, then bind the parameter to its annotation.
+One transfer function, ``lifted_flow``, interprets each instruction over
+partial maps from variables to gradual facts.  The static analysis is the
+gradual fixpoint of a fully annotated program projected back to base facts
+through ``as_exact``: on exact inputs every rule yields exact outputs, so the
+projection loses nothing, and ``flow`` is that projection for a single
+instruction.  A transfer rule that writes a constant ignores its input; a
+rule that reads an operand drops its target when the operand is not yet
+defined.  Entry instructions (main, proc) ignore their input entirely and
+seed every variable of the procedure's universe with Null, then bind the
+parameter to its annotation.
 
 The only rules where gradualization needs more than "run the same rule on
 gradual inputs" are the boolean operators: their case analysis branches on
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Optional, TypeVar, Union
+from typing import Callable, Iterable, Literal, Optional
 
 from .cfg import (
     IAnd,
@@ -53,7 +56,6 @@ from .lattice import (
     GradAbst,
     alpha,
     as_exact,
-    base_join,
     base_leq,
     ceil,
     exact,
@@ -109,55 +111,6 @@ def _lift_case(rule: Callable[[Abst, Abst], Abst], g1: GradAbst, g2: GradAbst) -
 # ---------------------------------------------------------------------------
 
 
-def flow(ins: Instr, sigma: BaseState, universe: frozenset[str]) -> BaseState:
-    """Base transfer function, on partial maps variable -> Abst."""
-    if isinstance(ins, ICopy):
-        out = dict(sigma)
-        if ins.source in sigma:
-            out[ins.target] = sigma[ins.source]
-        else:
-            out.pop(ins.target, None)
-        return out
-    if isinstance(ins, IConstNull):
-        return {**sigma, ins.target: Abst.NULL}
-    if isinstance(ins, ICall):
-        return {**sigma, ins.target: _exact_ann(ins.ret_ann)}
-    if isinstance(ins, INew):
-        return {**sigma, ins.target: Abst.NONNULL}
-    if isinstance(ins, (IAnd, IOr)):
-        rule = _and_case if isinstance(ins, IAnd) else _or_case
-        out = dict(sigma)
-        if ins.left in sigma and ins.right in sigma:
-            out[ins.target] = rule(sigma[ins.left], sigma[ins.right])
-        else:
-            out.pop(ins.target, None)
-        return out
-    if isinstance(ins, IFieldRead):
-        # Reading narrows the receiver; when target and receiver coincide
-        # the receiver fact wins (the write order below is load-bearing).
-        out = dict(sigma)
-        out[ins.target] = Abst.NULLABLE
-        out[ins.obj] = Abst.NONNULL
-        return out
-    if isinstance(ins, IFieldWrite):
-        return {**sigma, ins.obj: Abst.NONNULL}
-    if isinstance(ins, IBranch):
-        return dict(sigma)
-    if isinstance(ins, IIf):
-        return {**sigma, ins.var: Abst.NONNULL}
-    if isinstance(ins, IElse):
-        return {**sigma, ins.var: Abst.NULL}
-    if isinstance(ins, IReturn):
-        return dict(sigma)
-    if isinstance(ins, IMain):
-        return {x: Abst.NULL for x in sorted(universe)}
-    if isinstance(ins, IProc):
-        out = {x: Abst.NULL for x in sorted(universe)}
-        out[ins.param] = _exact_ann(ins.param_ann)
-        return out
-    raise AssertionError(f"unknown instruction {ins!r}")
-
-
 def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradState:
     """Gradual transfer function; annotations flow through unconverted."""
     if isinstance(ins, ICopy):
@@ -182,6 +135,8 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
             out.pop(ins.target, None)
         return out
     if isinstance(ins, IFieldRead):
+        # Reading narrows the receiver; when target and receiver coincide
+        # the receiver fact wins (the write order below is load-bearing).
         out = dict(sigma)
         out[ins.target] = GradAbst.NULLABLE
         out[ins.obj] = GradAbst.NONNULL
@@ -205,6 +160,15 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
+def flow(ins: Instr, sigma: BaseState, universe: frozenset[str]) -> BaseState:
+    """Base transfer function: lifted_flow on exact facts, projected back.
+
+    Raises ValueError when the instruction writes a '?' annotation.
+    """
+    out = lifted_flow(ins, {x: exact(a) for x, a in sigma.items()}, universe)
+    return {x: _exact_ann(g) for x, g in out.items()}
+
+
 # ---------------------------------------------------------------------------
 # Safety bounds
 # ---------------------------------------------------------------------------
@@ -212,11 +176,7 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
 
 def safe(ins: Instr, x: str) -> Abst:
     """Strongest fact x must satisfy for the instruction to be safe."""
-    g = lifted_safe(ins, x)
-    a = as_exact(g)
-    if a is None:
-        raise ValueError("static analysis requires a fully annotated program (no '?')")
-    return a
+    return _exact_ann(lifted_safe(ins, x))
 
 
 def lifted_safe(ins: Instr, x: str) -> GradAbst:
@@ -255,17 +215,13 @@ def site_category(ins: Instr) -> str:
 # Fixpoint
 # ---------------------------------------------------------------------------
 
-V = TypeVar("V")
 
-
-def _state_join(
-    s1: dict[str, V], s2: dict[str, V], join: Callable[[V, V], V]
-) -> dict[str, V]:
+def _state_join(s1: GradState, s2: GradState) -> GradState:
     # Union-join: a variable undefined on one side contributes the other
     # side's fact (the empty map is bottom).
     out = dict(s1)
     for x, v in s2.items():
-        out[x] = join(out[x], v) if x in out else v
+        out[x] = lifted_join(out[x], v) if x in out else v
     return out
 
 
@@ -290,18 +246,23 @@ def kildall(
     mode: Mode = "gradual",
     seed_order: Optional[Iterable[int]] = None,
 ) -> AnalysisResult:
-    """Worklist fixpoint of the (gradual) transfer functions.
+    """Worklist fixpoint of the gradual transfer function.
 
     Every vertex starts at the empty map and is processed at least once;
     a successor re-enters the worklist whenever its fact grows.  The result
     does not depend on seed_order (that is a tested property, not a hope).
+
+    Static mode is the same fixpoint projected to base facts.  A '?' enters
+    the fixpoint only as a call result or a parameter annotation, and those
+    are checked up front: the projection alone would miss a '?' that a join
+    absorbs (? + Nullable = Nullable).
     """
     if mode == "static":
-        transfer: Callable = flow
-        join: Callable = base_join
-    else:
-        transfer = lifted_flow
-        join = lifted_join
+        for vertex in cfg.vertices:
+            if isinstance(vertex.instr, ICall):
+                _exact_ann(vertex.instr.ret_ann)
+            elif isinstance(vertex.instr, IProc):
+                _exact_ann(vertex.instr.param_ann)
 
     pi: list[dict] = [{} for _ in cfg.vertices]
     order = list(seed_order) if seed_order is not None else reverse_postorder(cfg)
@@ -311,14 +272,16 @@ def kildall(
     while work:
         v = work.popleft()
         queued.discard(v)
-        out = transfer(cfg.instr(v), pi[v], cfg.universe[cfg.vertices[v].proc])
+        out = lifted_flow(cfg.instr(v), pi[v], cfg.universe[cfg.vertices[v].proc])
         for u in cfg.successors(v):
-            grown = _state_join(pi[u], out, join)
+            grown = _state_join(pi[u], out)
             if grown != pi[u]:
                 pi[u] = grown
                 if u not in queued:
                     work.append(u)
                     queued.add(u)
+    if mode == "static":
+        pi = [{x: _exact_ann(g) for x, g in s.items()} for s in pi]
     return AnalysisResult(cfg=cfg, mode=mode, pi=pi)
 
 

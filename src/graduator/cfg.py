@@ -299,11 +299,6 @@ class _Lowerer:
             return [self.emit(ins, e.pos, pending)]
         raise AssertionError(f"unknown expression {e!r}")
 
-    def lower_cond(self, e: Expr, pending: list[int]) -> tuple[str, list[int]]:
-        # A bare variable branches directly; anything else evaluates into a
-        # temporary first, and loops re-enter at that evaluation.
-        return self.lower_operand(e, pending)
-
     def lower_stmts(self, stmts: Iterable[Stmt], pending: list[int], ret_ann: GradAbst) -> list[int]:
         for s in stmts:
             if isinstance(s, SSkip):
@@ -322,7 +317,9 @@ class _Lowerer:
                 pending = []
                 continue
             if isinstance(s, SIf):
-                var, pending = self.lower_cond(s.cond, pending)
+                # A bare variable branches directly; anything else evaluates
+                # into a temporary first, and loops re-enter at that evaluation.
+                var, pending = self.lower_operand(s.cond, pending)
                 b = self.emit(IBranch(var), s.pos, pending)
                 if_v = self.emit(IIf(var), s.pos, [b])
                 else_v = self.emit(IElse(var), s.pos, [b])
@@ -333,7 +330,7 @@ class _Lowerer:
                 continue
             if isinstance(s, SWhile):
                 head_mark = len(self.vertices)
-                var, cond_exits = self.lower_cond(s.cond, pending)
+                var, cond_exits = self.lower_operand(s.cond, pending)
                 b = self.emit(IBranch(var), s.pos, cond_exits)
                 head = head_mark if head_mark < len(self.vertices) - 1 else b
                 if_v = self.emit(IIf(var), s.pos, [b])

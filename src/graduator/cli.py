@@ -53,12 +53,17 @@ class _Fail(Exception):
         self.message = message
 
 
-def _load(path: Path) -> tuple[Program, ProgramCfg]:
+def _read(path: Path) -> str:
     try:
-        text = path.read_text()
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _Fail(2, f"{path}: error: not valid UTF-8 at byte offset {exc.start}")
     except OSError as exc:
         raise _Fail(2, f"{path}: {exc}")
-    return _front_end(path, text)
+
+
+def _load(path: Path) -> tuple[Program, ProgramCfg]:
+    return _front_end(path, _read(path))
 
 
 def _front_end(path: Path, text: str, transform=None) -> tuple[Program, ProgramCfg]:
@@ -190,12 +195,8 @@ def cmd_stats(args) -> int:
     rows = []
     for raw in args.paths:
         path = Path(raw)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise _Fail(2, f"{path}: {exc}")
         transform = (lambda p: erase_annotations(p)) if args.ignore_annotations else None
-        _, cfg = _front_end(path, text, transform)
+        _, cfg = _front_end(path, _read(path), transform)
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))

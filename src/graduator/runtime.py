@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .analysis import BaseState, GradState, lifted_safe, site_category
+from .analysis import BaseState, GradState, constrained_vars, lifted_safe, site_category
 from .cfg import (
     IAnd,
     IBranch,
@@ -258,7 +258,7 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
     frame = state.top
     v = frame.vertex
     ins = cfg.instr(v)
-    for x in sorted(set(_checked_vars(ins))):
+    for x in sorted(set(constrained_vars(ins))):
         if x not in frame.env:
             continue
         bound = lifted_safe(ins, x)
@@ -266,19 +266,6 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
         if not grad_conc_contains(bound, value):
             return Errored(state, v, x, ceil(bound), value)
     return step(cfg, state)
-
-
-def _checked_vars(ins) -> tuple[str, ...]:
-    # The instruction footprint with possibly non-trivial safety bounds.
-    if isinstance(ins, ICall):
-        return (ins.arg,)
-    if isinstance(ins, IReturn):
-        return (ins.var,)
-    if isinstance(ins, IFieldRead):
-        return (ins.obj,)
-    if isinstance(ins, IFieldWrite):
-        return (ins.obj,)
-    return ()
 
 
 # ---------------------------------------------------------------------------

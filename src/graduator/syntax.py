@@ -583,18 +583,6 @@ def parse(source: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _expr_reads(e: Expr) -> Iterator[EVar]:
-    if isinstance(e, EVar):
-        yield e
-    elif isinstance(e, (EAnd, EOr)):
-        yield from _expr_reads(e.left)
-        yield from _expr_reads(e.right)
-    elif isinstance(e, EField):
-        yield from _expr_reads(e.obj)
-    elif isinstance(e, ECall):
-        yield from _expr_reads(e.arg)
-
-
 def _walk_exprs(e: Expr) -> Iterator[Expr]:
     yield e
     if isinstance(e, (EAnd, EOr)):
@@ -623,10 +611,7 @@ def check_surface(p: Program) -> list[Diagnostic]:
     def check_expr(e: Expr, declared: set[str], assigned: set[str]) -> None:
         for node in _walk_exprs(e):
             if isinstance(node, EVar):
-                if node.name not in declared:
-                    err(f"undeclared variable {node.name!r}", node.pos)
-                elif node.name not in assigned:
-                    err(f"variable {node.name!r} may be read before initialization", node.pos)
+                check_var_use(node.name, node.pos, declared, assigned)
             elif isinstance(node, ECall):
                 if node.proc not in procs:
                     err(f"unknown procedure {node.proc!r}", node.pos)
@@ -690,52 +675,38 @@ def lint_allocation_fields(p: Program) -> list[Diagnostic]:
     Such an object, should it reach that access, is stuck at run time even
     though the receiver is non-null.  Advisory only; never blocks analysis.
     """
+    exprs: list[Expr] = []  # every expression node, conditions included, in walk order
     accessed: set[str] = set()
 
-    def scan_block(block: Block) -> None:
+    def scan(block: Block) -> None:
         for s in block:
             if isinstance(s, SAssign):
-                for node in _walk_exprs(s.expr):
-                    if isinstance(node, EField):
-                        accessed.add(node.fieldname)
+                exprs.extend(_walk_exprs(s.expr))
             elif isinstance(s, SFieldAssign):
                 accessed.add(s.fieldname)
             elif isinstance(s, SIf):
-                scan_block(s.then)
-                scan_block(s.els)
+                exprs.extend(_walk_exprs(s.cond))
+                scan(s.then)
+                scan(s.els)
             elif isinstance(s, SWhile):
-                scan_block(s.body)
+                exprs.extend(_walk_exprs(s.cond))
+                scan(s.body)
 
     for proc in p.procs:
-        scan_block(proc.body)
-    scan_block(p.main)
-
-    out: list[Diagnostic] = []
-
-    def scan_news(block: Block) -> None:
-        for s in block:
-            if isinstance(s, SAssign):
-                for node in _walk_exprs(s.expr):
-                    if isinstance(node, ENew):
-                        for f in sorted(accessed - set(node.fields)):
-                            out.append(
-                                Diagnostic(
-                                    "note",
-                                    f"allocation omits field {f!r}, which the program dereferences elsewhere",
-                                    node.pos[0],
-                                    node.pos[1],
-                                )
-                            )
-            elif isinstance(s, SIf):
-                scan_news(s.then)
-                scan_news(s.els)
-            elif isinstance(s, SWhile):
-                scan_news(s.body)
-
-    for proc in p.procs:
-        scan_news(proc.body)
-    scan_news(p.main)
-    return out
+        scan(proc.body)
+    scan(p.main)
+    accessed.update(e.fieldname for e in exprs if isinstance(e, EField))
+    return [
+        Diagnostic(
+            "note",
+            f"allocation omits field {f!r}, which the program dereferences elsewhere",
+            e.pos[0],
+            e.pos[1],
+        )
+        for e in exprs
+        if isinstance(e, ENew)
+        for f in sorted(accessed - set(e.fields))
+    ]
 
 
 # ---------------------------------------------------------------------------

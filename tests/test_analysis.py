@@ -207,6 +207,22 @@ def test_static_mode_requires_annotations():
         kildall(cfg, "static")
 
 
+def test_static_mode_refuses_a_hole_that_a_join_absorbs():
+    # id's '?' result meets Nullable at the if's join point: ? + Nullable is
+    # Nullable, so no '?' survives in the gradual facts, yet the program is
+    # not fully annotated and static mode must still refuse it.
+    src = (
+        "field f; proc id(y @Nullable) { return y; }"
+        " main { var a; var b; b := new {f};"
+        " if (b != null) { a := id(b); } else { a := b.f; } return a; }"
+    )
+    cfg = lower(parse(src))
+    gradual = kildall(cfg, "gradual")
+    assert all(g is not GradAbst.UNKNOWN for sigma in gradual.pi for g in sigma.values())
+    with pytest.raises(ValueError, match="fully annotated"):
+        kildall(cfg, "static")
+
+
 def test_warning_on_null_argument():
     src = (
         "field g;"

@@ -83,6 +83,15 @@ def test_check_missing_file(tmp_path, capsys):
     assert "absent.picl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "stats"])
+def test_non_utf8_input_exits_2_with_the_byte_offset(tmp_path, capsys, command):
+    path = tmp_path / "bad.picl"
+    path.write_bytes(b"main {\xff var x; x := null; return x; }")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{path}: error: not valid UTF-8 at byte offset 6"]
+
+
 def test_check_parse_error_position(tmp_path, capsys):
     path = picl(tmp_path, "main {\n    x = null;\n}\n")
     assert main(["check", path]) == 2

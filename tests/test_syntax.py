@@ -181,6 +181,17 @@ def test_allocation_field_lint_is_a_note():
     assert len(notes) == 1 and notes[0].severity == "note"
 
 
+def test_allocation_field_lint_sees_field_reads_in_conditions():
+    p = parse(
+        "field f; field g; main { var x; var y; x := new {g}; y := new {f}; x.g := y;"
+        " if (x.f == null) { skip; } else { skip; } return x; }"
+    )
+    assert errs(p) == []
+    notes = [(n.line, n.col, n.message.split("'")[1]) for n in lint_allocation_fields(p)]
+    # new {g} omits f, which only the condition reads; new {f} omits g
+    assert notes == [(1, 45, "f"), (1, 59, "g")]
+
+
 def test_annotation_sites_and_erasure():
     p = parse(LOOP_SRC)
     sites = dict(annotation_sites(p))
