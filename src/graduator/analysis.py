@@ -218,10 +218,13 @@ def site_category(ins: Instr) -> str:
 
 def _state_join(s1: GradState, s2: GradState) -> GradState:
     # Union-join: a variable undefined on one side contributes the other
-    # side's fact (the empty map is bottom).
+    # side's fact (the empty map is bottom).  Joining a fact with itself
+    # keeps it, so the table lookup runs only when the facts differ.
     out = dict(s1)
-    for x, v in s2.items():
-        out[x] = lifted_join(out[x], v) if x in out else v
+    for x, g in s2.items():
+        f = out.get(x)
+        if f is not g:
+            out[x] = g if f is None else lifted_join(f, g)
     return out
 
 
@@ -233,12 +236,11 @@ class AnalysisResult:
     cfg: ProgramCfg
     mode: Mode
     pi: list[dict]  # vertex id -> partial map variable -> Abst | GradAbst
+    grad_pi: list[GradState]  # the gradual fixpoint; pi projects it in static mode
 
     def pi_as_grad(self) -> list[GradState]:
         """pi with base facts embedded as exact gradual facts."""
-        if self.mode == "gradual":
-            return [dict(s) for s in self.pi]
-        return [{x: exact(a) for x, a in s.items()} for s in self.pi]
+        return [dict(s) for s in self.grad_pi]
 
 
 def kildall(
@@ -280,9 +282,10 @@ def kildall(
                 if u not in queued:
                     work.append(u)
                     queued.add(u)
+    grad_pi = pi
     if mode == "static":
-        pi = [{x: _exact_ann(g) for x, g in s.items()} for s in pi]
-    return AnalysisResult(cfg=cfg, mode=mode, pi=pi)
+        pi = [{x: _exact_ann(g) for x, g in s.items()} for s in grad_pi]
+    return AnalysisResult(cfg=cfg, mode=mode, pi=pi, grad_pi=grad_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +327,7 @@ class Finding:
 
 def _positions(result: AnalysisResult):
     """Constrained (vertex, variable, fact, bound) tuples in report order."""
-    pi = result.pi_as_grad()
+    pi = result.grad_pi
     for vertex in result.cfg.vertices:
         sigma = pi[vertex.id]
         ins = vertex.instr

@@ -285,10 +285,19 @@ class _Lowerer:
         if isinstance(e, ENew):
             return [self.emit(INew(target, e.fields), e.pos, pending)]
         if isinstance(e, (EAnd, EOr)):
-            left, pending = self.lower_operand(e.left, pending)
-            right, pending = self.lower_operand(e.right, pending)
-            cls = IAnd if isinstance(e, EAnd) else IOr
-            return [self.emit(cls(target, left, right), e.pos, pending)]
+            # A chain `a && b && ...` nests down its left operands.  Walk that
+            # spine with a loop, not one recursion per operand, naming the
+            # temporaries outermost first and emitting innermost first.
+            spine = [(target, e)]
+            while isinstance(spine[-1][1].left, (EAnd, EOr)):
+                spine.append((self.fresh_temp(), spine[-1][1].left))
+            left, pending = self.lower_operand(spine[-1][1].left, pending)
+            for tgt, node in reversed(spine):
+                right, pending = self.lower_operand(node.right, pending)
+                cls = IAnd if isinstance(node, EAnd) else IOr
+                pending = [self.emit(cls(tgt, left, right), node.pos, pending)]
+                left = tgt
+            return pending
         if isinstance(e, EField):
             obj, pending = self.lower_operand(e.obj, pending)
             return [self.emit(IFieldRead(target, obj, e.fieldname), e.pos, pending)]

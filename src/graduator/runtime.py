@@ -14,13 +14,21 @@ blocks), while checked (gradual) execution consults the safety bounds
 *before* every step and reports a structured error at the offending vertex
 instead of running into the violation.
 
-States are value-semantic snapshots: stepping never mutates the input state.
+One executor, `_execute`, holds the instruction rules.  It updates a
+mutable machine in place: the frames are a list, the heap a dict, and the
+machine keeps its next free location, so a step costs the same whatever the
+heap size and stack depth.  Every stuck, annotation and safety-bound check
+runs before the first write, so a machine that stops is exactly the state
+it stopped in.  `run` drives one machine and takes a `MachineState` snapshot
+only when it stops.  `step` and `grad_step` keep value semantics for callers
+that compare states: they build a fresh machine from the input, execute
+one step and return a new `MachineState`, never touching the input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .analysis import BaseState, GradState, constrained_vars, lifted_safe, site_category
 from .cfg import (
@@ -41,7 +49,7 @@ from .cfg import (
     ProgramCfg,
     render_instr,
 )
-from .lattice import Abst, ceil, conc_contains, grad_conc_contains
+from .lattice import Abst, GradAbst, ceil, conc_contains, grad_conc_contains
 
 Env = dict[str, int]
 Heap = dict[int, dict[str, int]]
@@ -49,8 +57,7 @@ Heap = dict[int, dict[str, int]]
 DEFAULT_FUEL = 100_000
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     env: Env
     vertex: int
 
@@ -141,111 +148,197 @@ Outcome = Union[Stepped, Final, Stuck, Errored]
 
 
 # ---------------------------------------------------------------------------
-# Plain small step
+# The executor
 # ---------------------------------------------------------------------------
 
 
-def _advance(state: MachineState, env: Env, vertex: int) -> Stepped:
-    frames = state.frames[:-1] + (Frame(env, vertex),)
-    return Stepped(MachineState(frames, state.heap))
+class _Machine:
+    """A mutable machine: frames as (env, vertex) pairs, top last, over a heap.
+
+    A machine never writes into the frames and heap it is built from.  Only
+    the top env is written in place (a return gives its caller a new env),
+    so the machine copies that one and shares the others.  A field write
+    gives its object a new dict, so heap objects are shared too.  The heap
+    itself is shared until the first allocation or field write copies it;
+    that copy also finds the next free location, which the machine keeps.
+    """
+
+    __slots__ = ("frames", "heap", "next_loc")
+
+    def __init__(self, frames: tuple[Frame, ...], heap: Heap):
+        self.frames: list[tuple[Env, int]] = list(frames)
+        env, v = frames[-1]
+        self.frames[-1] = (dict(env), v)
+        self.heap = heap
+        self.next_loc: Optional[int] = None  # set when the heap is copied
+
+    def own_heap(self) -> Heap:
+        """The heap, copied at the first call so that it can be written."""
+        if self.next_loc is None:
+            self.heap = dict(self.heap)
+            self.next_loc = 1 + max(self.heap, default=0)
+        return self.heap
+
+    def snapshot(self, below: tuple[Frame, ...] = ()) -> MachineState:
+        """The state with the machine's frames on top of below; it shares the machine's dicts."""
+        frames = [f if isinstance(f, Frame) else Frame(*f) for f in self.frames]
+        return MachineState(below + tuple(frames), self.heap)
+
+
+# What one vertex's step needs from the graph, looked up once:
+#   (instr, the sole successor or None, the (if, else) arms of a branch or
+#    None, guards, for main and proc entries every universe variable at 0
+#    or None)
+# where guards are the sorted (variable, bound, (admits 0, admits non-0))
+# triples of the bounds that can fail.
+_Site = tuple
+
+# Whether a bound admits (null, non-null): membership depends only on that.
+_ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in GradAbst}
+
+
+def _site(cfg: ProgramCfg, v: int) -> _Site:
+    ins = cfg.vertices[v].instr
+    succs = cfg.succ[v]
+    guards = []
+    constrained = constrained_vars(ins)
+    if constrained:
+        for x in sorted(set(constrained)):
+            bound = lifted_safe(ins, x)
+            if not all(_ADMITS[bound]):
+                guards.append((x, bound, _ADMITS[bound]))
+    arms = entry_env = None
+    if isinstance(ins, IBranch):
+        arms = cfg.branch_arms(v)
+    elif isinstance(ins, IMain):
+        entry_env = dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0)
+    elif isinstance(ins, IProc):
+        entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
+    return (ins, succs[0] if succs else None, arms, tuple(guards), entry_env)
+
+
+_Stop = tuple  # (outcome class, the outcome's fields after its state)
+
+
+def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Optional[_Stop]:
+    """Execute the top frame's vertex, whose site is given, on m in place.
+
+    None when it stepped.  On a stop nothing has been written, and the
+    caller builds the outcome from the state.
+    """
+    frames = m.frames
+    env, v = frames[-1]
+    ins, nxt, arms, guards, entry_env = site
+    if checked:
+        # Only the driving instruction's own operands carry bounds that can
+        # fail; the lexicographically first offending variable is reported.
+        for x, bound, admits in guards:
+            if x in env:
+                value = env[x]
+                if not admits[value != 0]:
+                    return Errored, (v, x, ceil(bound), value)
+
+    if isinstance(ins, IReturn) and len(frames) == 1:
+        return Final, ()
+
+    try:
+        if isinstance(ins, ICopy):
+            env[ins.target] = env[ins.source]
+        elif isinstance(ins, IConstNull):
+            env[ins.target] = 0
+        elif isinstance(ins, INew):
+            heap = m.own_heap()
+            loc = m.next_loc
+            m.next_loc = loc + 1
+            heap[loc] = {f: 0 for f in ins.fields}
+            env[ins.target] = loc
+        elif isinstance(ins, IAnd):
+            n1, n2 = env[ins.left], env[ins.right]
+            env[ins.target] = n2 if n1 > 0 else n1
+        elif isinstance(ins, IOr):
+            n1, n2 = env[ins.left], env[ins.right]
+            env[ins.target] = n1 if n1 > 0 else n2
+        elif isinstance(ins, (IFieldRead, IFieldWrite)):
+            r = env[ins.obj]
+            if r == 0:
+                return Stuck, (v, f"null dereference: {ins.obj} is null")
+            obj = m.heap.get(r)
+            if obj is None or ins.fieldname not in obj:
+                return Stuck, (v, f"object at {r} has no field {ins.fieldname!r}")
+            if isinstance(ins, IFieldRead):
+                env[ins.target] = obj[ins.fieldname]
+            else:
+                m.own_heap()[r] = {**obj, ins.fieldname: env[ins.source]}
+        elif isinstance(ins, IBranch):
+            nxt = arms[0] if env[ins.var] > 0 else arms[1]
+        elif isinstance(ins, (IIf, IElse)):
+            pass
+        elif isinstance(ins, IMain):
+            frames[-1] = (dict(entry_env), nxt)
+            return None
+        elif isinstance(ins, ICall):
+            frames.append(({}, cfg.proc_entry[ins.proc]))
+            return None
+        elif isinstance(ins, IProc):
+            if len(frames) < 2:
+                return Stuck, (v, "procedure entry without a caller")
+            caller_env, caller_v = frames[-2]
+            call = cfg.instr(caller_v)
+            if not isinstance(call, ICall) or call.proc != ins.name:
+                return Stuck, (v, "caller frame is not at a matching call")
+            arg = caller_env[call.arg]
+            if not grad_conc_contains(ins.param_ann, arg):
+                return Stuck, (
+                    v,
+                    f"argument {call.arg} = {arg} violates parameter annotation @{ins.param_ann}",
+                )
+            rho = dict(entry_env)
+            rho[ins.param] = arg
+            frames[-1] = (rho, nxt)
+            return None
+        elif isinstance(ins, IReturn):
+            caller_env, caller_v = frames[-2]
+            call = cfg.instr(caller_v)
+            if not isinstance(call, ICall):
+                return Stuck, (v, "caller frame is not at a call")
+            retval = env[ins.var]
+            if not grad_conc_contains(ins.ann, retval):
+                return Stuck, (
+                    v,
+                    f"return value {ins.var} = {retval} violates return annotation @{ins.ann}",
+                )
+            cont = cfg.successors(caller_v)[0]
+            frames.pop()
+            frames[-1] = ({**caller_env, call.target: retval}, cont)
+            return None
+        else:
+            raise AssertionError(f"unknown instruction {ins!r}")
+    except KeyError as missing:
+        return Stuck, (v, f"undefined variable {missing}")
+    frames[-1] = (env, nxt)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# One step with value semantics
+# ---------------------------------------------------------------------------
+
+
+def _step_copy(cfg: ProgramCfg, state: MachineState, checked: bool) -> Outcome:
+    # A step reads at most the top two frames and compares the stack height
+    # only with 1 and 2, so a machine holding the top two steps as the whole
+    # stack would; the frames below are shared.
+    m = _Machine(state.frames[-2:], state.heap)
+    stop = _execute(cfg, _site(cfg, state.frames[-1].vertex), m, checked)
+    if stop is None:
+        return Stepped(m.snapshot(state.frames[:-2]))
+    kind, fields = stop
+    return kind(state, *fields)
 
 
 def step(cfg: ProgramCfg, state: MachineState) -> Union[Stepped, Final, Stuck]:
     """One plain transition, or Final/Stuck when none exists."""
-    frame = state.top
-    v = frame.vertex
-    ins = cfg.instr(v)
-    env = frame.env
-    succs = cfg.successors(v)
-
-    def stuck(reason: str) -> Stuck:
-        return Stuck(state, v, reason)
-
-    if isinstance(ins, IReturn) and len(state.frames) == 1:
-        return Final(state)
-
-    try:
-        if isinstance(ins, ICopy):
-            return _advance(state, {**env, ins.target: env[ins.source]}, succs[0])
-        if isinstance(ins, IConstNull):
-            return _advance(state, {**env, ins.target: 0}, succs[0])
-        if isinstance(ins, INew):
-            loc = 1 + max(state.heap, default=0)
-            heap = {**state.heap, loc: {f: 0 for f in ins.fields}}
-            frames = state.frames[:-1] + (Frame({**env, ins.target: loc}, succs[0]),)
-            return Stepped(MachineState(frames, heap))
-        if isinstance(ins, IAnd):
-            n1, n2 = env[ins.left], env[ins.right]
-            return _advance(state, {**env, ins.target: n2 if n1 > 0 else n1}, succs[0])
-        if isinstance(ins, IOr):
-            n1, n2 = env[ins.left], env[ins.right]
-            return _advance(state, {**env, ins.target: n1 if n1 > 0 else n2}, succs[0])
-        if isinstance(ins, IFieldRead):
-            r = env[ins.obj]
-            if r == 0:
-                return stuck(f"null dereference: {ins.obj} is null")
-            if r not in state.heap or ins.fieldname not in state.heap[r]:
-                return stuck(f"object at {r} has no field {ins.fieldname!r}")
-            return _advance(state, {**env, ins.target: state.heap[r][ins.fieldname]}, succs[0])
-        if isinstance(ins, IFieldWrite):
-            r = env[ins.obj]
-            if r == 0:
-                return stuck(f"null dereference: {ins.obj} is null")
-            if r not in state.heap or ins.fieldname not in state.heap[r]:
-                return stuck(f"object at {r} has no field {ins.fieldname!r}")
-            obj = {**state.heap[r], ins.fieldname: env[ins.source]}
-            heap = {**state.heap, r: obj}
-            frames = state.frames[:-1] + (Frame(dict(env), succs[0]),)
-            return Stepped(MachineState(frames, heap))
-        if isinstance(ins, IBranch):
-            if_v, else_v = cfg.branch_arms(v)
-            return _advance(state, dict(env), if_v if env[ins.var] > 0 else else_v)
-        if isinstance(ins, (IIf, IElse)):
-            return _advance(state, dict(env), succs[0])
-        if isinstance(ins, IMain):
-            rho0 = {x: 0 for x in sorted(cfg.universe[cfg.vertices[v].proc])}
-            return _advance(state, rho0, succs[0])
-        if isinstance(ins, ICall):
-            frames = state.frames + (Frame({}, cfg.proc_entry[ins.proc]),)
-            return Stepped(MachineState(frames, state.heap))
-        if isinstance(ins, IProc):
-            if len(state.frames) < 2:
-                return stuck("procedure entry without a caller")
-            caller = state.frames[-2]
-            call = cfg.instr(caller.vertex)
-            if not isinstance(call, ICall) or call.proc != ins.name:
-                return stuck("caller frame is not at a matching call")
-            arg = caller.env[call.arg]
-            if not grad_conc_contains(ins.param_ann, arg):
-                return stuck(
-                    f"argument {call.arg} = {arg} violates parameter annotation @{ins.param_ann}"
-                )
-            rho = {x: 0 for x in sorted(cfg.universe[ins.name])}
-            rho[ins.param] = arg
-            frames = state.frames[:-1] + (Frame(rho, succs[0]),)
-            return Stepped(MachineState(frames, state.heap))
-        if isinstance(ins, IReturn):
-            caller = state.frames[-2]
-            call = cfg.instr(caller.vertex)
-            if not isinstance(call, ICall):
-                return stuck("caller frame is not at a call")
-            retval = env[ins.var]
-            if not grad_conc_contains(ins.ann, retval):
-                return stuck(
-                    f"return value {ins.var} = {retval} violates return annotation @{ins.ann}"
-                )
-            caller_env = {**caller.env, call.target: retval}
-            cont = cfg.successors(caller.vertex)[0]
-            frames = state.frames[:-2] + (Frame(caller_env, cont),)
-            return Stepped(MachineState(frames, state.heap))
-    except KeyError as missing:
-        return stuck(f"undefined variable {missing}")
-    raise AssertionError(f"unknown instruction {ins!r}")
-
-
-# ---------------------------------------------------------------------------
-# Checked (gradual) small step
-# ---------------------------------------------------------------------------
+    return _step_copy(cfg, state, checked=False)
 
 
 def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
@@ -255,17 +348,7 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
     every other variable's bound is Nullable, which no value violates.  On a
     violation the lexicographically first offending variable is reported.
     """
-    frame = state.top
-    v = frame.vertex
-    ins = cfg.instr(v)
-    for x in sorted(set(constrained_vars(ins))):
-        if x not in frame.env:
-            continue
-        bound = lifted_safe(ins, x)
-        value = frame.env[x]
-        if not grad_conc_contains(bound, value):
-            return Errored(state, v, x, ceil(bound), value)
-    return step(cfg, state)
+    return _step_copy(cfg, state, checked=True)
 
 
 # ---------------------------------------------------------------------------
@@ -304,23 +387,26 @@ def run(
     """
     if mode not in ("plain", "gradual"):
         raise ValueError(f"unknown mode {mode!r}")
-    stepper = step if mode == "plain" else grad_step
-    state = initial_state(cfg)
+    checked = mode == "gradual"
+    sites = [_site(cfg, v) for v in range(len(cfg.vertices))]
+    m = _Machine(initial_state(cfg).frames, {})
     trace: list[str] = []
     steps = 0
     while steps < max_steps:
-        outcome = stepper(cfg, state)
-        if isinstance(outcome, Final):
-            ins = cfg.instr(state.top.vertex)
-            final_var = ins.var if isinstance(ins, IReturn) else None
-            return RunResult("final", state, steps, trace, final_var=final_var)
-        if isinstance(outcome, Stuck):
-            return RunResult("stuck", state, steps, trace, stuck_reason=outcome.reason)
-        if isinstance(outcome, Errored):
-            return RunResult("error", state, steps, trace, error=outcome)
+        v = m.frames[-1][1]
+        stop = _execute(cfg, sites[v], m, checked)
+        if stop is not None:
+            state = m.snapshot()
+            kind, fields = stop
+            if kind is Final:
+                ins = cfg.instr(v)
+                final_var = ins.var if isinstance(ins, IReturn) else None
+                return RunResult("final", state, steps, trace, final_var=final_var)
+            if kind is Stuck:
+                return RunResult("stuck", state, steps, trace, stuck_reason=fields[1])
+            return RunResult("error", state, steps, trace, error=Errored(state, *fields))
         if collect_trace:
-            vtx = cfg.vertices[state.top.vertex]
+            vtx = cfg.vertices[v]
             trace.append(f"{steps}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
-        state = outcome.state
         steps += 1
-    return RunResult("fuel", state, steps, trace)
+    return RunResult("fuel", m.snapshot(), steps, trace)

@@ -584,14 +584,18 @@ def parse(source: str) -> Program:
 
 
 def _walk_exprs(e: Expr) -> Iterator[Expr]:
-    yield e
-    if isinstance(e, (EAnd, EOr)):
-        yield from _walk_exprs(e.left)
-        yield from _walk_exprs(e.right)
-    elif isinstance(e, EField):
-        yield from _walk_exprs(e.obj)
-    elif isinstance(e, ECall):
-        yield from _walk_exprs(e.arg)
+    """Every subexpression in preorder, with an explicit stack (chains run deep)."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (EAnd, EOr)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, EField):
+            stack.append(node.obj)
+        elif isinstance(node, ECall):
+            stack.append(node.arg)
 
 
 def check_surface(p: Program) -> list[Diagnostic]:

@@ -80,6 +80,16 @@ def test_compound_condition_evaluates_into_a_temp():
     assert "$0 := a && b" in [render_instr(v.instr) for v in cfg.vertices]
 
 
+def test_boolean_chains_name_temps_outermost_first():
+    cases = [
+        ("a := a && b && a && b", ["$1 := a && b", "$0 := $1 && a", "a := $0 && b"]),
+        ("a := a && b.f || a && b", ["$1 := b.f", "$0 := a && $1", "$2 := a && b", "a := $0 || $2"]),
+    ]
+    for assign, lowered_chain in cases:
+        cfg = lowered(f"field f; main {{ var a; var b; a := null; b := null; {assign}; return a; }}")
+        assert [render_instr(v.instr) for v in cfg.vertices[3:-1]] == lowered_chain
+
+
 def test_loop_reenters_at_the_condition_head():
     # compound condition: the back edge targets the first temp evaluation
     cfg = lowered(

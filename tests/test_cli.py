@@ -105,6 +105,14 @@ def test_check_surface_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_long_boolean_chains_need_no_deep_recursion(tmp_path, capsys, command):
+    chain = " && ".join(["x"] * 2000)
+    path = picl(tmp_path, f"main {{ var x; x := null; x := {chain}; return x; }}")
+    assert main([command, path]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_run_final(tmp_path, capsys):
     path = picl(tmp_path, LOOP_LINES)
     assert main(["run", path]) == 0
