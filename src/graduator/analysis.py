@@ -49,6 +49,7 @@ from .cfg import (
     IReturn,
     Instr,
     ProgramCfg,
+    Vertex,
     reverse_postorder,
 )
 from .lattice import (
@@ -179,29 +180,24 @@ def safe(ins: Instr, x: str) -> Abst:
     return _exact_ann(lifted_safe(ins, x))
 
 
+def _safety_bounds(ins: Instr) -> tuple[tuple[str, GradAbst], ...]:
+    """(variable, safety bound) for the operand that can be constrained, if any."""
+    if isinstance(ins, ICall):
+        return ((ins.arg, ins.arg_ann),)
+    if isinstance(ins, IReturn):
+        return ((ins.var, ins.ann),)
+    if isinstance(ins, (IFieldRead, IFieldWrite)):
+        return ((ins.obj, GradAbst.NONNULL),)
+    return ()
+
+
 def lifted_safe(ins: Instr, x: str) -> GradAbst:
-    if isinstance(ins, ICall) and x == ins.arg:
-        return ins.arg_ann
-    if isinstance(ins, IReturn) and x == ins.var:
-        return ins.ann
-    if isinstance(ins, IFieldRead) and x == ins.obj:
-        return GradAbst.NONNULL
-    if isinstance(ins, IFieldWrite) and x == ins.obj:
-        return GradAbst.NONNULL
-    return GradAbst.NULLABLE
+    return next((bound for y, bound in _safety_bounds(ins) if y == x), GradAbst.NULLABLE)
 
 
 def constrained_vars(ins: Instr) -> tuple[str, ...]:
     """Variables whose safety bound at this instruction can be non-trivial."""
-    if isinstance(ins, ICall):
-        return (ins.arg,)
-    if isinstance(ins, IReturn):
-        return (ins.var,)
-    if isinstance(ins, IFieldRead):
-        return (ins.obj,)
-    if isinstance(ins, IFieldWrite):
-        return (ins.obj,)
-    return ()
+    return tuple(x for x, _ in _safety_bounds(ins))
 
 
 def site_category(ins: Instr) -> str:
@@ -330,32 +326,25 @@ def _positions(result: AnalysisResult):
     pi = result.grad_pi
     for vertex in result.cfg.vertices:
         sigma = pi[vertex.id]
-        ins = vertex.instr
-        for x in sorted(set(constrained_vars(ins))):
+        for x, bound in _safety_bounds(vertex.instr):
             if x not in sigma:
                 # Never reached with x defined; nothing to judge.
                 continue
-            yield vertex, x, sigma[x], lifted_safe(ins, x)
+            yield vertex, x, sigma[x], bound
+
+
+def _finding(category: str, vertex: Vertex, x: str, found: GradAbst, bound: GradAbst) -> Finding:
+    line, col = vertex.pos
+    return Finding(category, vertex.proc, vertex.id, line, col, x, str(ceil(bound)), str(found))
 
 
 def static_warnings(result: AnalysisResult) -> list[Finding]:
     """Positions whose fact is inconsistent with the safety bound."""
-    out = []
-    for vertex, x, found, bound in _positions(result):
-        if not lifted_leq(found, bound):
-            out.append(
-                Finding(
-                    category=WARN_STATIC,
-                    proc=vertex.proc,
-                    vertex=vertex.id,
-                    line=vertex.pos[0],
-                    col=vertex.pos[1],
-                    variable=x,
-                    required=str(ceil(bound)),
-                    found=str(found),
-                )
-            )
-    return out
+    return [
+        _finding(WARN_STATIC, vertex, x, found, bound)
+        for vertex, x, found, bound in _positions(result)
+        if not lifted_leq(found, bound)
+    ]
 
 
 def check_sites(result: AnalysisResult) -> list[Finding]:
@@ -365,22 +354,11 @@ def check_sites(result: AnalysisResult) -> list[Finding]:
     not: some denoted base fact would violate the bound, so the gradual
     semantics guards the instruction.
     """
-    out = []
-    for vertex, x, found, bound in _positions(result):
-        if lifted_leq(found, bound) and not base_leq(ceil(found), ceil(bound)):
-            out.append(
-                Finding(
-                    category=site_category(vertex.instr),
-                    proc=vertex.proc,
-                    vertex=vertex.id,
-                    line=vertex.pos[0],
-                    col=vertex.pos[1],
-                    variable=x,
-                    required=str(ceil(bound)),
-                    found=str(found),
-                )
-            )
-    return out
+    return [
+        _finding(site_category(vertex.instr), vertex, x, found, bound)
+        for vertex, x, found, bound in _positions(result)
+        if lifted_leq(found, bound) and not base_leq(ceil(found), ceil(bound))
+    ]
 
 
 def analyze(cfg: ProgramCfg, mode: Mode = "gradual") -> tuple[AnalysisResult, list[Finding], list[Finding]]:

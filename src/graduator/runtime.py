@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .analysis import BaseState, GradState, constrained_vars, lifted_safe, site_category
+from .analysis import BaseState, GradState, _safety_bounds, site_category
 from .cfg import (
     IAnd,
     IBranch,
@@ -189,7 +189,7 @@ class _Machine:
 #   (instr, the sole successor or None, the (if, else) arms of a branch or
 #    None, guards, for main and proc entries every universe variable at 0
 #    or None)
-# where guards are the sorted (variable, bound, (admits 0, admits non-0))
+# where guards are the (variable, bound, (admits 0, admits non-0))
 # triples of the bounds that can fail.
 _Site = tuple
 
@@ -200,13 +200,7 @@ _ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in Grad
 def _site(cfg: ProgramCfg, v: int) -> _Site:
     ins = cfg.vertices[v].instr
     succs = cfg.succ[v]
-    guards = []
-    constrained = constrained_vars(ins)
-    if constrained:
-        for x in sorted(set(constrained)):
-            bound = lifted_safe(ins, x)
-            if not all(_ADMITS[bound]):
-                guards.append((x, bound, _ADMITS[bound]))
+    guards = tuple((x, bound, _ADMITS[bound]) for x, bound in _safety_bounds(ins) if not all(_ADMITS[bound]))
     arms = entry_env = None
     if isinstance(ins, IBranch):
         arms = cfg.branch_arms(v)
@@ -214,7 +208,7 @@ def _site(cfg: ProgramCfg, v: int) -> _Site:
         entry_env = dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0)
     elif isinstance(ins, IProc):
         entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
-    return (ins, succs[0] if succs else None, arms, tuple(guards), entry_env)
+    return (ins, succs[0] if succs else None, arms, guards, entry_env)
 
 
 _Stop = tuple  # (outcome class, the outcome's fields after its state)
@@ -230,8 +224,8 @@ def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Option
     env, v = frames[-1]
     ins, nxt, arms, guards, entry_env = site
     if checked:
-        # Only the driving instruction's own operands carry bounds that can
-        # fail; the lexicographically first offending variable is reported.
+        # Only the driving instruction's own operand carries a bound that can
+        # fail.
         for x, bound, admits in guards:
             if x in env:
                 value = env[x]

@@ -7,8 +7,11 @@ exactly one variable, and `main` is the entry block.  Values are references;
 nullness annotations: `@NonNull`, `@Nullable`, or `@?` (equivalently no
 annotation at all) for "unknown, check at run time if needed".
 
-Grammar (whitespace-insensitive, `//` line comments):
+Grammar (between tokens: blanks, which are exactly space, tab, CR and LF,
+and `//` comments, which run to the end of the line):
 
+    IDENT     := a word, not a keyword: its first character passes
+                 `str.isalpha` or is "_", the rest pass `str.isalnum` or are "_"
     program   := (fielddecl | procdecl)* "main" block
     fielddecl := "field" IDENT ";"
     procdecl  := "proc" IDENT annot? "(" IDENT annot? ")" block
@@ -35,8 +38,9 @@ statement may follow one (nor follow an if/else whose branches both return).
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .lattice import GradAbst, precision_leq
 
@@ -235,60 +239,49 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "keyword", "punct", "eof"
     text: str
     line: int
     col: int
 
 
-_PUNCT2 = (":=", "==", "!=", "&&", "||")
-_PUNCT1 = ".;,{}()@?"
+# One alternative per token class, tried in order: blanks, comments, two- then
+# one-character punctuation, words.  `\w` is exactly `str.isalnum()` or `_`; a
+# word must start with `str.isalpha()` or `_` (not `1`, `²` or `½`).
+_TOKEN_RE = re.compile(
+    r"(?P<blank>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*)"
+    r"|(?P<punct>:=|==|!=|&&|\|\||[.;,{}()@?])"
+    r"|(?P<word>\w+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
 
 def _lex(src: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "blank":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = m.start() + text.rindex("\n") + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "comment":
             continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        two = src[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(_Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(_Token("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(_Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "word" and (text[0].isalpha() or text[0] == "_"):
+            kind = "keyword" if text in KEYWORDS else "ident"
+        elif kind != "punct":
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        toks.append(_Token(kind, text, line, col))
+    # A comment's characters advance no column: end of input after a trailing
+    # comment sits where the comment starts.
+    end = m.start() if m is not None and m.lastgroup == "comment" else len(src)
+    toks.append(_Token("eof", "", line, end - line_start + 1))
     return toks
 
 
@@ -315,86 +308,74 @@ class _Parser:
         t = tok or self.peek()
         return ParseError(message, t.line, t.col)
 
-    def expect_punct(self, text: str) -> _Token:
+    def expected(self, what: str) -> ParseError:
         t = self.peek()
-        if t.kind != "punct" or t.text != text:
-            raise self.fail(f"expected {text!r}, found {t.text!r}" if t.text else f"expected {text!r}")
-        return self.next()
+        return self.fail(f"expected {what}, found {t.text!r}" if t.text else f"expected {what}")
 
-    def expect_keyword(self, word: str) -> _Token:
-        t = self.peek()
-        if t.kind != "keyword" or t.text != word:
-            raise self.fail(f"expected {word!r}, found {t.text!r}" if t.text else f"expected {word!r}")
+    # A fixed token (punctuation or keyword) is known by its text alone: no
+    # identifier spells a keyword or punctuation.
+    def at(self, text: str, ahead: int = 0) -> bool:
+        return self.peek(ahead).text == text
+
+    def expect(self, text: str) -> _Token:
+        if not self.at(text):
+            raise self.expected(repr(text))
         return self.next()
 
     def expect_ident(self, what: str) -> _Token:
-        t = self.peek()
-        if t.kind != "ident":
-            raise self.fail(f"expected {what}, found {t.text!r}" if t.text else f"expected {what}")
+        if self.peek().kind != "ident":
+            raise self.expected(what)
         return self.next()
-
-    def at_punct(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "punct" and t.text == text
-
-    def at_keyword(self, word: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
-        return t.kind == "keyword" and t.text == word
 
     # -- declarations ------------------------------------------------------
 
     def program(self) -> Program:
         fields: list[FieldDecl] = []
         procs: list[ProcDecl] = []
-        seen_fields: dict[str, _Token] = {}
-        seen_procs: dict[str, _Token] = {}
-        while True:
-            if self.at_keyword("field"):
+        seen_fields: set[str] = set()
+        seen_procs: set[str] = set()
+        while self.at("field") or self.at("proc"):
+            if self.at("field"):
                 tok = self.next()
                 name = self.expect_ident("field name")
-                self.expect_punct(";")
+                self.expect(";")
                 if name.text in seen_fields:
                     raise self.fail(f"duplicate field name {name.text!r}", name)
-                seen_fields[name.text] = name
+                seen_fields.add(name.text)
                 fields.append(FieldDecl(name.text, pos=(tok.line, tok.col)))
-            elif self.at_keyword("proc"):
+            else:
                 decl = self.procdecl()
                 if decl.name in seen_procs:
                     raise self.fail(f"duplicate procedure name {decl.name!r}", self.toks[self.i - 1])
-                seen_procs[decl.name] = self.toks[self.i - 1]
+                seen_procs.add(decl.name)
                 procs.append(decl)
-            else:
-                break
-        t = self.peek()
-        if not self.at_keyword("main"):
+        if not self.at("main"):
             raise self.fail("expected 'field', 'proc', or 'main'")
-        self.next()
+        t = self.next()
         main = self.block()
-        end = self.peek()
-        if end.kind != "eof":
-            raise self.fail(f"expected end of input, found {end.text!r}")
+        if self.peek().kind != "eof":
+            raise self.expected("end of input")
         self._check_main_returns(main, (t.line, t.col))
         return Program(tuple(fields), tuple(procs), main, main_pos=(t.line, t.col))
 
     def procdecl(self) -> ProcDecl:
-        tok = self.expect_keyword("proc")
+        tok = self.expect("proc")
         name = self.expect_ident("procedure name")
         ret_ann = self.annotation_opt()
-        self.expect_punct("(")
+        self.expect("(")
         param = self.expect_ident("parameter name")
         param_ann = self.annotation_opt()
-        self.expect_punct(")")
+        self.expect(")")
         body = self.block()
         self._check_proc_returns(body, name)
         return ProcDecl(name.text, ret_ann, param.text, param_ann, body, pos=(tok.line, tok.col))
 
     def annotation_opt(self) -> GradAbst:
-        if not self.at_punct("@"):
+        if not self.at("@"):
             return GradAbst.UNKNOWN
         self.next()
-        t = self.peek()
-        text = t.text
-        if (t.kind in ("ident", "keyword") or (t.kind == "punct" and text == "?")) and text in ANNOTATION_WORDS:
+        text = self.peek().text
+        if text in ANNOTATION_WORDS:
             self.next()
             return ANNOTATION_WORDS[text]
         raise self.fail(f"unknown annotation {text!r}; expected NonNull, Nullable, or ?")
@@ -402,81 +383,71 @@ class _Parser:
     # -- statements --------------------------------------------------------
 
     def block(self) -> Block:
-        self.expect_punct("{")
+        self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at_punct("}"):
+        while not self.at("}"):
             if self.peek().kind == "eof":
                 raise self.fail("unexpected end of input inside block")
             stmts.append(self.stmt())
-        self.expect_punct("}")
+        self.expect("}")
         return tuple(stmts)
 
     def stmt(self) -> Stmt:
         t = self.peek()
-        if self.at_keyword("skip"):
+        if self.at("skip"):
             self.next()
-            self.expect_punct(";")
+            self.expect(";")
             return SSkip(pos=(t.line, t.col))
-        if self.at_keyword("var"):
+        if self.at("var") or self.at("return"):
             self.next()
             name = self.expect_ident("variable name")
-            self.expect_punct(";")
-            return SDecl(name.text, pos=(t.line, t.col))
-        if self.at_keyword("return"):
-            self.next()
-            name = self.expect_ident("variable name")
-            self.expect_punct(";")
-            return SReturn(name.text, pos=(t.line, t.col))
-        if self.at_keyword("if"):
+            self.expect(";")
+            return (SDecl if t.text == "var" else SReturn)(name.text, pos=(t.line, t.col))
+        if self.at("if"):
             self.next()
             op, cond = self.cond()
             then = self.block()
-            self.expect_keyword("else")
+            self.expect("else")
             els = self.block()
             return SIf(op, cond, then, els, pos=(t.line, t.col))
-        if self.at_keyword("while"):
+        if self.at("while"):
             self.next()
             op, cond = self.cond()
             body = self.block()
             return SWhile(op, cond, body, pos=(t.line, t.col))
         if t.kind == "ident":
-            if self.at_punct(".", 1):
+            if self.at(".", 1):
                 obj = self.next()
-                self.expect_punct(".")
+                self.expect(".")
                 fieldname = self.expect_ident("field name")
-                self.expect_punct(":=")
+                self.expect(":=")
                 source = self.expect_ident("variable name")
-                self.expect_punct(";")
+                self.expect(";")
                 return SFieldAssign(obj.text, fieldname.text, source.text, pos=(t.line, t.col))
-            if self.at_punct(":=", 1):
+            if self.at(":=", 1):
                 target = self.next()
-                self.expect_punct(":=")
+                self.expect(":=")
                 e = self.expr()
-                self.expect_punct(";")
+                self.expect(";")
                 return SAssign(target.text, e, pos=(t.line, t.col))
             raise self.fail("expected ':=' or '.' after variable name", self.peek(1))
-        raise self.fail(f"expected a statement, found {t.text!r}" if t.text else "expected a statement")
+        raise self.expected("a statement")
 
     def cond(self) -> tuple[str, Expr]:
-        self.expect_punct("(")
+        self.expect("(")
         e = self.expr()
-        t = self.peek()
-        if t.kind == "punct" and t.text in ("==", "!="):
-            self.next()
-        else:
-            raise self.fail("expected '==' or '!=' in condition")
-        self.expect_keyword("null")
-        self.expect_punct(")")
+        t = self.next()
+        if t.text not in ("==", "!="):
+            raise self.fail("expected '==' or '!=' in condition", t)
+        self.expect("null")
+        self.expect(")")
         return t.text, e
 
     # -- expressions -------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
         e = self.and_expr()
-        while self.at_punct("||"):
+        while self.at("||"):
             t = self.next()
             rhs = self.and_expr()
             e = EOr(e, rhs, pos=(t.line, t.col))
@@ -484,7 +455,7 @@ class _Parser:
 
     def and_expr(self) -> Expr:
         e = self.postfix_expr()
-        while self.at_punct("&&"):
+        while self.at("&&"):
             t = self.next()
             rhs = self.postfix_expr()
             e = EAnd(e, rhs, pos=(t.line, t.col))
@@ -492,7 +463,7 @@ class _Parser:
 
     def postfix_expr(self) -> Expr:
         e = self.primary_expr()
-        while self.at_punct("."):
+        while self.at("."):
             t = self.next()
             name = self.expect_ident("field name")
             e = EField(e, name.text, pos=(t.line, t.col))
@@ -500,28 +471,28 @@ class _Parser:
 
     def primary_expr(self) -> Expr:
         t = self.peek()
-        if self.at_keyword("null"):
+        if self.at("null"):
             self.next()
             return ENull(pos=(t.line, t.col))
-        if self.at_keyword("new"):
+        if self.at("new"):
             self.next()
-            self.expect_punct("{")
+            self.expect("{")
             names = [self.expect_ident("field name").text]
-            while self.at_punct(","):
+            while self.at(","):
                 self.next()
                 names.append(self.expect_ident("field name").text)
-            self.expect_punct("}")
+            self.expect("}")
             return ENew(tuple(names), pos=(t.line, t.col))
         if t.kind == "ident":
-            if self.at_punct("(", 1):
+            if self.at("(", 1):
                 self.next()
-                self.expect_punct("(")
+                self.expect("(")
                 arg = self.expr()
-                self.expect_punct(")")
+                self.expect(")")
                 return ECall(t.text, arg, pos=(t.line, t.col))
             self.next()
             return EVar(t.text, pos=(t.line, t.col))
-        raise self.fail(f"expected an expression, found {t.text!r}" if t.text else "expected an expression")
+        raise self.expected("an expression")
 
     # -- return placement --------------------------------------------------
 
@@ -540,24 +511,22 @@ class _Parser:
         if not main or not isinstance(main[-1], SReturn):
             raise ParseError("main must end with 'return x;'", *main_pos)
         no_returns(main[:-1])
-        last = main[-1]
-        assert isinstance(last, SReturn)
 
     def _check_proc_returns(self, body: Block, name: _Token) -> None:
         # Every path ends in a return; nothing follows a statement after
         # which control cannot fall through.
-        def terminates(block: Block, where: str) -> bool:
+        def terminates(block: Block) -> bool:
             for k, s in enumerate(block):
                 is_last = k == len(block) - 1
                 done = False
                 if isinstance(s, SReturn):
                     done = True
                 elif isinstance(s, SIf):
-                    t = terminates(s.then, where)
-                    e = terminates(s.els, where)
+                    t = terminates(s.then)
+                    e = terminates(s.els)
                     done = t and e
                 elif isinstance(s, SWhile):
-                    terminates(s.body, where)
+                    terminates(s.body)
                 if done and not is_last:
                     nxt = block[k + 1]
                     raise ParseError("unreachable statement: every path above already returned", *nxt.pos)
@@ -565,7 +534,7 @@ class _Parser:
                     return done
             return False
 
-        if not terminates(body, name.text):
+        if not terminates(body):
             raise ParseError(
                 f"procedure {name.text!r}: some path through the body falls off the end without 'return'",
                 name.line,
@@ -786,26 +755,34 @@ _PREC_OR, _PREC_AND, _PREC_POSTFIX = 0, 1, 2
 def _render_expr(e: Expr, prec: int = _PREC_OR) -> str:
     # The grammar has no parentheses, so a tree whose operand nesting needs
     # them (e.g. a right-nested &&) cannot be printed faithfully; refuse
-    # rather than emit text that reparses to a different tree.
+    # rather than emit text that reparses to a different tree.  A chain's
+    # left spine is walked with a loop (chains run deep), in the order the
+    # recursion on left operands would take.
+    spine: list[Expr] = []
+    while isinstance(e, (EAnd, EOr)):
+        op_prec = _PREC_AND if isinstance(e, EAnd) else _PREC_OR
+        if prec > op_prec:
+            raise ValueError("expression nesting not expressible in the surface grammar")
+        spine.append(e)
+        e, prec = e.left, op_prec
     if isinstance(e, ENull):
-        return "null"
-    if isinstance(e, EVar):
-        return e.name
-    if isinstance(e, ENew):
-        return "new {" + ", ".join(e.fields) + "}"
-    if isinstance(e, ECall):
-        return f"{e.proc}({_render_expr(e.arg, _PREC_OR)})"
-    if isinstance(e, EField):
-        return f"{_render_expr(e.obj, _PREC_POSTFIX)}.{e.fieldname}"
-    if isinstance(e, EAnd):
-        if prec > _PREC_AND:
-            raise ValueError("expression nesting not expressible in the surface grammar")
-        return f"{_render_expr(e.left, _PREC_AND)} && {_render_expr(e.right, _PREC_POSTFIX)}"
-    if isinstance(e, EOr):
-        if prec > _PREC_OR:
-            raise ValueError("expression nesting not expressible in the surface grammar")
-        return f"{_render_expr(e.left, _PREC_OR)} || {_render_expr(e.right, _PREC_AND)}"
-    raise AssertionError(f"unknown expression {e!r}")
+        text = "null"
+    elif isinstance(e, EVar):
+        text = e.name
+    elif isinstance(e, ENew):
+        text = "new {" + ", ".join(e.fields) + "}"
+    elif isinstance(e, ECall):
+        text = f"{e.proc}({_render_expr(e.arg, _PREC_OR)})"
+    elif isinstance(e, EField):
+        text = f"{_render_expr(e.obj, _PREC_POSTFIX)}.{e.fieldname}"
+    else:
+        raise AssertionError(f"unknown expression {e!r}")
+    for node in reversed(spine):
+        if isinstance(node, EAnd):
+            text += f" && {_render_expr(node.right, _PREC_POSTFIX)}"
+        else:
+            text += f" || {_render_expr(node.right, _PREC_AND)}"
+    return text
 
 
 def _render_ann(ann: GradAbst) -> str:

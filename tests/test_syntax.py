@@ -1,6 +1,7 @@
 """Parser, surface checks, annotation edits, and the renderer round trip."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -16,6 +17,8 @@ from graduator.syntax import (
     ParseError,
     SAssign,
     SReturn,
+    _lex,
+    _walk_exprs,
     annotation_sites,
     check_surface,
     erase_annotations,
@@ -251,3 +254,142 @@ def test_render_rejects_nesting_outside_the_grammar():
     mangled = dataclasses.replace(p, main=(p.main[0], p.main[1], bad, p.main[3]))
     with pytest.raises(ValueError):
         render_program(mangled)
+
+
+def _shape(e):
+    # Preorder node classes and names; each class has a fixed arity, so equal
+    # shapes mean equal trees.  Unlike ==, this does not recurse.
+    return [(type(n), getattr(n, "name", None)) for n in _walk_exprs(e)]
+
+
+def test_render_round_trips_long_chains():
+    rng = random.Random(5)
+    ops = {"and": ["&&"] * 1999, "mixed": [rng.choice(["&&", "||"]) for _ in range(1999)]}
+    for kind, chain_ops in ops.items():
+        names = [rng.choice("ab") for _ in range(2000)]
+        chain = names[0] + "".join(f" {op} {x}" for op, x in zip(chain_ops, names[1:]))
+        p = parse(f"main {{ var a; var b; a := null; b := null; a := {chain}; return a; }}")
+        q = parse(render_program(p))
+        assert q.main[:4] == p.main[:4] and q.main[5] == p.main[5], kind
+        assert _shape(q.main[4].expr) == _shape(p.main[4].expr), kind
+
+
+# ---------------------------------------------------------------------------
+# The lexer contract: which characters make which tokens, and where
+# ---------------------------------------------------------------------------
+
+
+def _lexed(src):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _lex(src)]
+    except ParseError as e:
+        return str(e)
+
+
+def _targeted_code_points():
+    # All of ASCII, every character that is alphanumeric but not alphabetic
+    # (digits and other numerals, which may continue but not start a word),
+    # and every whitespace character (only four of which are blanks).
+    chars = map(chr, range(0x110000))
+    alnum = filter(str.isalnum, chars)
+    numerals = itertools.filterfalse(str.isalpha, alnum)
+    spaces = filter(str.isspace, map(chr, range(0x110000)))
+    return sorted(set(map(chr, range(128))) | set(numerals) | set(spaces))
+
+
+def test_lexer_character_classes_follow_the_spec():
+    blanks = " \t\r\n"
+    punct = ".;,{}()@?"
+    points = _targeted_code_points()
+    assert len(points) > 1500
+    for c in points:
+        if c.isalpha() or c == "_":
+            alone = [("ident", c, 1, 1), ("eof", "", 1, 2)]
+        elif c in blanks:
+            alone = [("eof", "", 2, 1)] if c == "\n" else [("eof", "", 1, 2)]
+        elif c in punct:
+            alone = [("punct", c, 1, 1), ("eof", "", 1, 2)]
+        else:
+            alone = f"1:1: unexpected character {c!r}"
+        assert _lexed(c) == alone, repr(c)
+
+        if c.isalnum() or c == "_":
+            after = [("ident", "a" + c, 1, 1), ("eof", "", 1, 3)]
+        elif c in blanks:
+            after = [("ident", "a", 1, 1), ("eof", "", 2, 1) if c == "\n" else ("eof", "", 1, 3)]
+        elif c in punct:
+            after = [("ident", "a", 1, 1), ("punct", c, 1, 2), ("eof", "", 1, 3)]
+        else:
+            after = f"1:2: unexpected character {c!r}"
+        assert _lexed("a" + c) == after, repr(c)
+
+    for c in "\f\v\u00a0":
+        assert _lexed(f"main {c}") == f"1:6: unexpected character {c!r}"
+
+
+def test_lexer_positions_after_tabs_crlf_and_comments():
+    assert _lexed("main\t{\r\n\tvar x;// c\r\n  }") == [
+        ("keyword", "main", 1, 1),
+        ("punct", "{", 1, 6),
+        ("keyword", "var", 2, 2),
+        ("ident", "x", 2, 6),
+        ("punct", ";", 2, 7),
+        ("punct", "}", 3, 3),
+        ("eof", "", 3, 4),
+    ]
+    # A comment at end of input, with no newline after it: end of input sits
+    # where the comment starts.
+    assert _lexed("x := y; // done")[-1] == ("eof", "", 1, 9)
+    assert _lexed("x\n// done")[-1] == ("eof", "", 2, 1)
+    with pytest.raises(ParseError) as e:
+        parse("main { var x; // open")
+    assert (e.value.line, e.value.col, e.value.message) == (1, 15, "unexpected end of input inside block")
+    assert _lexed("a:=b==c!=d&&e||f") == [
+        ("ident", "a", 1, 1),
+        ("punct", ":=", 1, 2),
+        ("ident", "b", 1, 4),
+        ("punct", "==", 1, 5),
+        ("ident", "c", 1, 7),
+        ("punct", "!=", 1, 8),
+        ("ident", "d", 1, 10),
+        ("punct", "&&", 1, 11),
+        ("ident", "e", 1, 13),
+        ("punct", "||", 1, 14),
+        ("ident", "f", 1, 16),
+        ("eof", "", 1, 17),
+    ]
+
+
+@pytest.mark.parametrize("c", [":", "=", "&", "|", "!", "/"])
+def test_lone_half_of_a_two_character_token_is_an_error(c):
+    with pytest.raises(ParseError) as e:
+        parse(f"main {{\n  var x; x {c} null;\n}}")
+    assert (e.value.line, e.value.col, e.value.message) == (2, 12, f"unexpected character {c!r}")
+
+
+@pytest.mark.parametrize(
+    "src, where, message",
+    [
+        ("main ( }", (1, 6), "expected '{', found '('"),
+        ("main", (1, 5), "expected '{'"),
+        ("main { var x; x := null }", (1, 25), "expected ';', found '}'"),
+        ("main { var x; x := null", (1, 24), "expected ';'"),
+        ("main { var x; x := null; if (x == nul) { skip; } else { skip; } return x; }", (1, 35), "expected 'null', found 'nul'"),
+        ("main { var x; x := null; if (x == NULL) { skip; } else { skip; } return x; }", (1, 35), "expected 'null', found 'NULL'"),
+        ("main { var x; x := null; if (x == null) { skip; } els { skip; } return x; }", (1, 51), "expected 'else', found 'els'"),
+        ("main { var x; x := null; if (x == null) { skip; }", (1, 50), "expected 'else'"),
+        ("main { var x; x := null; if (x == null { skip; } else { skip; } return x; }", (1, 40), "expected ')', found '{'"),
+        ("main { var x; x := null; x := x && ; return x; }", (1, 36), "expected an expression, found ';'"),
+        ("main { var if; }", (1, 12), "expected variable name, found 'if'"),
+        ("main { var x; x := null; return x; } main", (1, 38), "expected end of input, found 'main'"),
+        ("proc f(x { return x; } main { var y; y := null; return y; }", (1, 10), "expected ')', found '{'"),
+        ("proc f(x", (1, 9), "expected ')'"),
+        ("proc f@NonNull(x) { return x; } main { var y; y := new; return y; }", (1, 55), "expected '{', found ';'"),
+        ("main { var x; x := new {", (1, 25), "expected field name"),
+        ("proc f@(x) { return x; }", (1, 8), "unknown annotation '('; expected NonNull, Nullable, or ?"),
+    ],
+)
+def test_parse_error_messages_are_exact(src, where, message):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert ((e.value.line, e.value.col), e.value.message) == (where, message)
