@@ -215,7 +215,13 @@ def site_category(ins: Instr) -> str:
 def _state_join(s1: GradState, s2: GradState) -> GradState:
     # Union-join: a variable undefined on one side contributes the other
     # side's fact (the empty map is bottom).  Joining a fact with itself
-    # keeps it, so the table lookup runs only when the facts differ.
+    # keeps it, so the table lookup runs only when the facts differ.  A
+    # join into bottom is a copy, and one with an equal state returns s1
+    # itself; only true merges reach the loop.
+    if not s1:
+        return dict(s2)
+    if s1 == s2:
+        return s1
     out = dict(s1)
     for x, g in s2.items():
         f = out.get(x)
@@ -273,7 +279,7 @@ def kildall(
         out = lifted_flow(cfg.instr(v), pi[v], cfg.universe[cfg.vertices[v].proc])
         for u in cfg.successors(v):
             grown = _state_join(pi[u], out)
-            if grown != pi[u]:
+            if grown is not pi[u] and grown != pi[u]:
                 pi[u] = grown
                 if u not in queued:
                     work.append(u)

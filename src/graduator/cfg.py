@@ -245,6 +245,11 @@ class ProgramCfg:
 # ---------------------------------------------------------------------------
 
 
+def _link(e: Expr) -> Expr:
+    """The operand a chain link nests down: a field read's receiver, else the left operand."""
+    return e.obj if isinstance(e, EField) else e.left
+
+
 class _Lowerer:
     def __init__(self, program: Program):
         self.program = program
@@ -284,23 +289,24 @@ class _Lowerer:
             return [self.emit(ICopy(target, e.name), e.pos, pending)]
         if isinstance(e, ENew):
             return [self.emit(INew(target, e.fields), e.pos, pending)]
-        if isinstance(e, (EAnd, EOr)):
-            # A chain `a && b && ...` nests down its left operands.  Walk that
-            # spine with a loop, not one recursion per operand, naming the
-            # temporaries outermost first and emitting innermost first.
+        if isinstance(e, (EAnd, EOr, EField)):
+            # Chains `a && b && ...` and `y.f.g...` nest down their left
+            # operands and receivers.  Walk that spine with a loop, not one
+            # recursion per link, naming the temporaries outermost first and
+            # emitting innermost first.
             spine = [(target, e)]
-            while isinstance(spine[-1][1].left, (EAnd, EOr)):
-                spine.append((self.fresh_temp(), spine[-1][1].left))
-            left, pending = self.lower_operand(spine[-1][1].left, pending)
+            while isinstance(_link(spine[-1][1]), (EAnd, EOr, EField)):
+                spine.append((self.fresh_temp(), _link(spine[-1][1])))
+            left, pending = self.lower_operand(_link(spine[-1][1]), pending)
             for tgt, node in reversed(spine):
-                right, pending = self.lower_operand(node.right, pending)
-                cls = IAnd if isinstance(node, EAnd) else IOr
-                pending = [self.emit(cls(tgt, left, right), node.pos, pending)]
+                if isinstance(node, EField):
+                    ins = IFieldRead(tgt, left, node.fieldname)
+                else:
+                    right, pending = self.lower_operand(node.right, pending)
+                    ins = (IAnd if isinstance(node, EAnd) else IOr)(tgt, left, right)
+                pending = [self.emit(ins, node.pos, pending)]
                 left = tgt
             return pending
-        if isinstance(e, EField):
-            obj, pending = self.lower_operand(e.obj, pending)
-            return [self.emit(IFieldRead(target, obj, e.fieldname), e.pos, pending)]
         if isinstance(e, ECall):
             arg, pending = self.lower_operand(e.arg, pending)
             callee = self.procs[e.proc]
@@ -404,7 +410,9 @@ def validate(cfg: ProgramCfg) -> list[str]:
     2. The regions reachable from main and from each procedure entry
        partition the vertex set.
     3. Every vertex reaches a return, and every return's annotation matches
-       its region's declared return annotation (Nullable for main).
+       its region's declared return annotation (Nullable for main).  The
+       first half is one backward pass over the predecessors, from the
+       returns.
     4. Call-site annotations agree with the callee's entry vertex.
     5. A branch has exactly two successors, an if and an else on the same
        variable; a return has none; every other vertex has exactly one,
@@ -442,10 +450,18 @@ def validate(cfg: ProgramCfg) -> list[str]:
         if v.id not in covered:
             out.append(f"vertex v{v.id} unreachable from every entry")
 
+    # A vertex reaches a return iff it is backward-reachable from one.
+    reaches = {v.id for v in cfg.vertices if isinstance(v.instr, IReturn)}
+    stack = list(reaches)
+    while stack:
+        for u in preds[stack.pop()]:
+            if u not in reaches:
+                reaches.add(u)
+                stack.append(u)
     for name, region in regions.items():
         want = proc_ret.get(name, GradAbst.NULLABLE)
         for vid in sorted(region):
-            if not any(isinstance(cfg.instr(u), IReturn) for u in cfg.descend(vid)):
+            if vid not in reaches:
                 out.append(f"vertex v{vid} cannot reach a return")
             ins = cfg.instr(vid)
             if isinstance(ins, IReturn) and ins.ann is not want:

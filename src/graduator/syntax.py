@@ -567,6 +567,25 @@ def _walk_exprs(e: Expr) -> Iterator[Expr]:
             stack.append(node.arg)
 
 
+# An ordered set of variable names, oldest first, so that what a block adds
+# is the tail and can be taken back with popitem.
+Names = dict[str, None]
+
+
+def _undo(names: Names, mark: int) -> Names:
+    """Remove and return the names added after the first `mark`."""
+    added: Names = {}
+    while len(names) > mark:
+        added[names.popitem()[0]] = None
+    return added
+
+
+def _keep_common(names: Names, ours: Names, theirs: Names) -> None:
+    """Add to names what both ours and theirs hold."""
+    if ours and theirs:
+        names.update((x, None) for x in ours if x in theirs)
+
+
 def check_surface(p: Program) -> list[Diagnostic]:
     """Name and initialization checks.
 
@@ -581,7 +600,7 @@ def check_surface(p: Program) -> list[Diagnostic]:
     def err(message: str, pos: tuple[int, int]) -> None:
         out.append(Diagnostic("error", message, pos[0], pos[1]))
 
-    def check_expr(e: Expr, declared: set[str], assigned: set[str]) -> None:
+    def check_expr(e: Expr, declared: Names, assigned: Names) -> None:
         for node in _walk_exprs(e):
             if isinstance(node, EVar):
                 check_var_use(node.name, node.pos, declared, assigned)
@@ -596,13 +615,13 @@ def check_surface(p: Program) -> list[Diagnostic]:
                     if f not in fields:
                         err(f"unknown field {f!r}", node.pos)
 
-    def check_var_use(name: str, pos: tuple[int, int], declared: set[str], assigned: set[str]) -> None:
+    def check_var_use(name: str, pos: tuple[int, int], declared: Names, assigned: Names) -> None:
         if name not in declared:
             err(f"undeclared variable {name!r}", pos)
         elif name not in assigned:
             err(f"variable {name!r} may be read before initialization", pos)
 
-    def walk(block: Block, declared: set[str], assigned: set[str], ever_declared: set[str]) -> None:
+    def walk(block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> None:
         for s in block:
             if isinstance(s, SSkip):
                 pass
@@ -610,12 +629,12 @@ def check_surface(p: Program) -> list[Diagnostic]:
                 if s.name in ever_declared:
                     err(f"redeclaration of variable {s.name!r}", s.pos)
                 ever_declared.add(s.name)
-                declared.add(s.name)
+                declared[s.name] = None
             elif isinstance(s, SAssign):
                 check_expr(s.expr, declared, assigned)
                 if s.target not in declared:
                     err(f"undeclared variable {s.target!r}", s.pos)
-                assigned.add(s.target)
+                assigned[s.target] = None
             elif isinstance(s, SFieldAssign):
                 check_var_use(s.obj, s.pos, declared, assigned)
                 check_var_use(s.source, s.pos, declared, assigned)
@@ -625,20 +644,25 @@ def check_surface(p: Program) -> list[Diagnostic]:
                 check_var_use(s.name, s.pos, declared, assigned)
             elif isinstance(s, SIf):
                 check_expr(s.cond, declared, assigned)
-                d1, a1 = set(declared), set(assigned)
-                d2, a2 = set(declared), set(assigned)
-                walk(s.then, d1, a1, ever_declared)
-                walk(s.els, d2, a2, ever_declared)
-                declared |= d1 & d2
-                assigned |= a1 & a2
+                then_declared, then_assigned = arm(s.then, declared, assigned, ever_declared)
+                else_declared, else_assigned = arm(s.els, declared, assigned, ever_declared)
+                # What both arms add survives the if.
+                _keep_common(declared, then_declared, else_declared)
+                _keep_common(assigned, then_assigned, else_assigned)
             elif isinstance(s, SWhile):
                 check_expr(s.cond, declared, assigned)
                 # The body may run zero times: its effects do not survive it.
-                walk(s.body, set(declared), set(assigned), ever_declared)
+                arm(s.body, declared, assigned, ever_declared)
+
+    def arm(block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> tuple[Names, Names]:
+        """Walk a block in place, then take back and return what it declared and assigned."""
+        marks = len(declared), len(assigned)
+        walk(block, declared, assigned, ever_declared)
+        return _undo(declared, marks[0]), _undo(assigned, marks[1])
 
     for proc in p.procs:
-        walk(proc.body, {proc.param}, {proc.param}, {proc.param})
-    walk(p.main, set(), set(), set())
+        walk(proc.body, {proc.param: None}, {proc.param: None}, {proc.param})
+    walk(p.main, {}, {}, set())
     return out
 
 
@@ -755,15 +779,18 @@ _PREC_OR, _PREC_AND, _PREC_POSTFIX = 0, 1, 2
 def _render_expr(e: Expr, prec: int = _PREC_OR) -> str:
     # The grammar has no parentheses, so a tree whose operand nesting needs
     # them (e.g. a right-nested &&) cannot be printed faithfully; refuse
-    # rather than emit text that reparses to a different tree.  A chain's
-    # left spine is walked with a loop (chains run deep), in the order the
-    # recursion on left operands would take.
+    # rather than emit text that reparses to a different tree.  The spine of
+    # left operands and receivers is walked with a loop (chains run deep),
+    # in the order the recursion on them would take.
     spine: list[Expr] = []
-    while isinstance(e, (EAnd, EOr)):
+    while isinstance(e, (EAnd, EOr, EField)):
+        spine.append(e)
+        if isinstance(e, EField):
+            e, prec = e.obj, _PREC_POSTFIX
+            continue
         op_prec = _PREC_AND if isinstance(e, EAnd) else _PREC_OR
         if prec > op_prec:
             raise ValueError("expression nesting not expressible in the surface grammar")
-        spine.append(e)
         e, prec = e.left, op_prec
     if isinstance(e, ENull):
         text = "null"
@@ -773,12 +800,12 @@ def _render_expr(e: Expr, prec: int = _PREC_OR) -> str:
         text = "new {" + ", ".join(e.fields) + "}"
     elif isinstance(e, ECall):
         text = f"{e.proc}({_render_expr(e.arg, _PREC_OR)})"
-    elif isinstance(e, EField):
-        text = f"{_render_expr(e.obj, _PREC_POSTFIX)}.{e.fieldname}"
     else:
         raise AssertionError(f"unknown expression {e!r}")
     for node in reversed(spine):
-        if isinstance(node, EAnd):
+        if isinstance(node, EField):
+            text += f".{node.fieldname}"
+        elif isinstance(node, EAnd):
             text += f" && {_render_expr(node.right, _PREC_POSTFIX)}"
         else:
             text += f" || {_render_expr(node.right, _PREC_AND)}"

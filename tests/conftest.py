@@ -5,12 +5,18 @@ producer until it gets a non-null value.  Its region in the CFG is the
 six-vertex shape (entry, branch, both arms, call, return) that the branch
 narrowing rules were designed around, so several suites pin facts about it.
 
+wide_src(n) builds the shape of a wide program: one main with n locals and
+an if/else field read of each, so a single region holds about 5n vertices;
+the growth gates time the front end on it.
+
 scenario_src builds the producer/consumer family used to exercise the
 warning and check placement: a `reverse`-style procedure that is safe or
 null-returning, with an optional return annotation, and a caller that
 dereferences the result exactly once.
 """
 
+import gc
+import time
 from typing import Optional
 
 # One line per acceptance criterion, printed as a summary section at the end
@@ -23,6 +29,39 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def best_cpu(fn, *args, reps=3):
+    """Fewest process CPU seconds that fn(*args) took over reps calls.
+
+    The collector is paused while timing: a full pass scans every object
+    the suite keeps alive, and would charge that to whichever call it hit.
+    """
+    best = float("inf")
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(reps):
+            t0 = time.process_time()
+            fn(*args)
+            best = min(best, time.process_time() - t0)
+    finally:
+        gc.enable()
+    return best
+
+
+def growth_per_vertex(fn, small, large, reps=3):
+    """CPU time per vertex of fn on large over that on small.
+
+    small and large are (argument, vertex count) pairs.  Each size takes its
+    best of reps calls, and the calls alternate between the sizes, so that a
+    change in the host's speed meets both.
+    """
+    best = [float("inf"), float("inf")]
+    for _ in range(reps):
+        for i, (arg, vertices) in enumerate((small, large)):
+            best[i] = min(best[i], best_cpu(fn, arg, reps=1) / vertices)
+    return best[1] / best[0]
 
 
 LOOP_SRC = """
@@ -81,3 +120,21 @@ main {{
 
 # The dereference `both := reversed.chars` in scenario_src, by vertex id.
 SCENARIO_DEREF_VERTEX = 12
+
+
+def wide_src(n: int) -> str:
+    """One main with n locals, half from a helper (a check site each), read one by one."""
+    names = [f"v{i}" for i in range(n)]
+    return "\n".join(
+        [
+            "field f;",
+            "proc h(o) { o := new {f}; return o; }",
+            "main {",
+            *(f"    var {v};" for v in names),
+            "    var c; var r; c := new {f}; r := null;",
+            *(f"    {v} := h(c);" if i % 2 else f"    {v} := new {{f}};" for i, v in enumerate(names)),
+            *(f"    if (c != null) {{ r := {v}.f; }} else {{ skip; }}" for v in names),
+            "    return c;",
+            "}",
+        ]
+    )

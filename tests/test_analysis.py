@@ -5,6 +5,7 @@ import random
 import pytest
 from conftest import LOOP_SRC, scenario_src
 
+from graduator import analysis
 from graduator.analysis import (
     WARN_BOUNDARY,
     WARN_CHECK,
@@ -38,9 +39,9 @@ from graduator.cfg import (
     IReturn,
     lower,
 )
-from graduator.lattice import Abst, GradAbst, exact
+from graduator.lattice import Abst, GradAbst, exact, lifted_join
 from graduator.syntax import parse
-from graduator.testkit import GenConfig, gen_program
+from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 U = frozenset({"x", "y", "z"})
 NULL, NONNULL, NULLABLE = Abst.NULL, Abst.NONNULL, Abst.NULLABLE
@@ -193,6 +194,36 @@ def test_fixpoint_ignores_seed_order():
         for _ in range(3):
             rng.shuffle(ids)
             assert kildall(cfg, seed_order=list(ids)).pi == baseline.pi
+
+
+def _merge_only_join(s1, s2):
+    # The union-join as a plain loop over s2: no shortcut for bottom or for
+    # equal states, and always a fresh map.
+    out = dict(s1)
+    for x, g in s2.items():
+        f = out.get(x)
+        if f is not g:
+            out[x] = g if f is None else lifted_join(f, g)
+    return out
+
+
+def _fixpoint_or_error(cfg, mode):
+    try:
+        result = kildall(cfg, mode)
+    except ValueError as e:
+        return str(e)
+    return [list(s.items()) for s in result.pi]  # key order included
+
+
+def test_join_shortcuts_leave_every_fact_and_key_order_alone(monkeypatch):
+    programs = [parse(path.read_text()) for path in corpus_paths()]
+    programs += [gen_program(GenConfig(seed=seed, annotation_density=0.8)) for seed in range(100)]
+    cfgs = [lower(p) for p in programs]
+    modes = ("gradual", "static")
+    fast = [[_fixpoint_or_error(cfg, mode) for mode in modes] for cfg in cfgs]
+    monkeypatch.setattr(analysis, "_state_join", _merge_only_join)
+    assert fast == [[_fixpoint_or_error(cfg, mode) for mode in modes] for cfg in cfgs]
+    assert sum(isinstance(f, list) for per_cfg in fast for f in per_cfg) > 150
 
 
 def test_seed_order_must_cover_every_vertex():

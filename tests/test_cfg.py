@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from conftest import LOOP_SRC
+from conftest import LOOP_SRC, growth_per_vertex, wide_src
 from graduator.cfg import (
     MAIN,
     IBranch,
@@ -88,6 +88,27 @@ def test_boolean_chains_name_temps_outermost_first():
     for assign, lowered_chain in cases:
         cfg = lowered(f"field f; main {{ var a; var b; a := null; b := null; {assign}; return a; }}")
         assert [render_instr(v.instr) for v in cfg.vertices[3:-1]] == lowered_chain
+
+
+def test_field_chains_name_temps_outermost_first():
+    cases = [
+        ("a := b.f.g.f", ["$1 := b.f", "$0 := $1.g", "a := $0.f"], [98, 100, 102]),
+        (
+            "a := q(b.g).f.g && b.f || a.g.f",
+            ["$4 := b.g", "$3 := q@?($4@?)", "$2 := $3.f", "$1 := $2.g", "$5 := b.f",
+             "$0 := $1 && $5", "$7 := a.g", "$6 := $7.f", "a := $0 || $6"],
+            [100, 97, 103, 105, 112, 108, 119, 121, 115],
+        ),
+        ("a := new {f, g}.g.f", ["$1 := new {f, g}", "$0 := $1.g", "a := $0.f"], [97, 107, 109]),
+    ]
+    for assign, lowered_chain, cols in cases:
+        cfg = lowered(
+            "field f; field g; proc q(x) { return x; } "
+            f"main {{ var a; var b; a := null; b := new {{f, g}}; {assign}; return a; }}"
+        )
+        chain = region(cfg, MAIN)[3:-1]
+        assert [render_instr(v.instr) for v in chain] == lowered_chain
+        assert [v.pos for v in chain] == [(1, c) for c in cols]
 
 
 def test_loop_reenters_at_the_condition_head():
@@ -189,6 +210,44 @@ def test_validation_return_reachability_and_annotation():
         g, vertices=[g.vertices[0], g.vertices[1], Vertex(2, IReturn("x", GradAbst.NONNULL), MAIN)]
     )
     assert any("declares" in m for m in validate(wrong))
+
+
+def test_validation_reports_rule_three_in_region_and_vertex_order():
+    # main: an if arm that spins forever and an else arm whose return has the
+    # wrong annotation; p: a wrongly annotated return; v8: an orphan that
+    # reaches main's return but belongs to no region.
+    vertices = [
+        Vertex(0, IProc("p", GradAbst.NONNULL, "y", GradAbst.NULLABLE), "p"),
+        Vertex(1, IReturn("y", GradAbst.NULLABLE), "p"),
+        Vertex(2, IMain(), MAIN),
+        Vertex(3, IBranch("x"), MAIN),
+        Vertex(4, IIf("x"), MAIN),
+        Vertex(5, IElse("x"), MAIN),
+        Vertex(6, IReturn("x", GradAbst.NONNULL), MAIN),
+        Vertex(7, ICopy("x", "x"), MAIN),
+        Vertex(8, IConstNull("x"), MAIN),
+    ]
+    g = ProgramCfg(
+        vertices,
+        [(1,), (), (3,), (4, 5), (7,), (6,), (), (7,), (6,)],
+        entry=2,
+        proc_entry={"p": 0},
+        universe={MAIN: frozenset({"x"}), "p": frozenset({"y"})},
+    )
+    assert validate(g) == [
+        "vertex v8 unreachable from every entry",
+        "vertex v4 cannot reach a return",
+        "return at v6 annotated @NonNull, region 'main' declares @Nullable",
+        "vertex v7 cannot reach a return",
+        "return at v1 annotated @Nullable, region 'p' declares @NonNull",
+    ]
+
+
+def test_validate_time_per_vertex_does_not_grow_on_wide_programs():
+    # One region of about 500 vertices against one of about 4,000.
+    small, large = (lowered(wide_src(n)) for n in (100, 800))
+    ratio = growth_per_vertex(validate, (small, len(small.vertices)), (large, len(large.vertices)))
+    assert ratio <= 2, f"validate: {ratio:.2f}x the time per vertex at 8x the locals"
 
 
 def test_validation_call_site_agreement():

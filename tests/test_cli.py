@@ -113,6 +113,15 @@ def test_long_boolean_chains_need_no_deep_recursion(tmp_path, capsys, command):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("command, code", [("check", 1), ("run", 0)])
+def test_long_field_chains_need_no_deep_recursion(tmp_path, capsys, command, code):
+    # Every read after the first is of a Nullable field, hence a warning.
+    chain = "y" + ".f" * 2000
+    path = picl(tmp_path, f"field f; main {{ var x; var y; y := new {{f}}; y.f := y; x := {chain}; return x; }}")
+    assert main([command, path]) == code
+    assert capsys.readouterr().err == ""
+
+
 def test_run_final(tmp_path, capsys):
     path = picl(tmp_path, LOOP_LINES)
     assert main(["run", path]) == 0

@@ -1,10 +1,9 @@
 """Small-step machine: plain and checked execution."""
 
 import copy
-import time
 
 import pytest
-from conftest import LOOP_SRC, scenario_src
+from conftest import LOOP_SRC, best_cpu, scenario_src
 
 from graduator.cfg import ICall, IFieldRead, IFieldWrite, INew, IProc, IReturn, lower, render_instr
 from graduator.lattice import Abst, GradAbst
@@ -376,13 +375,9 @@ def alloc_src(k):
 
 def cpu_seconds_per_step(k):
     cfg = lower(parse(alloc_src(k)))
-    best = float("inf")
-    for _ in range(3):
-        t0 = time.process_time()
-        result = run(cfg)
-        best = min(best, time.process_time() - t0)
+    result = run(cfg)
     assert result.outcome == "final" and result.returned == 2 * k + k * k
-    return best / result.steps
+    return best_cpu(run, cfg) / result.steps
 
 
 def test_cost_per_step_does_not_grow_with_heap_and_stack():

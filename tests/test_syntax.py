@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from conftest import LOOP_SRC, scenario_src
+from conftest import LOOP_SRC, growth_per_vertex, scenario_src, wide_src
+from graduator.cfg import lower
 from graduator.lattice import GradAbst
 from graduator.syntax import (
     EAnd,
@@ -170,6 +171,59 @@ def test_while_body_assignments_do_not_escape():
     assert len(errs(p)) == 1  # x may never be assigned
 
 
+NESTED_SCOPES_SRC = """field f;
+main {
+    var a; var b; var c;
+    a := null;
+    if (a == null) {
+        if (a != null) { b := null; } else { b := new {f}; }
+        c := b;
+        var a;
+        var e;
+    } else {
+        var e;
+        e := a;
+    }
+    c := b;
+    a := e;
+    while (a == null) {
+        var d;
+        d := c.f;
+        b := d;
+    }
+    a := d;
+    c := b;
+    var d;
+    return c;
+}
+"""
+
+
+def test_nested_arms_and_loop_bodies_scope_exactly():
+    # b is assigned in both arms of the inner if but only one arm of the
+    # outer; e is declared in both arms but assigned in one; d and the
+    # assignment to b do not survive the while body; a redeclaration inside
+    # an arm and one of a loop-local after the loop are both caught.
+    assert [(d.message, d.line, d.col) for d in check_surface(parse(NESTED_SCOPES_SRC))] == [
+        ("redeclaration of variable 'a'", 8, 9),
+        ("redeclaration of variable 'e'", 11, 9),
+        ("variable 'b' may be read before initialization", 14, 10),
+        ("variable 'e' may be read before initialization", 15, 10),
+        ("undeclared variable 'd'", 21, 10),
+        ("variable 'b' may be read before initialization", 22, 10),
+        ("redeclaration of variable 'd'", 23, 5),
+    ]
+
+
+def test_check_surface_time_per_vertex_does_not_grow_on_wide_programs():
+    small, large = (parse(wide_src(n)) for n in (100, 800))
+    assert check_surface(small) == check_surface(large) == []
+    ratio = growth_per_vertex(
+        check_surface, (small, len(lower(small).vertices)), (large, len(lower(large).vertices))
+    )
+    assert ratio <= 2, f"check_surface: {ratio:.2f}x the time per vertex at 8x the locals"
+
+
 def test_redeclaration_unknown_proc_unknown_field():
     assert len(errs(parse("main { var x; x := null; var x; return x; }"))) == 1
     assert len(errs(parse("main { var x; x := g(null); return x; }"))) == 1
@@ -257,9 +311,9 @@ def test_render_rejects_nesting_outside_the_grammar():
 
 
 def _shape(e):
-    # Preorder node classes and names; each class has a fixed arity, so equal
-    # shapes mean equal trees.  Unlike ==, this does not recurse.
-    return [(type(n), getattr(n, "name", None)) for n in _walk_exprs(e)]
+    # Preorder node classes, names and field names; each class has a fixed
+    # arity, so equal shapes mean equal trees.  Unlike ==, this does not recurse.
+    return [(type(n), getattr(n, "name", None), getattr(n, "fieldname", None)) for n in _walk_exprs(e)]
 
 
 def test_render_round_trips_long_chains():
@@ -272,6 +326,15 @@ def test_render_round_trips_long_chains():
         q = parse(render_program(p))
         assert q.main[:4] == p.main[:4] and q.main[5] == p.main[5], kind
         assert _shape(q.main[4].expr) == _shape(p.main[4].expr), kind
+
+
+def test_render_round_trips_long_field_chains():
+    rng = random.Random(6)
+    chain = "a" + "".join(f".{rng.choice('fg')}" for _ in range(2000))
+    p = parse(f"field f; field g; main {{ var a; a := new {{f, g}}; a := {chain}; return a; }}")
+    q = parse(render_program(p))
+    assert _shape(q.main[2].expr) == _shape(p.main[2].expr)
+    assert render_program(q) == render_program(p)
 
 
 # ---------------------------------------------------------------------------
