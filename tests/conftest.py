@@ -34,31 +34,34 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def best_cpu(fn, *args, reps=3):
     """Fewest process CPU seconds that fn(*args) took over reps calls.
 
-    The collector is paused while timing: a full pass scans every object
-    the suite keeps alive, and would charge that to whichever call it hit.
+    As in the benchmark harness, the collector stays on, the objects alive
+    before timing are frozen so that no pass scans what the rest of the
+    suite keeps alive, and each call starts after a collection, so that it
+    pays for its own garbage only.
     """
     best = float("inf")
     gc.collect()
-    gc.disable()
+    gc.freeze()
     try:
         for _ in range(reps):
+            gc.collect()
             t0 = time.process_time()
             fn(*args)
             best = min(best, time.process_time() - t0)
     finally:
-        gc.enable()
+        gc.unfreeze()
     return best
 
 
-def growth_per_vertex(fn, small, large, reps=3):
+def growth_per_vertex(fn, small, large):
     """CPU time per vertex of fn on large over that on small.
 
     small and large are (argument, vertex count) pairs.  Each size takes its
-    best of reps calls, and the calls alternate between the sizes, so that a
-    change in the host's speed meets both.
+    best of three calls, and the calls alternate between the sizes, so that
+    a change in the host's speed meets both.
     """
     best = [float("inf"), float("inf")]
-    for _ in range(reps):
+    for _ in range(3):
         for i, (arg, vertices) in enumerate((small, large)):
             best[i] = min(best[i], best_cpu(fn, arg, reps=1) / vertices)
     return best[1] / best[0]

@@ -318,23 +318,22 @@ def _shape(e):
 
 def test_render_round_trips_long_chains():
     rng = random.Random(5)
-    ops = {"and": ["&&"] * 1999, "mixed": [rng.choice(["&&", "||"]) for _ in range(1999)]}
+    ops = {
+        "and": ["&&"] * 1999,
+        "mixed": [rng.choice(["&&", "||"]) for _ in range(1999)],
+        "field": [rng.choice([".f", ".g"]) for _ in range(1999)],
+    }
     for kind, chain_ops in ops.items():
         names = [rng.choice("ab") for _ in range(2000)]
-        chain = names[0] + "".join(f" {op} {x}" for op, x in zip(chain_ops, names[1:]))
-        p = parse(f"main {{ var a; var b; a := null; b := null; a := {chain}; return a; }}")
+        if kind == "field":
+            chain = names[0] + "".join(chain_ops)
+        else:
+            chain = names[0] + "".join(f" {op} {x}" for op, x in zip(chain_ops, names[1:]))
+        p = parse(f"field f; field g; main {{ var a; var b; a := null; b := null; a := {chain}; return a; }}")
         q = parse(render_program(p))
         assert q.main[:4] == p.main[:4] and q.main[5] == p.main[5], kind
         assert _shape(q.main[4].expr) == _shape(p.main[4].expr), kind
-
-
-def test_render_round_trips_long_field_chains():
-    rng = random.Random(6)
-    chain = "a" + "".join(f".{rng.choice('fg')}" for _ in range(2000))
-    p = parse(f"field f; field g; main {{ var a; a := new {{f, g}}; a := {chain}; return a; }}")
-    q = parse(render_program(p))
-    assert _shape(q.main[2].expr) == _shape(p.main[2].expr)
-    assert render_program(q) == render_program(p)
+        assert render_program(q) == render_program(p), kind
 
 
 # ---------------------------------------------------------------------------
