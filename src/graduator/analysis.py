@@ -240,10 +240,6 @@ class AnalysisResult:
     pi: list[dict]  # vertex id -> partial map variable -> Abst | GradAbst
     grad_pi: list[GradState]  # the gradual fixpoint; pi projects it in static mode
 
-    def pi_as_grad(self) -> list[GradState]:
-        """pi with base facts embedded as exact gradual facts."""
-        return [dict(s) for s in self.grad_pi]
-
 
 def kildall(
     cfg: ProgramCfg,

@@ -205,7 +205,6 @@ class ProgramCfg:
     entry: int
     proc_entry: dict[str, int]  # procedure name -> IProc vertex id
     universe: dict[str, frozenset[str]]  # per procedure (and "main")
-    source: Program | None = None
 
     def instr(self, v: int) -> Instr:
         return self.vertices[v].instr
@@ -394,7 +393,6 @@ def lower(p: Program) -> ProgramCfg:
         entry=main_entry,
         proc_entry=proc_entry,
         universe=universe,
-        source=p,
     )
 
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
-from .analysis import BaseState, GradState, _safety_bounds, site_category
+from .analysis import GradState, _safety_bounds, site_category
 from .cfg import (
     IAnd,
     IBranch,
@@ -49,7 +49,7 @@ from .cfg import (
     ProgramCfg,
     render_instr,
 )
-from .lattice import Abst, GradAbst, ceil, conc_contains, grad_conc_contains
+from .lattice import Abst, GradAbst, ceil, grad_conc_contains
 
 Env = dict[str, int]
 Heap = dict[int, dict[str, int]]
@@ -81,15 +81,6 @@ def initial_state(cfg: ProgramCfg) -> MachineState:
 # ---------------------------------------------------------------------------
 # Described-by: do concrete environments fit abstract states?
 # ---------------------------------------------------------------------------
-
-
-def desc(env: Env, sigma: BaseState) -> bool:
-    """env fits sigma: every fact constrains its variable's value.
-
-    Variables missing from either map are unconstrained; in particular the
-    empty environment fits everything (entry frames are bound later).
-    """
-    return all(conc_contains(a, env[x]) for x, a in sigma.items() if x in env)
 
 
 def lifted_desc(env: Env, sigma: GradState) -> bool:

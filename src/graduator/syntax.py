@@ -33,6 +33,9 @@ and `//` comments, which run to the end of the line):
 tightest.  `main` must end with `return x;` and may not return anywhere
 else; every path through a procedure body must end in a return, and no
 statement may follow one (nor follow an if/else whose branches both return).
+The parser judges this placement as it reads each body, with no second walk
+over the tree, and reports it once the body (for `main`, the whole input)
+has parsed without a syntax error.
 """
 
 from __future__ import annotations
@@ -294,6 +297,12 @@ class _Parser:
     def __init__(self, toks: list[_Token]):
         self.toks = toks
         self.i = 0
+        # Return placement, judged as the statements are parsed: the first
+        # statement that follows one after which every path has returned, and
+        # the first `return`.  A procedure raises on the former, so it is
+        # None at the start of each body; `program` resets the latter for main.
+        self.unreachable: Optional[_Token] = None
+        self.first_return: Optional[SReturn] = None
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -352,10 +361,15 @@ class _Parser:
         if not self.at("main"):
             raise self.fail("expected 'field', 'proc', or 'main'")
         t = self.next()
-        main = self.block()
+        self.first_return = None
+        main, _ = self.block()
         if self.peek().kind != "eof":
             raise self.expected("end of input")
-        self._check_main_returns(main, (t.line, t.col))
+        # main returns exactly once, as its literal last top-level statement.
+        if not main or not isinstance(main[-1], SReturn):
+            raise self.fail("main must end with 'return x;'", t)
+        if self.first_return is not main[-1]:
+            raise ParseError("'return' must be the final statement of main", *self.first_return.pos)
         return Program(tuple(fields), tuple(procs), main, main_pos=(t.line, t.col))
 
     def procdecl(self) -> ProcDecl:
@@ -366,8 +380,13 @@ class _Parser:
         param = self.expect_ident("parameter name")
         param_ann = self.annotation_opt()
         self.expect(")")
-        body = self.block()
-        self._check_proc_returns(body, name)
+        body, returns = self.block()
+        if self.unreachable is not None:
+            raise self.fail("unreachable statement: every path above already returned", self.unreachable)
+        if not returns:
+            raise self.fail(
+                f"procedure {name.text!r}: some path through the body falls off the end without 'return'", name
+            )
         return ProcDecl(name.text, ret_ann, param.text, param_ann, body, pos=(tok.line, tok.col))
 
     def annotation_opt(self) -> GradAbst:
@@ -382,39 +401,50 @@ class _Parser:
 
     # -- statements --------------------------------------------------------
 
-    def block(self) -> Block:
+    def block(self) -> tuple[Block, bool]:
+        """A block, and whether every path through it returns."""
         self.expect("{")
         stmts: list[Stmt] = []
+        returns = False
         while not self.at("}"):
-            if self.peek().kind == "eof":
+            t = self.peek()
+            if t.kind == "eof":
                 raise self.fail("unexpected end of input inside block")
-            stmts.append(self.stmt())
+            if returns and self.unreachable is None:
+                self.unreachable = t
+            s, returns = self.stmt()
+            stmts.append(s)
         self.expect("}")
-        return tuple(stmts)
+        return tuple(stmts), returns
 
-    def stmt(self) -> Stmt:
+    def stmt(self) -> tuple[Stmt, bool]:
+        """A statement, and whether every path through it returns."""
         t = self.peek()
         if self.at("skip"):
             self.next()
             self.expect(";")
-            return SSkip(pos=(t.line, t.col))
+            return SSkip(pos=(t.line, t.col)), False
         if self.at("var") or self.at("return"):
             self.next()
             name = self.expect_ident("variable name")
             self.expect(";")
-            return (SDecl if t.text == "var" else SReturn)(name.text, pos=(t.line, t.col))
+            s = (SDecl if t.text == "var" else SReturn)(name.text, pos=(t.line, t.col))
+            returns = isinstance(s, SReturn)
+            if returns and self.first_return is None:
+                self.first_return = s
+            return s, returns
         if self.at("if"):
             self.next()
             op, cond = self.cond()
-            then = self.block()
+            then, then_returns = self.block()
             self.expect("else")
-            els = self.block()
-            return SIf(op, cond, then, els, pos=(t.line, t.col))
+            els, els_returns = self.block()
+            return SIf(op, cond, then, els, pos=(t.line, t.col)), then_returns and els_returns
         if self.at("while"):
             self.next()
             op, cond = self.cond()
-            body = self.block()
-            return SWhile(op, cond, body, pos=(t.line, t.col))
+            body, _ = self.block()
+            return SWhile(op, cond, body, pos=(t.line, t.col)), False
         if t.kind == "ident":
             if self.at(".", 1):
                 obj = self.next()
@@ -423,13 +453,13 @@ class _Parser:
                 self.expect(":=")
                 source = self.expect_ident("variable name")
                 self.expect(";")
-                return SFieldAssign(obj.text, fieldname.text, source.text, pos=(t.line, t.col))
+                return SFieldAssign(obj.text, fieldname.text, source.text, pos=(t.line, t.col)), False
             if self.at(":=", 1):
                 target = self.next()
                 self.expect(":=")
                 e = self.expr()
                 self.expect(";")
-                return SAssign(target.text, e, pos=(t.line, t.col))
+                return SAssign(target.text, e, pos=(t.line, t.col)), False
             raise self.fail("expected ':=' or '.' after variable name", self.peek(1))
         raise self.expected("a statement")
 
@@ -493,53 +523,6 @@ class _Parser:
             self.next()
             return EVar(t.text, pos=(t.line, t.col))
         raise self.expected("an expression")
-
-    # -- return placement --------------------------------------------------
-
-    def _check_main_returns(self, main: Block, main_pos: tuple[int, int]) -> None:
-        # main returns exactly once, as its literal last top-level statement.
-        def no_returns(block: Block) -> None:
-            for s in block:
-                if isinstance(s, SReturn):
-                    raise ParseError("'return' must be the final statement of main", *s.pos)
-                if isinstance(s, SIf):
-                    no_returns(s.then)
-                    no_returns(s.els)
-                if isinstance(s, SWhile):
-                    no_returns(s.body)
-
-        if not main or not isinstance(main[-1], SReturn):
-            raise ParseError("main must end with 'return x;'", *main_pos)
-        no_returns(main[:-1])
-
-    def _check_proc_returns(self, body: Block, name: _Token) -> None:
-        # Every path ends in a return; nothing follows a statement after
-        # which control cannot fall through.
-        def terminates(block: Block) -> bool:
-            for k, s in enumerate(block):
-                is_last = k == len(block) - 1
-                done = False
-                if isinstance(s, SReturn):
-                    done = True
-                elif isinstance(s, SIf):
-                    t = terminates(s.then)
-                    e = terminates(s.els)
-                    done = t and e
-                elif isinstance(s, SWhile):
-                    terminates(s.body)
-                if done and not is_last:
-                    nxt = block[k + 1]
-                    raise ParseError("unreachable statement: every path above already returned", *nxt.pos)
-                if is_last:
-                    return done
-            return False
-
-        if not terminates(body):
-            raise ParseError(
-                f"procedure {name.text!r}: some path through the body falls off the end without 'return'",
-                name.line,
-                name.col,
-            )
 
 
 def parse(source: str) -> Program:

@@ -115,7 +115,14 @@ from .syntax import (
 # Generator
 # ---------------------------------------------------------------------------
 
-DEFAULT_WEIGHTS: tuple[tuple[str, float], ...] = (
+# The shape of every generated program: at most MAX_PROCS procedures, at most
+# MAX_STMTS statement draws per top-level block (half that in nested ones),
+# if/while nesting at most MAX_DEPTH deep, and the relative odds of each kind
+# of statement.
+MAX_PROCS = 3
+MAX_STMTS = 6
+MAX_DEPTH = 2
+STMT_WEIGHTS: tuple[tuple[str, float], ...] = (
     ("decl", 1.2),
     ("null", 1.0),
     ("copy", 1.0),
@@ -133,11 +140,7 @@ DEFAULT_WEIGHTS: tuple[tuple[str, float], ...] = (
 @dataclass(frozen=True)
 class GenConfig:
     seed: int = 0
-    max_procs: int = 3
-    max_stmts: int = 6
-    max_depth: int = 2
     annotation_density: float = 0.5
-    weights: tuple[tuple[str, float], ...] = DEFAULT_WEIGHTS
 
 
 class _Scope:
@@ -157,7 +160,6 @@ class _Gen:
     def __init__(self, config: GenConfig):
         self.config = config
         self.rng = random.Random(f"picl-gen-{config.seed}")
-        self.weights = dict(config.weights)
         self.fields: tuple[str, ...] = ()
         self.sigs: list[tuple[str, GradAbst, GradAbst]] = []
         self.counter = 0
@@ -183,7 +185,7 @@ class _Gen:
     # -- statements --------------------------------------------------------
 
     def gen_block(self, depth: int, scope: _Scope, avail: int) -> list[Stmt]:
-        top = self.config.max_stmts if depth == 0 else max(1, self.config.max_stmts // 2)
+        top = MAX_STMTS if depth == 0 else MAX_STMTS // 2
         out: list[Stmt] = []
         for _ in range(self.rng.randint(1, top)):
             self.gen_stmt(out, depth, scope, avail)
@@ -192,14 +194,12 @@ class _Gen:
     def gen_stmt(self, out: list[Stmt], depth: int, scope: _Scope, avail: int) -> None:
         kinds: list[str] = []
         weights: list[float] = []
-        for kind, w in self.weights.items():
-            if w <= 0:
-                continue
+        for kind, w in STMT_WEIGHTS:
             if kind in ("copy", "bool", "fieldread", "fieldwrite", "if", "while") and not scope.assigned:
                 continue
             if kind == "call" and avail == 0:
                 continue
-            if kind in ("if", "while") and depth >= self.config.max_depth:
+            if kind in ("if", "while") and depth >= MAX_DEPTH:
                 continue
             kinds.append(kind)
             weights.append(w)
@@ -355,7 +355,7 @@ class _Gen:
         self.fields = tuple(rng.sample(pool, rng.randint(1, 3)))
         fields = tuple(FieldDecl(n) for n in self.fields)
 
-        nprocs = rng.randint(0, self.config.max_procs)
+        nprocs = rng.randint(0, MAX_PROCS)
         procs: list[ProcDecl] = []
         for i in range(nprocs):
             name = f"proc{i}"
@@ -396,47 +396,18 @@ def gen_programs(config: GenConfig, n: int) -> list[Program]:
     return [gen_program(dataclasses.replace(config, seed=config.seed + i)) for i in range(n)]
 
 
-def gen_valid_programs(config: GenConfig, n: int, fully_annotated: bool = False) -> list[Program]:
+def gen_valid_programs(config: GenConfig, n: int) -> list[Program]:
     """First n statically-valid programs along the config's seed stream."""
     found: list[Program] = []
     i = 0
     while len(found) < n:
         if i >= 200 * max(n, 1):
             raise RuntimeError(f"validity yield too low: {len(found)}/{n} after {i} seeds")
-        c = dataclasses.replace(
-            config,
-            seed=config.seed + i,
-            annotation_density=1.0 if fully_annotated else config.annotation_density,
-        )
+        p = gen_program(dataclasses.replace(config, seed=config.seed + i))
         i += 1
-        p = gen_program(c)
         if not static_warnings(kildall(lower(p), "gradual")):
             found.append(p)
     return found
-
-
-ALL_INSTRUCTION_KINDS = frozenset(
-    {
-        "ICopy",
-        "IConstNull",
-        "ICall",
-        "INew",
-        "IAnd",
-        "IOr",
-        "IFieldRead",
-        "IFieldWrite",
-        "IBranch",
-        "IIf",
-        "IElse",
-        "IReturn",
-        "IMain",
-        "IProc",
-    }
-)
-
-
-def instruction_kinds(cfg: ProgramCfg) -> set[str]:
-    return {type(v.instr).__name__ for v in cfg.vertices}
 
 
 def corpus_dir() -> Path:
@@ -461,18 +432,19 @@ class OracleReport:
 
 
 class _Checker:
-    def __init__(self, name: str, cap: int = 25):
+    CAP = 25  # failure messages kept per oracle
+
+    def __init__(self, name: str):
         self.name = name
         self.checks = 0
         self.failures: list[str] = []
-        self.cap = cap
 
     def check(self, ok: bool, message: str) -> None:
         self.checks += 1
         if not ok:
-            if len(self.failures) < self.cap:
+            if len(self.failures) < self.CAP:
                 self.failures.append(message)
-            elif len(self.failures) == self.cap:
+            elif len(self.failures) == self.CAP:
                 self.failures.append("... more failures suppressed")
 
     def report(self) -> OracleReport:
@@ -883,10 +855,9 @@ def check_conservative_extension(p: Program, fuel: int = 2000) -> list[str]:
     cfg = lower(p)
     rs = kildall(cfg, "static")
     rg = kildall(cfg, "gradual")
-    static_pi = rs.pi_as_grad()
     for v in range(len(cfg.vertices)):
-        if static_pi[v] != rg.pi[v]:
-            failures.append(f"pi differs at v{v}: static {static_pi[v]} vs gradual {rg.pi[v]}")
+        if rs.grad_pi[v] != rg.pi[v]:
+            failures.append(f"pi differs at v{v}: static {rs.grad_pi[v]} vs gradual {rg.pi[v]}")
     ws, wg = static_warnings(rs), static_warnings(rg)
     if ws != wg:
         failures.append(f"warnings differ: static {len(ws)} vs gradual {len(wg)}")

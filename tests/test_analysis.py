@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from conftest import LOOP_SRC, scenario_src
+from conftest import LOOP_SRC, growth_per_vertex, scenario_src, wide_src
 
 from graduator import analysis
 from graduator.analysis import (
@@ -174,7 +174,7 @@ def test_retry_loop_fixpoint():
 
     # fully annotated: the static run computes the same facts, exactly
     static = kildall(cfg, "static")
-    assert static.pi_as_grad() == result.pi_as_grad()
+    assert static.grad_pi == result.grad_pi
 
 
 def test_entry_vertices_keep_the_empty_in_state():
@@ -315,8 +315,18 @@ def test_warnings_and_checks_partition_the_judged_positions():
         assert not warn_at & check_at
 
 
-def test_pi_as_grad_embeds_exactly():
+def test_static_grad_pi_embeds_pi_exactly():
     cfg = lower(parse(LOOP_SRC))
     static = kildall(cfg, "static")
-    for sigma, grad in zip(static.pi, static.pi_as_grad()):
+    for sigma, grad in zip(static.pi, static.grad_pi):
         assert grad == {x: exact(a) for x, a in sigma.items()}
+
+
+def test_findings_time_per_vertex_does_not_grow_on_wide_programs():
+    # The fixpoint is computed once per size; only the findings are timed.
+    def findings(result):
+        return static_warnings(result), check_sites(result)
+
+    small, large = (kildall(lower(parse(wide_src(n)))) for n in (100, 800))
+    ratio = growth_per_vertex(findings, (small, len(small.cfg.vertices)), (large, len(large.cfg.vertices)))
+    assert ratio <= 2, f"findings: {ratio:.2f}x the time per vertex at 8x the locals"

@@ -224,6 +224,14 @@ def test_check_surface_time_per_vertex_does_not_grow_on_wide_programs():
     assert ratio <= 2, f"check_surface: {ratio:.2f}x the time per vertex at 8x the locals"
 
 
+def test_parse_time_per_vertex_does_not_grow_on_wide_programs():
+    small, large = (wide_src(n) for n in (100, 800))
+    ratio = growth_per_vertex(
+        parse, (small, len(lower(parse(small)).vertices)), (large, len(lower(parse(large)).vertices))
+    )
+    assert ratio <= 2, f"parse: {ratio:.2f}x the time per vertex at 8x the locals"
+
+
 def test_redeclaration_unknown_proc_unknown_field():
     assert len(errs(parse("main { var x; x := null; var x; return x; }"))) == 1
     assert len(errs(parse("main { var x; x := g(null); return x; }"))) == 1
@@ -455,3 +463,58 @@ def test_parse_error_messages_are_exact(src, where, message):
     with pytest.raises(ParseError) as e:
         parse(src)
     assert ((e.value.line, e.value.col), e.value.message) == (where, message)
+
+
+_MAIN = "main { var y; y := null; return y; }"
+_UNREACHABLE = "unreachable statement: every path above already returned"
+_FALLS_OFF = "procedure 'f': some path through the body falls off the end without 'return'"
+_MAIN_END = "main must end with 'return x;'"
+_MAIN_RETURN = "'return' must be the final statement of main"
+
+
+@pytest.mark.parametrize(
+    "src, error",
+    [
+        # Each placement message, with its position.
+        ("main {\n    var x;\n    x := null;\n}", f"1:1: {_MAIN_END}"),
+        ("main {\n    var x;\n    x := null;\n    while (x == null) {\n        return x;\n    }\n    return x;\n}", f"5:9: {_MAIN_RETURN}"),
+        ("proc f(x) {\n    return x;\n    skip;\n}\n" + _MAIN, f"3:5: {_UNREACHABLE}"),
+        ("proc f(x) {\n    if (x == null) {\n        return x;\n    } else {\n        skip;\n    }\n}\n" + _MAIN, f"1:6: {_FALLS_OFF}"),
+        # Unreachable after an if whose arms both return, inside an arm, inside
+        # a loop body; the first one in the text is reported.
+        ("proc f(x) { if (x == null) { return x; } else { return x; } x := null; return x; } " + _MAIN, f"1:61: {_UNREACHABLE}"),
+        ("proc f(x) { if (x == null) { return x; skip; } else { return x; } } " + _MAIN, f"1:40: {_UNREACHABLE}"),
+        ("proc f(x) { while (x == null) { return x; x := null; } return x; } " + _MAIN, f"1:43: {_UNREACHABLE}"),
+        ("proc f(x) { if (x == null) { return x; } else { return x; skip; } skip; } " + _MAIN, f"1:59: {_UNREACHABLE}"),
+        ("proc f(x) { return x; return x; } " + _MAIN, f"1:23: {_UNREACHABLE}"),
+        ("proc f(x) { return x; skip; return x; skip; } " + _MAIN, f"1:23: {_UNREACHABLE}"),
+        # A loop never returns, even when its body does.
+        ("proc f(x) { while (x == null) { return x; } } " + _MAIN, f"1:6: {_FALLS_OFF}"),
+        # An unreachable statement beats falling off the end.
+        ("proc f(x) { while (x == null) { return x; skip; } } " + _MAIN, f"1:43: {_UNREACHABLE}"),
+        # A syntax error later in the same body beats an earlier unreachable statement.
+        ("proc f(x) { return x; skip; x := ; } " + _MAIN, "1:34: expected an expression, found ';'"),
+        # A placement error in f beats a syntax error in a later procedure, a
+        # duplicate of f's name, and a placement error in main.
+        ("proc f(x) { skip; } proc g(y) { y := ; } " + _MAIN, f"1:6: {_FALLS_OFF}"),
+        ("proc f(x) { return x; } proc f(y) { skip; } " + _MAIN, f"1:30: {_FALLS_OFF}"),
+        ("proc f(x) { return x; skip; } proc f(y) { return y; } " + _MAIN, f"1:23: {_UNREACHABLE}"),
+        ("proc f(x) { skip; } main { }", f"1:6: {_FALLS_OFF}"),
+        # main must end with a return, which beats a nested return in main;
+        # statements after a return in main break that rule, not reachability.
+        ("main { var x; x := null; if (x == null) { return x; } else { skip; } skip; }", f"1:1: {_MAIN_END}"),
+        ("main { var x; x := null; return x; skip; }", f"1:1: {_MAIN_END}"),
+        ("main { var x; x := null; return x; return x; }", f"1:26: {_MAIN_RETURN}"),
+        ("main { var x; x := null; if (x == null) { skip; } else { return x; } return x; }", f"1:58: {_MAIN_RETURN}"),
+        # Trailing input beats a placement error in main.
+        ("main { var x; x := null; } junk", "1:28: expected end of input, found 'junk'"),
+        ("main { var x; x := null; return x; return x; } }", "1:48: expected end of input, found '}'"),
+        # Empty bodies.
+        ("proc f(x) { } " + _MAIN, f"1:6: {_FALLS_OFF}"),
+        ("main { }", f"1:1: {_MAIN_END}"),
+    ],
+)
+def test_return_placement_errors_and_their_precedence(src, error):
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    assert str(e.value) == error

@@ -4,12 +4,14 @@ The oracles are only trustworthy if they can fail, so a few tests corrupt
 an ingredient (the join, a transfer rule, the site list) and demand a FAIL.
 """
 
+import typing
+
 import pytest
 from conftest import LOOP_SRC, scenario_src
 
 from graduator import testkit
 from graduator.analysis import analyze, static_warnings, kildall
-from graduator.cfg import IIf, lower, validate
+from graduator.cfg import IIf, Instr, lower, validate
 from graduator.lattice import GradAbst
 from graduator.runtime import run
 from graduator.syntax import (
@@ -20,7 +22,6 @@ from graduator.syntax import (
     render_program,
 )
 from graduator.testkit import (
-    ALL_INSTRUCTION_KINDS,
     GenConfig,
     check_conservative_extension,
     check_erasure_guarantees,
@@ -30,7 +31,6 @@ from graduator.testkit import (
     gen_program,
     gen_programs,
     gen_valid_programs,
-    instruction_kinds,
     lockstep_modes,
     naive_alpha,
     naive_lifted_join,
@@ -73,18 +73,19 @@ def test_valid_generator_filters_out_warnings():
 
 
 def test_valid_generator_can_demand_full_annotations():
-    for p in gen_valid_programs(GenConfig(seed=3, annotation_density=0.9), 8, fully_annotated=True):
+    for p in gen_valid_programs(GenConfig(seed=3, annotation_density=1.0), 8):
         assert is_fully_annotated(p)
         assert static_warnings(kildall(lower(p))) == []
 
 
 def test_every_instruction_kind_appears_quickly():
+    every_kind = set(typing.get_args(Instr))
     seen = set()
     for p in gen_programs(GenConfig(seed=0), 200):
-        seen |= instruction_kinds(lower(p))
-        if seen == ALL_INSTRUCTION_KINDS:
+        seen |= {type(v.instr) for v in lower(p).vertices}
+        if seen == every_kind:
             break
-    assert seen == ALL_INSTRUCTION_KINDS
+    assert seen == every_kind
 
 
 def test_corpus_is_valid_and_terminates():
