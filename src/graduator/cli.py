@@ -14,7 +14,8 @@ run: 0 final, 2 front-end failure, 3 checked-execution error, 4 stuck,
 5 fuel exhausted.  cfg/stats/compare: 0 or 2.  selftest: 0 or 1.
 
 The environment variable GRADUATOR_MAX_STEPS overrides the default fuel;
-an explicit --max-steps beats both.
+an explicit --max-steps beats both.  Fuel is a count of steps: 0 or more,
+and a negative value exits 2.
 """
 
 from __future__ import annotations
@@ -146,15 +147,18 @@ def cmd_check(args) -> int:
 
 
 def _fuel(args) -> int:
-    if args.max_steps is not None:
-        return args.max_steps
-    env = os.environ.get("GRADUATOR_MAX_STEPS")
-    if env is not None:
+    fuel, source = args.max_steps, "--max-steps"
+    if fuel is None:
+        env = os.environ.get("GRADUATOR_MAX_STEPS")
+        if env is None:
+            return DEFAULT_FUEL
         try:
-            return int(env)
+            fuel, source = int(env), "GRADUATOR_MAX_STEPS"
         except ValueError:
             raise _Fail(2, f"GRADUATOR_MAX_STEPS must be an integer, got {env!r}")
-    return DEFAULT_FUEL
+    if fuel < 0:
+        raise _Fail(2, f"{source} must not be negative, got {fuel}")
+    return fuel
 
 
 def cmd_run(args) -> int:

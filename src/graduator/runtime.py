@@ -15,19 +15,18 @@ blocks), while checked (gradual) execution consults the safety bounds
 instead of running into the violation.
 
 One executor, `_execute`, holds the instruction rules.  It updates a
-mutable machine in place: the frames are a list, the heap a dict, and the
-machine keeps its next free location, so a step costs the same whatever the
+`MachineState` in place: the frames are a list, the heap a dict, and the
+state keeps its next free location, so a step costs the same whatever the
 heap size and stack depth.  Every stuck, annotation and safety-bound check
-runs before the first write, so a machine that stops is exactly the state
-it stopped in.  `run` drives one machine and takes a `MachineState` snapshot
-only when it stops.  `step` and `grad_step` keep value semantics for callers
-that compare states: they build a fresh machine from the input, execute
-one step and return a new `MachineState`, never touching the input.
+runs before the first write, so a state that stops is exactly the state it
+stopped in.  `run` drives one state to its end; `step` and `grad_step`
+advance the state they are given by one step and return it inside the
+outcome, so a caller that needs an earlier state copies it first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .analysis import GradState, _safety_bounds, site_category
@@ -62,20 +61,28 @@ class Frame(NamedTuple):
     vertex: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MachineState:
-    """Stack of frames (top last) over a heap."""
+    """Stack of (env, vertex) frames, top last, over a heap; steps update it in place.
 
-    frames: tuple[Frame, ...]
+    next_loc is the next free location: one past the largest location in
+    the heap when the state is built, then one past the last allocation.
+    """
+
+    frames: list[tuple[Env, int]]
     heap: Heap
+    next_loc: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.next_loc = 1 + max(self.heap, default=0)
 
     @property
     def top(self) -> Frame:
-        return self.frames[-1]
+        return Frame(*self.frames[-1])
 
 
 def initial_state(cfg: ProgramCfg) -> MachineState:
-    return MachineState(frames=(Frame({}, cfg.entry),), heap={})
+    return MachineState(frames=[({}, cfg.entry)], heap={})
 
 
 # ---------------------------------------------------------------------------
@@ -143,39 +150,6 @@ Outcome = Union[Stepped, Final, Stuck, Errored]
 # ---------------------------------------------------------------------------
 
 
-class _Machine:
-    """A mutable machine: frames as (env, vertex) pairs, top last, over a heap.
-
-    A machine never writes into the frames and heap it is built from.  Only
-    the top env is written in place (a return gives its caller a new env),
-    so the machine copies that one and shares the others.  A field write
-    gives its object a new dict, so heap objects are shared too.  The heap
-    itself is shared until the first allocation or field write copies it;
-    that copy also finds the next free location, which the machine keeps.
-    """
-
-    __slots__ = ("frames", "heap", "next_loc")
-
-    def __init__(self, frames: tuple[Frame, ...], heap: Heap):
-        self.frames: list[tuple[Env, int]] = list(frames)
-        env, v = frames[-1]
-        self.frames[-1] = (dict(env), v)
-        self.heap = heap
-        self.next_loc: Optional[int] = None  # set when the heap is copied
-
-    def own_heap(self) -> Heap:
-        """The heap, copied at the first call so that it can be written."""
-        if self.next_loc is None:
-            self.heap = dict(self.heap)
-            self.next_loc = 1 + max(self.heap, default=0)
-        return self.heap
-
-    def snapshot(self, below: tuple[Frame, ...] = ()) -> MachineState:
-        """The state with the machine's frames on top of below; it shares the machine's dicts."""
-        frames = [f if isinstance(f, Frame) else Frame(*f) for f in self.frames]
-        return MachineState(below + tuple(frames), self.heap)
-
-
 # What one vertex's step needs from the graph, looked up once:
 #   (instr, the sole successor or None, the (if, else) arms of a branch or
 #    None, guards, for main and proc entries every universe variable at 0
@@ -202,14 +176,11 @@ def _site(cfg: ProgramCfg, v: int) -> _Site:
     return (ins, succs[0] if succs else None, arms, guards, entry_env)
 
 
-_Stop = tuple  # (outcome class, the outcome's fields after its state)
-
-
-def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Optional[_Stop]:
+def _execute(cfg: ProgramCfg, site: _Site, m: MachineState, checked: bool) -> Optional[Outcome]:
     """Execute the top frame's vertex, whose site is given, on m in place.
 
-    None when it stepped.  On a stop nothing has been written, and the
-    caller builds the outcome from the state.
+    None when it stepped.  A stop returns its outcome around m, into which
+    nothing has been written.
     """
     frames = m.frames
     env, v = frames[-1]
@@ -221,10 +192,10 @@ def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Option
             if x in env:
                 value = env[x]
                 if not admits[value != 0]:
-                    return Errored, (v, x, ceil(bound), value)
+                    return Errored(m, v, x, ceil(bound), value)
 
     if isinstance(ins, IReturn) and len(frames) == 1:
-        return Final, ()
+        return Final(m)
 
     try:
         if isinstance(ins, ICopy):
@@ -232,10 +203,9 @@ def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Option
         elif isinstance(ins, IConstNull):
             env[ins.target] = 0
         elif isinstance(ins, INew):
-            heap = m.own_heap()
             loc = m.next_loc
             m.next_loc = loc + 1
-            heap[loc] = {f: 0 for f in ins.fields}
+            m.heap[loc] = {f: 0 for f in ins.fields}
             env[ins.target] = loc
         elif isinstance(ins, IAnd):
             n1, n2 = env[ins.left], env[ins.right]
@@ -246,14 +216,14 @@ def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Option
         elif isinstance(ins, (IFieldRead, IFieldWrite)):
             r = env[ins.obj]
             if r == 0:
-                return Stuck, (v, f"null dereference: {ins.obj} is null")
+                return Stuck(m, v, f"null dereference: {ins.obj} is null")
             obj = m.heap.get(r)
             if obj is None or ins.fieldname not in obj:
-                return Stuck, (v, f"object at {r} has no field {ins.fieldname!r}")
+                return Stuck(m, v, f"object at {r} has no field {ins.fieldname!r}")
             if isinstance(ins, IFieldRead):
                 env[ins.target] = obj[ins.fieldname]
             else:
-                m.own_heap()[r] = {**obj, ins.fieldname: env[ins.source]}
+                obj[ins.fieldname] = env[ins.source]
         elif isinstance(ins, IBranch):
             nxt = arms[0] if env[ins.var] > 0 else arms[1]
         elif isinstance(ins, (IIf, IElse)):
@@ -266,15 +236,15 @@ def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Option
             return None
         elif isinstance(ins, IProc):
             if len(frames) < 2:
-                return Stuck, (v, "procedure entry without a caller")
+                return Stuck(m, v, "procedure entry without a caller")
             caller_env, caller_v = frames[-2]
             call = cfg.instr(caller_v)
             if not isinstance(call, ICall) or call.proc != ins.name:
-                return Stuck, (v, "caller frame is not at a matching call")
+                return Stuck(m, v, "caller frame is not at a matching call")
             arg = caller_env[call.arg]
             if not grad_conc_contains(ins.param_ann, arg):
-                return Stuck, (
-                    v,
+                return Stuck(
+                    m, v,
                     f"argument {call.arg} = {arg} violates parameter annotation @{ins.param_ann}",
                 )
             rho = dict(entry_env)
@@ -285,55 +255,44 @@ def _execute(cfg: ProgramCfg, site: _Site, m: _Machine, checked: bool) -> Option
             caller_env, caller_v = frames[-2]
             call = cfg.instr(caller_v)
             if not isinstance(call, ICall):
-                return Stuck, (v, "caller frame is not at a call")
+                return Stuck(m, v, "caller frame is not at a call")
             retval = env[ins.var]
             if not grad_conc_contains(ins.ann, retval):
-                return Stuck, (
-                    v,
+                return Stuck(
+                    m, v,
                     f"return value {ins.var} = {retval} violates return annotation @{ins.ann}",
                 )
             cont = cfg.successors(caller_v)[0]
             frames.pop()
-            frames[-1] = ({**caller_env, call.target: retval}, cont)
+            caller_env[call.target] = retval
+            frames[-1] = (caller_env, cont)
             return None
         else:
             raise AssertionError(f"unknown instruction {ins!r}")
     except KeyError as missing:
-        return Stuck, (v, f"undefined variable {missing}")
+        return Stuck(m, v, f"undefined variable {missing}")
     frames[-1] = (env, nxt)
     return None
 
 
 # ---------------------------------------------------------------------------
-# One step with value semantics
+# One step
 # ---------------------------------------------------------------------------
 
 
-def _step_copy(cfg: ProgramCfg, state: MachineState, checked: bool) -> Outcome:
-    # A step reads at most the top two frames and compares the stack height
-    # only with 1 and 2, so a machine holding the top two steps as the whole
-    # stack would; the frames below are shared.
-    m = _Machine(state.frames[-2:], state.heap)
-    stop = _execute(cfg, _site(cfg, state.frames[-1].vertex), m, checked)
-    if stop is None:
-        return Stepped(m.snapshot(state.frames[:-2]))
-    kind, fields = stop
-    return kind(state, *fields)
-
-
 def step(cfg: ProgramCfg, state: MachineState) -> Union[Stepped, Final, Stuck]:
-    """One plain transition, or Final/Stuck when none exists."""
-    return _step_copy(cfg, state, checked=False)
+    """One plain transition of state, in place, or Final/Stuck when none exists."""
+    return _execute(cfg, _site(cfg, state.frames[-1][1]), state, False) or Stepped(state)
 
 
 def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
-    """One checked transition: safety bounds first, then the plain step.
+    """One checked transition of state, in place: safety bounds first, then the plain step.
 
     Only the driving instruction's own operands carry non-trivial bounds;
     every other variable's bound is Nullable, which no value violates.  On a
     violation the lexicographically first offending variable is reported.
     """
-    return _step_copy(cfg, state, checked=True)
+    return _execute(cfg, _site(cfg, state.frames[-1][1]), state, True) or Stepped(state)
 
 
 # ---------------------------------------------------------------------------
@@ -374,24 +333,20 @@ def run(
         raise ValueError(f"unknown mode {mode!r}")
     checked = mode == "gradual"
     sites = [_site(cfg, v) for v in range(len(cfg.vertices))]
-    m = _Machine(initial_state(cfg).frames, {})
+    state = initial_state(cfg)
     trace: list[str] = []
     steps = 0
     while steps < max_steps:
-        v = m.frames[-1][1]
-        stop = _execute(cfg, sites[v], m, checked)
+        v = state.frames[-1][1]
+        stop = _execute(cfg, sites[v], state, checked)
         if stop is not None:
-            state = m.snapshot()
-            kind, fields = stop
-            if kind is Final:
-                ins = cfg.instr(v)
-                final_var = ins.var if isinstance(ins, IReturn) else None
-                return RunResult("final", state, steps, trace, final_var=final_var)
-            if kind is Stuck:
-                return RunResult("stuck", state, steps, trace, stuck_reason=fields[1])
-            return RunResult("error", state, steps, trace, error=Errored(state, *fields))
+            if isinstance(stop, Final):
+                return RunResult("final", state, steps, trace, final_var=cfg.instr(v).var)
+            if isinstance(stop, Stuck):
+                return RunResult("stuck", state, steps, trace, stuck_reason=stop.reason)
+            return RunResult("error", state, steps, trace, error=stop)
         if collect_trace:
             vtx = cfg.vertices[v]
             trace.append(f"{steps}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
         steps += 1
-    return RunResult("fuel", m.snapshot(), steps, trace)
+    return RunResult("fuel", state, steps, trace)

@@ -77,7 +77,6 @@ from .lattice import (
 from .runtime import (
     Errored,
     Final,
-    Frame,
     MachineState,
     Stepped,
     Stuck,
@@ -755,7 +754,7 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
                 env[ins.var] = rng.randint(1, 3)
             if isinstance(ins, IElse):
                 env[ins.var] = 0
-            state = MachineState((Frame(env, 0),), _random_heap(rng))
+            state = MachineState([(dict(env), 0)], _random_heap(rng))
             sigma = _describing_sigma(rng, env, _VARS)
             assert lifted_desc(env, sigma)
             out = step(cfg, state)
@@ -769,7 +768,7 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             # Procedure entry: binding the parameter under its annotation.
             cfg, call, proc = _call_cfg(rng.choice(_ANNS), rng.choice(_ANNS))
             caller_env = _random_env(rng, ("x", "y"))
-            state = MachineState((Frame(caller_env, 1), Frame({}, 3)), _random_heap(rng))
+            state = MachineState([(caller_env, 1), ({}, 3)], _random_heap(rng))
             sigma = _describing_sigma(rng, {}, ("w", "r"))
             out = step(cfg, state)
             if not isinstance(out, Stepped):
@@ -783,7 +782,7 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             cfg, call, proc = _call_cfg(rng.choice(_ANNS), rng.choice(_ANNS))
             caller_env = _random_env(rng, ("x", "y"))
             callee_env = _random_env(rng, ("w", "r"))
-            state = MachineState((Frame(caller_env, 1), Frame(callee_env, 5)), _random_heap(rng))
+            state = MachineState([(caller_env, 1), (callee_env, 5)], _random_heap(rng))
             sigma = _describing_sigma(rng, caller_env, ("x", "y"))
             assert lifted_desc(caller_env, sigma)
             out = step(cfg, state)
@@ -817,7 +816,6 @@ def lockstep_modes(cfg: ProgramCfg, fuel: int) -> Optional[str]:
         assert isinstance(o1, Stepped) and isinstance(o2, Stepped)
         if o1.state != o2.state:
             return f"step {k}: states diverge at v{o1.state.top.vertex}/v{o2.state.top.vertex}"
-        s_plain, s_grad = o1.state, o2.state
     return None
 
 
@@ -845,7 +843,6 @@ def lockstep_precision(cfg1: ProgramCfg, cfg2: ProgramCfg, fuel: int) -> Optiona
         assert isinstance(o1, Stepped)
         if o1.state != o2.state:
             return f"step {k}: states diverge at v{o1.state.top.vertex}/v{o2.state.top.vertex}"
-        s1, s2 = o1.state, o2.state
     return None
 
 
@@ -856,8 +853,8 @@ def check_conservative_extension(p: Program, fuel: int = 2000) -> list[str]:
     rs = kildall(cfg, "static")
     rg = kildall(cfg, "gradual")
     for v in range(len(cfg.vertices)):
-        if rs.grad_pi[v] != rg.pi[v]:
-            failures.append(f"pi differs at v{v}: static {rs.grad_pi[v]} vs gradual {rg.pi[v]}")
+        if {x: exact(a) for x, a in rs.pi[v].items()} != rg.pi[v]:
+            failures.append(f"pi differs at v{v}: static {rs.pi[v]} vs gradual {rg.pi[v]}")
     ws, wg = static_warnings(rs), static_warnings(rg)
     if ws != wg:
         failures.append(f"warnings differ: static {len(ws)} vs gradual {len(wg)}")
@@ -915,9 +912,9 @@ def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool
     state = initial_state(cfg)
     for _ in range(fuel):
         if check_described:
-            for fr in state.frames:
-                if not lifted_desc(fr.env, r.pi[fr.vertex]):
-                    failures.append(f"frame at v{fr.vertex} not described by fixpoint")
+            for env, v in state.frames:
+                if not lifted_desc(env, r.pi[v]):
+                    failures.append(f"frame at v{v} not described by fixpoint")
                     return failures
         out = grad_step(cfg, state)
         if isinstance(out, Final):
@@ -931,7 +928,6 @@ def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool
                     f"error at v{out.vertex} on {out.variable!r} is not a declared check site"
                 )
             return failures
-        state = out.state
     return failures  # fuel exhausted: nothing to judge
 
 

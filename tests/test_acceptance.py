@@ -184,7 +184,7 @@ def test_criterion_5_annotated_programs_gain_nothing_and_lose_nothing():
             static = kildall(cfg, "static")
             gradual = kildall(cfg, "gradual")
             as_bytes = lambda result: json.dumps(
-                [{x: str(a) for x, a in sigma.items()} for sigma in result.grad_pi],
+                [{x: str(a) for x, a in sigma.items()} for sigma in result.pi],
                 sort_keys=True,
             )
             assert as_bytes(static) == as_bytes(gradual), f"program {i}"

@@ -180,6 +180,18 @@ def test_run_fuel_from_environment(tmp_path, capsys, monkeypatch):
     assert "GRADUATOR_MAX_STEPS must be an integer" in capsys.readouterr().err
 
 
+def test_run_rejects_negative_fuel(tmp_path, capsys, monkeypatch):
+    path = picl(tmp_path, LOOP_LINES)
+    assert main(["run", path, "--max-steps", "-3"]) == 2
+    assert capsys.readouterr() == ("", "--max-steps must not be negative, got -3\n")
+    monkeypatch.setenv("GRADUATOR_MAX_STEPS", "-1")
+    assert main(["run", path]) == 2
+    assert capsys.readouterr() == ("", "GRADUATOR_MAX_STEPS must not be negative, got -1\n")
+    # zero fuel is a budget like any other
+    assert main(["run", path, "--max-steps", "0"]) == 5
+    assert capsys.readouterr().out == "fuel exhausted after 0 step(s)\n"
+
+
 def test_cfg_listing(tmp_path, capsys):
     path = picl(tmp_path, LOOP_LINES)
     assert main(["cfg", path]) == 0

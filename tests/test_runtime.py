@@ -49,7 +49,7 @@ def until_outcome(cfg, mode="plain"):
 def test_initial_state_is_one_unbound_frame():
     cfg = lower(parse("main { var x; x := null; return x; }"))
     state = initial_state(cfg)
-    assert state.frames == (Frame({}, cfg.entry),)
+    assert state.frames == [Frame({}, cfg.entry)]
     assert state.heap == {}
 
 
@@ -140,14 +140,14 @@ def test_call_pushes_an_unbound_frame_then_entry_binds():
     state = initial_state(cfg)
     while not isinstance(cfg.instr(state.top.vertex), ICall):
         state = step(cfg, state).state
-    pushed = step(cfg, state).state
-    assert len(pushed.frames) == 2
-    assert pushed.top.env == {}
-    assert pushed.top.vertex in cfg.proc_entry.values()
+    step(cfg, state)
+    assert len(state.frames) == 2
+    assert state.top.env == {}
+    assert state.top.vertex in cfg.proc_entry.values()
     # the entry step then binds the parameter from the caller's argument
-    entered = step(cfg, pushed).state
-    entry_ins = cfg.instr(pushed.top.vertex)
-    assert entered.top.env[entry_ins.param] == 0  # foo(null)
+    entry_ins = cfg.instr(state.top.vertex)
+    step(cfg, state)
+    assert state.top.env[entry_ins.param] == 0  # foo(null)
 
 
 def test_entry_enforces_the_parameter_annotation():
@@ -208,7 +208,7 @@ def test_checked_error_at_a_null_field_read():
 def test_undefined_variable_sticks_with_a_reason():
     cfg = lower(parse("main { var x; var y; x := null; y := x && x; return y; }"))
     and_vertex = next(v.id for v in cfg.vertices if type(v.instr).__name__ == "IAnd")
-    stuck = step(cfg, MachineState(frames=(Frame({}, and_vertex),), heap={}))
+    stuck = step(cfg, MachineState(frames=[({}, and_vertex)], heap={}))
     assert isinstance(stuck, Stuck)
     assert "undefined variable" in stuck.reason
 
@@ -255,7 +255,7 @@ def test_bad_mode_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# run against the value-semantic step wrappers
+# run against the step wrappers
 # ---------------------------------------------------------------------------
 
 
@@ -265,12 +265,11 @@ def step_by_step(cfg, mode, fuel):
     state = initial_state(cfg)
     trace = []
     for k in range(fuel):
+        vtx = cfg.vertices[state.top.vertex]
         outcome = stepper(cfg, state)
         if not isinstance(outcome, Stepped):
             return outcome, k, trace
-        vtx = cfg.vertices[state.top.vertex]
         trace.append(f"{k}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
-        state = outcome.state
     return state, fuel, trace
 
 
@@ -303,50 +302,90 @@ def test_run_agrees_with_stepping_one_state_at_a_time(mode, outcomes):
     assert outcomes <= seen, seen
 
 
-MUTATION_SRC = """
-field f;
-proc mk(x) { var o; o := new {f}; o.f := x; return o; }
-main {
-    var a; var b;
-    a := null;
-    a := mk(a);
-    b := mk(a);
-    a.f := b;
-    b.f := b;
-    return a;
-}
-"""
+DEREF_SRC = "field f; main { var a; var b; a := null; b := a.f; return b; }"
+PARAM_SRC = (
+    "field f; proc mk@NonNull(x @NonNull) { var t; t := new {f}; return t; }"
+    " main { var a; a := mk(null); return a; }"
+)
+RETURN_SRC = "proc mk@NonNull(x) { var t; t := null; return t; } main { var a; a := mk(null); return a; }"
+FIELD_SRC = "field f; field g; main { var a; var b; a := new {f}; b := a.g; return b; }"
+FINAL_SRC = "field f; main { var a; a := new {f}; a.f := a; return a; }"
+BUILT_SRC = (
+    "field f; proc mk(x) { var o; o := new {f}; o.f := x; return o; }"
+    " main { var a; a := mk(a); return a; }"
+)
+
+
+def stop_in_place(cfg, stepper, state):
+    """Step state until it stops; assert the stopping step wrote nothing."""
+    while True:
+        before = copy.deepcopy(state)
+        outcome = stepper(cfg, state)
+        assert outcome.state is state
+        if not isinstance(outcome, Stepped):
+            assert state == before
+            return outcome
+
+
+@pytest.mark.parametrize(
+    "source, mode, expected",
+    [
+        (DEREF_SRC, "plain", "null dereference: a is null"),
+        (FIELD_SRC, "plain", "object at 1 has no field 'g'"),
+        (PARAM_SRC, "plain", "argument $0 = 0 violates parameter annotation @NonNull"),
+        (RETURN_SRC, "plain", "return value t = 0 violates return annotation @NonNull"),
+        (DEREF_SRC, "gradual", IFieldRead),
+        (PARAM_SRC, "gradual", ICall),
+        (RETURN_SRC, "gradual", IReturn),
+        (FINAL_SRC, "plain", Final),
+        (FINAL_SRC, "gradual", Final),
+    ],
+    ids=[
+        "null-deref",
+        "missing-field",
+        "param-annotation",
+        "return-annotation",
+        "checked-deref",
+        "checked-call",
+        "checked-return",
+        "final",
+        "checked-final",
+    ],
+)
+def test_a_stopped_step_writes_nothing(source, mode, expected):
+    cfg = lower(parse(source))
+    outcome = stop_in_place(cfg, step if mode == "plain" else grad_step, initial_state(cfg))
+    if isinstance(expected, str):
+        assert isinstance(outcome, Stuck) and outcome.reason == expected
+    elif expected is Final:
+        assert isinstance(outcome, Final)
+    else:
+        assert isinstance(outcome, Errored) and isinstance(cfg.instr(outcome.vertex), expected)
 
 
 @pytest.mark.parametrize("stepper", [step, grad_step])
-def test_stepping_never_mutates_its_input(stepper):
-    cfg = lower(parse(MUTATION_SRC))
-    history = []
-    executed = set()
-    state = initial_state(cfg)
-    while True:
-        history.append((state, copy.deepcopy(state)))
-        executed.add(type(cfg.instr(state.top.vertex)))
-        outcome = stepper(cfg, state)
-        if not isinstance(outcome, Stepped):
-            break
-        state = outcome.state
-    assert isinstance(outcome, Final)
-    assert {INew, IFieldWrite, ICall, IProc, IReturn} <= executed
-    # Every state ever handed in or out still holds its own envs, frames and objects.
-    for i, (state, frozen) in enumerate(history):
-        assert state == frozen, f"state {i} changed"
+def test_a_stuck_step_from_a_built_state_writes_nothing(stepper):
+    cfg = lower(parse(BUILT_SRC))
+    at = {type(v.instr): v.id for v in cfg.vertices}
+    entry, write, ret = at[IProc], at[IFieldWrite], at[IReturn]
+    for frames, heap, reason in [
+        ([({"o": 1}, write)], {1: {"f": 7}}, "undefined variable 'x'"),
+        ([({}, entry)], {}, "procedure entry without a caller"),
+        ([({"a": 0}, cfg.entry), ({}, entry)], {}, "caller frame is not at a matching call"),
+        ([({"a": 0}, cfg.entry), ({"x": 0, "o": 1}, ret)], {1: {"f": 0}}, "caller frame is not at a call"),
+    ]:
+        outcome = stop_in_place(cfg, stepper, MachineState(frames, heap))
+        assert isinstance(outcome, Stuck) and outcome.reason == reason
 
 
 def test_allocation_takes_the_location_after_the_largest():
     cfg = lower(parse("field f; main { var a; a := new {f}; return a; }"))
     alloc = next(v.id for v in cfg.vertices if isinstance(v.instr, INew))
     heap = {2: {"f": 0}, 7: {"f": 2}}
-    state = MachineState((Frame({"a": 0}, alloc),), heap)
+    state = MachineState([({"a": 0}, alloc)], heap)
     after = step(cfg, state).state
     assert after.top.env == {"a": 8}
     assert after.heap == {2: {"f": 0}, 7: {"f": 2}, 8: {"f": 0}}
-    assert heap == {2: {"f": 0}, 7: {"f": 2}}
 
 
 def alloc_src(k):
