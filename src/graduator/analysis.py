@@ -1,9 +1,13 @@
 """Dataflow analysis: nullness facts per vertex, warnings, check sites.
 
-One transfer function, ``lifted_flow``, interprets each instruction over
-partial maps from variables to gradual facts.  The static analysis is the
-gradual fixpoint of a fully annotated program projected back to base facts
-through ``as_exact``: on exact inputs every rule yields exact outputs, so the
+One transfer function interprets each instruction over gradual facts.  The
+fixpoint runs it on byte-coded states: each procedure's variables are
+numbered in sorted order, a fact is one byte (0 where the variable is
+undefined, else 1 + its index in ``ALL_GRAD``), and a state is one byte per
+variable.  ``lifted_flow`` applies the same byte rules to a partial map from
+variables to facts, encoding it and decoding the result.  The static
+analysis is the gradual fixpoint of a fully annotated program read through
+``as_exact``: on exact inputs every rule yields exact outputs, so the
 projection loses nothing, and ``flow`` is that projection for a single
 instruction.  A transfer rule that writes a constant ignores its input; a
 rule that reads an operand drops its target when the operand is not yet
@@ -15,11 +19,14 @@ The only rules where gradualization needs more than "run the same rule on
 gradual inputs" are the boolean operators: their case analysis branches on
 exact base facts, so the gradual version enumerates the denotations of both
 operand facts, pushes each pair through the base rule, and abstracts the
-result set back.
+result set back.  Those results, and the join's, are tabulated once per
+pair of fact bytes.
 
 Fixpoints come from a worklist iteration seeded with every vertex (initial
-fact: the empty map, the bottom of the partial-map order).  The result is
-order-independent; the default order is reverse postorder per procedure.
+state: bottom, every variable undefined).  The result is order-independent;
+the default order is reverse postorder per procedure.  ``AnalysisResult``
+keeps the byte states: ``pi`` and ``grad_pi`` build a vertex's map only when
+it is read, and ``fact(v, x)`` reads one fact.
 
 Validity splits per position into three verdicts: the fact is consistent
 with the safety bound (fine), plausibly consistent but not provably so
@@ -29,7 +36,8 @@ with the safety bound (fine), plausibly consistent but not provably so
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Literal, Optional
 
 from .cfg import (
@@ -53,6 +61,7 @@ from .cfg import (
     reverse_postorder,
 )
 from .lattice import (
+    ALL_GRAD,
     Abst,
     GradAbst,
     alpha,
@@ -108,57 +117,114 @@ def _lift_case(rule: Callable[[Abst, Abst], Abst], g1: GradAbst, g2: GradAbst) -
 
 
 # ---------------------------------------------------------------------------
+# Byte-coded states
+# ---------------------------------------------------------------------------
+
+# A fact is one byte: 0 where the variable is undefined, else 1 + its index
+# in ALL_GRAD.  A state is one byte per variable, numbered in sorted order.
+_FACT: tuple[Optional[GradAbst], ...] = (None, *ALL_GRAD)
+_CODE: dict[Optional[GradAbst], int] = {g: c for c, g in enumerate(_FACT)}
+
+
+def _table(rule: Callable[[Optional[GradAbst], Optional[GradAbst]], Optional[GradAbst]]) -> bytes:
+    """A bytes.translate table whose entry 7a + b codes rule on the facts coded a and b.
+
+    7 * 6 + 6 = 48, so a whole state of such digits fits in base 256 with
+    no carry between bytes.
+    """
+    return bytes(_CODE[rule(_FACT[a], _FACT[b])] for a in range(7) for b in range(7)).ljust(256, b"\0")
+
+
+# The union-join: an undefined side contributes the other side's fact.
+_JOIN = _table(lambda f, g: g if f is None else f if g is None else lifted_join(f, g))
+# && and ||: an undefined operand leaves the target undefined.
+_AND, _OR = (
+    _table(lambda f, g: None if f is None or g is None else _lift_case(rule, f, g)) for rule in (_and_case, _or_case)
+)
+_COPY = _table(lambda f, g: g)
+_CONST = {c: _table(lambda f, g, c=c: c) for c in _FACT}
+
+
+def _decode(state: bytes, names: Iterable[str]) -> GradState:
+    """The partial map a state codes over the given variable names."""
+    if 0 in state:
+        return {x: _FACT[c] for x, c in zip(names, state) if c}
+    return dict(zip(names, map(_FACT.__getitem__, state)))
+
+
+# A rule is the tuple of byte writes one instruction makes, in order:
+# (t, a, b, table) sets byte t to table[7 * a + b], where a and b are the
+# input state's bytes at the operand indices (a constant's table ignores them).
+_Write = tuple[int, int, int, bytes]
+
+
+def _rule(ins: Instr, index: dict[str, int], universe: Iterable[str]) -> tuple[_Write, ...]:
+    """The writes of ins on states whose variables index numbers."""
+    if isinstance(ins, (IBranch, IReturn)):
+        return ()
+    if isinstance(ins, (IMain, IProc)):
+        # An entry writes every byte: Null over universe, undefined elsewhere.
+        facts = dict.fromkeys(index, None) | dict.fromkeys(universe, GradAbst.NULL)
+        if isinstance(ins, IProc):
+            facts[ins.param] = ins.param_ann
+        return tuple((index[x], 0, 0, _CONST[g]) for x, g in facts.items())
+    if isinstance(ins, IFieldRead):
+        # Reading narrows the receiver; when target and receiver coincide
+        # the receiver fact wins (the write order is load-bearing).
+        return (
+            (index[ins.target], 0, 0, _CONST[GradAbst.NULLABLE]),
+            (index[ins.obj], 0, 0, _CONST[GradAbst.NONNULL]),
+        )
+    if isinstance(ins, (IAnd, IOr)):
+        return ((index[ins.target], index[ins.left], index[ins.right], _AND if isinstance(ins, IAnd) else _OR),)
+    if isinstance(ins, ICopy):
+        return ((index[ins.target], index[ins.source], index[ins.source], _COPY),)
+    if isinstance(ins, IConstNull):
+        x, fact = ins.target, GradAbst.NULL
+    elif isinstance(ins, ICall):
+        x, fact = ins.target, ins.ret_ann
+    elif isinstance(ins, INew):
+        x, fact = ins.target, GradAbst.NONNULL
+    elif isinstance(ins, IFieldWrite):
+        x, fact = ins.obj, GradAbst.NONNULL
+    elif isinstance(ins, (IIf, IElse)):
+        x, fact = ins.var, GradAbst.NONNULL if isinstance(ins, IIf) else GradAbst.NULL
+    else:
+        raise AssertionError(f"unknown instruction {ins!r}")
+    return ((index[x], 0, 0, _CONST[fact]),)
+
+
+def _apply(rule: tuple[_Write, ...], state: bytes) -> bytes:
+    """The state after rule: state itself when it writes nothing, else a bytearray copy."""
+    if not rule:
+        return state
+    out = bytearray(state)
+    for t, a, b, table in rule:
+        out[t] = table[7 * state[a] + state[b]]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Transfer functions
 # ---------------------------------------------------------------------------
 
+# The instruction attributes that name variables.
+_OPERANDS = ("target", "source", "left", "right", "obj", "var", "param")
+
 
 def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradState:
-    """Gradual transfer function; annotations flow through unconverted."""
-    if isinstance(ins, ICopy):
-        out = dict(sigma)
-        if ins.source in sigma:
-            out[ins.target] = sigma[ins.source]
-        else:
-            out.pop(ins.target, None)
-        return out
-    if isinstance(ins, IConstNull):
-        return {**sigma, ins.target: GradAbst.NULL}
-    if isinstance(ins, ICall):
-        return {**sigma, ins.target: ins.ret_ann}
-    if isinstance(ins, INew):
-        return {**sigma, ins.target: GradAbst.NONNULL}
-    if isinstance(ins, (IAnd, IOr)):
-        rule = _and_case if isinstance(ins, IAnd) else _or_case
-        out = dict(sigma)
-        if ins.left in sigma and ins.right in sigma:
-            out[ins.target] = _lift_case(rule, sigma[ins.left], sigma[ins.right])
-        else:
-            out.pop(ins.target, None)
-        return out
-    if isinstance(ins, IFieldRead):
-        # Reading narrows the receiver; when target and receiver coincide
-        # the receiver fact wins (the write order below is load-bearing).
-        out = dict(sigma)
-        out[ins.target] = GradAbst.NULLABLE
-        out[ins.obj] = GradAbst.NONNULL
-        return out
-    if isinstance(ins, IFieldWrite):
-        return {**sigma, ins.obj: GradAbst.NONNULL}
-    if isinstance(ins, IBranch):
-        return dict(sigma)
-    if isinstance(ins, IIf):
-        return {**sigma, ins.var: GradAbst.NONNULL}
-    if isinstance(ins, IElse):
-        return {**sigma, ins.var: GradAbst.NULL}
-    if isinstance(ins, IReturn):
-        return dict(sigma)
-    if isinstance(ins, IMain):
-        return {x: GradAbst.NULL for x in sorted(universe)}
-    if isinstance(ins, IProc):
-        out = {x: GradAbst.NULL for x in sorted(universe)}
-        out[ins.param] = ins.param_ann
-        return out
-    raise AssertionError(f"unknown instruction {ins!r}")
+    """Gradual transfer function on partial maps; annotations flow through unconverted.
+
+    It runs the byte rule the fixpoint runs, over the variables of universe,
+    of sigma and of ins, and returns its map in sorted key order.  A rule that
+    writes a constant ignores its input; one that reads an operand drops its
+    target when the operand is undefined; an entry seeds universe with Null
+    and binds the parameter to its annotation.
+    """
+    names = sorted(universe.union(sigma, (getattr(ins, a) for a in _OPERANDS if hasattr(ins, a))))
+    index = {x: i for i, x in enumerate(names)}
+    state = bytes(_CODE[sigma.get(x)] for x in names)
+    return _decode(_apply(_rule(ins, index, universe), state), names)
 
 
 def flow(ins: Instr, sigma: BaseState, universe: frozenset[str]) -> BaseState:
@@ -212,33 +278,63 @@ def site_category(ins: Instr) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _state_join(s1: GradState, s2: GradState) -> GradState:
-    # Union-join: a variable undefined on one side contributes the other
-    # side's fact (the empty map is bottom).  Joining a fact with itself
-    # keeps it, so the table lookup runs only when the facts differ.  A
-    # join into bottom is a copy, and one with an equal state returns s1
-    # itself; only true merges reach the loop.
-    if not s1:
-        return dict(s2)
-    if s1 == s2:
-        return s1
-    out = dict(s1)
-    for x, g in s2.items():
-        f = out.get(x)
-        if f is not g:
-            out[x] = g if f is None else lifted_join(f, g)
-    return out
-
-
 Mode = Literal["static", "gradual"]
+
+
+class Facts(Sequence):
+    """Per-vertex partial maps of a fixpoint, each built when it is read."""
+
+    def __init__(self, result: AnalysisResult, decode: Callable[[bytes, Iterable[str]], dict]):
+        self._result = result
+        self._decode = decode
+
+    def __len__(self) -> int:
+        return len(self._result.states)
+
+    def __getitem__(self, v: int) -> dict:
+        r = self._result
+        return self._decode(r.states[v], r.numbering[r.cfg.vertices[v].proc])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (Facts, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _decode_exact(state: bytes, names: Iterable[str]) -> BaseState:
+    return {x: _exact_ann(g) for x, g in _decode(state, names).items()}
 
 
 @dataclass
 class AnalysisResult:
+    """One byte-coded state per vertex, over its procedure's variables numbered in sorted order.
+
+    pi (base facts in static mode, gradual ones otherwise) and grad_pi build
+    a vertex's map when it is read; fact reads one gradual fact.
+    """
+
     cfg: ProgramCfg
     mode: Mode
-    pi: list[dict]  # vertex id -> partial map variable -> Abst | GradAbst
-    grad_pi: list[GradState]  # the gradual fixpoint; pi projects it in static mode
+    states: list[bytes]
+    numbering: dict[str, dict[str, int]] = field(repr=False)  # procedure -> variable -> byte index
+
+    @property
+    def grad_pi(self) -> Facts:
+        return Facts(self, _decode)
+
+    @property
+    def pi(self) -> Facts:
+        return self.grad_pi if self.mode == "gradual" else Facts(self, _decode_exact)
+
+    def fact(self, v: int, x: str) -> Optional[GradAbst]:
+        """The gradual fact of x at vertex v, or None where x is undefined."""
+        i = self.numbering[self.cfg.vertices[v].proc].get(x)
+        return None if i is None else _FACT[self.states[v][i]]
 
 
 def kildall(
@@ -248,11 +344,12 @@ def kildall(
 ) -> AnalysisResult:
     """Worklist fixpoint of the gradual transfer function.
 
-    Every vertex starts at the empty map and is processed at least once;
-    a successor re-enters the worklist whenever its fact grows.  The result
-    does not depend on seed_order (that is a tested property, not a hope).
+    Every vertex starts at bottom, all bytes 0 (one shared object per state
+    width), and is processed at least once; a successor re-enters the
+    worklist whenever its state grows.  The result does not depend on
+    seed_order (that is a tested property, not a hope).
 
-    Static mode is the same fixpoint projected to base facts.  A '?' enters
+    Static mode is the same fixpoint, read through base facts.  A '?' enters
     the fixpoint only as a call result or a parameter annotation, and those
     are checked up front: the projection alone would miss a '?' that a join
     absorbs (? + Nullable = Nullable).
@@ -264,26 +361,40 @@ def kildall(
             elif isinstance(vertex.instr, IProc):
                 _exact_ann(vertex.instr.param_ann)
 
-    pi: list[dict] = [{} for _ in cfg.vertices]
+    numbering = {proc: {x: i for i, x in enumerate(sorted(u))} for proc, u in cfg.universe.items()}
+    by_width: dict[int, bytes] = {}
+    bottom = {proc: by_width.setdefault(len(index), bytes(len(index))) for proc, index in numbering.items()}
+    rules = [_rule(v.instr, numbering[v.proc], cfg.universe[v.proc]) for v in cfg.vertices]
+    bottoms = [bottom[v.proc] for v in cfg.vertices]
+    states = list(bottoms)
     order = list(seed_order) if seed_order is not None else reverse_postorder(cfg)
     assert sorted(order) == sorted(v.id for v in cfg.vertices), "seed order must cover every vertex"
     work = deque(order)
     queued = set(order)
+    succ = cfg.succ
     while work:
         v = work.popleft()
         queued.discard(v)
-        out = lifted_flow(cfg.instr(v), pi[v], cfg.universe[cfg.vertices[v].proc])
-        for u in cfg.successors(v):
-            grown = _state_join(pi[u], out)
-            if grown is not pi[u] and grown != pi[u]:
-                pi[u] = grown
-                if u not in queued:
-                    work.append(u)
-                    queued.add(u)
-    grad_pi = pi
-    if mode == "static":
-        pi = [{x: _exact_ann(g) for x, g in s.items()} for s in grad_pi]
-    return AnalysisResult(cfg=cfg, mode=mode, pi=pi, grad_pi=grad_pi)
+        out = _apply(rules[v], states[v])
+        for u in succ[v]:
+            old = states[u]
+            if old is out:
+                continue
+            if old is bottoms[u]:
+                new = out
+            elif old == out:
+                continue
+            else:
+                # Pairs of facts as base-7 digits, joined byte by byte in C.
+                pairs = int.from_bytes(old, "big") * 7 + int.from_bytes(out, "big")
+                new = pairs.to_bytes(len(old), "big").translate(_JOIN)
+                if new == old:
+                    continue
+            states[u] = new
+            if u not in queued:
+                work.append(u)
+                queued.add(u)
+    return AnalysisResult(cfg=cfg, mode=mode, states=states, numbering=numbering)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +436,13 @@ class Finding:
 
 def _positions(result: AnalysisResult):
     """Constrained (vertex, variable, fact, bound) tuples in report order."""
-    pi = result.grad_pi
     for vertex in result.cfg.vertices:
-        sigma = pi[vertex.id]
         for x, bound in _safety_bounds(vertex.instr):
-            if x not in sigma:
+            found = result.fact(vertex.id, x)
+            if found is None:
                 # Never reached with x defined; nothing to judge.
                 continue
-            yield vertex, x, sigma[x], bound
+            yield vertex, x, found, bound
 
 
 def _finding(category: str, vertex: Vertex, x: str, found: GradAbst, bound: GradAbst) -> Finding:

@@ -17,7 +17,7 @@ instruction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .lattice import GradAbst
 from .syntax import (
@@ -205,6 +205,9 @@ class ProgramCfg:
     entry: int
     proc_entry: dict[str, int]  # procedure name -> IProc vertex id
     universe: dict[str, frozenset[str]]  # per procedure (and "main")
+    # What the interpreter needs from each vertex, built on its first step
+    # (runtime._sites); not part of the graph's value.
+    _run_sites: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def instr(self, v: int) -> Instr:
         return self.vertices[v].instr

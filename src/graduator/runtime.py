@@ -176,6 +176,13 @@ def _site(cfg: ProgramCfg, v: int) -> _Site:
     return (ins, succs[0] if succs else None, arms, guards, entry_env)
 
 
+def _sites(cfg: ProgramCfg) -> list[_Site]:
+    """Every vertex's site, built once per cfg."""
+    if cfg._run_sites is None:
+        cfg._run_sites = [_site(cfg, v) for v in range(len(cfg.vertices))]
+    return cfg._run_sites
+
+
 def _execute(cfg: ProgramCfg, site: _Site, m: MachineState, checked: bool) -> Optional[Outcome]:
     """Execute the top frame's vertex, whose site is given, on m in place.
 
@@ -282,7 +289,7 @@ def _execute(cfg: ProgramCfg, site: _Site, m: MachineState, checked: bool) -> Op
 
 def step(cfg: ProgramCfg, state: MachineState) -> Union[Stepped, Final, Stuck]:
     """One plain transition of state, in place, or Final/Stuck when none exists."""
-    return _execute(cfg, _site(cfg, state.frames[-1][1]), state, False) or Stepped(state)
+    return _execute(cfg, _sites(cfg)[state.frames[-1][1]], state, False) or Stepped(state)
 
 
 def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
@@ -292,7 +299,7 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
     every other variable's bound is Nullable, which no value violates.  On a
     violation the lexicographically first offending variable is reported.
     """
-    return _execute(cfg, _site(cfg, state.frames[-1][1]), state, True) or Stepped(state)
+    return _execute(cfg, _sites(cfg)[state.frames[-1][1]], state, True) or Stepped(state)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +339,7 @@ def run(
     if mode not in ("plain", "gradual"):
         raise ValueError(f"unknown mode {mode!r}")
     checked = mode == "gradual"
-    sites = [_site(cfg, v) for v in range(len(cfg.vertices))]
+    sites = _sites(cfg)
     state = initial_state(cfg)
     trace: list[str] = []
     steps = 0

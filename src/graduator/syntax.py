@@ -36,6 +36,11 @@ statement may follow one (nor follow an if/else whose branches both return).
 The parser judges this placement as it reads each body, with no second walk
 over the tree, and reports it once the body (for `main`, the whole input)
 has parsed without a syntax error.
+
+Blocks and call arguments nest at most MAX_NESTING levels deep, counted
+together: a body is one level, each block inside it and each call argument
+one more.  Deeper input is a ParseError at the `{` or `(` that opens the
+first level too many, so no later pass recurses past that depth.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ KEYWORDS = frozenset(
         "null",
     }
 )
+
+# The deepest nesting of blocks and call arguments, counted together.
+MAX_NESTING = 128
 
 ANNOTATION_WORDS = {
     "NonNull": GradAbst.NONNULL,
@@ -303,6 +311,12 @@ class _Parser:
         # None at the start of each body; `program` resets the latter for main.
         self.unreachable: Optional[_Token] = None
         self.first_return: Optional[SReturn] = None
+        self.depth = 0  # blocks and call arguments open around the next token
+
+    def nest(self, opening: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.fail(f"blocks and call arguments nest deeper than {MAX_NESTING} levels", opening)
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -403,7 +417,7 @@ class _Parser:
 
     def block(self) -> tuple[Block, bool]:
         """A block, and whether every path through it returns."""
-        self.expect("{")
+        self.nest(self.expect("{"))
         stmts: list[Stmt] = []
         returns = False
         while not self.at("}"):
@@ -415,6 +429,7 @@ class _Parser:
             s, returns = self.stmt()
             stmts.append(s)
         self.expect("}")
+        self.depth -= 1
         return tuple(stmts), returns
 
     def stmt(self) -> tuple[Stmt, bool]:
@@ -516,9 +531,10 @@ class _Parser:
         if t.kind == "ident":
             if self.at("(", 1):
                 self.next()
-                self.expect("(")
+                self.nest(self.expect("("))
                 arg = self.expr()
                 self.expect(")")
+                self.depth -= 1
                 return ECall(t.text, arg, pos=(t.line, t.col))
             self.next()
             return EVar(t.text, pos=(t.line, t.col))

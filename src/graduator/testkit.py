@@ -887,7 +887,7 @@ def check_erasure_guarantees(p: Program, subsets: list[set[str]], fuel: int = 20
             failures.append(f"erasure {sorted(subset)} introduced warnings: {w2[0].render()}")
         for v in range(len(cfg1.vertices)):
             for x, g1 in r1.pi[v].items():
-                g2 = r2.pi[v].get(x)
+                g2 = r2.fact(v, x)
                 if g2 is None:
                     failures.append(f"erasure {sorted(subset)}: pi lost {x} at v{v}")
                 elif not (gamma(g1) <= gamma(g2)):
@@ -909,11 +909,12 @@ def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool
     if static_warnings(r):
         return ["precondition violated: program is not statically valid"]
     sites = {(c.vertex, c.variable) for c in check_sites(r)}
+    pi = list(r.pi) if check_described else []
     state = initial_state(cfg)
     for _ in range(fuel):
         if check_described:
             for env, v in state.frames:
-                if not lifted_desc(env, r.pi[v]):
+                if not lifted_desc(env, pi[v]):
                     failures.append(f"frame at v{v} not described by fixpoint")
                     return failures
         out = grad_step(cfg, state)

@@ -39,7 +39,8 @@ from graduator.cfg import (
     IReturn,
     lower,
 )
-from graduator.lattice import Abst, GradAbst, exact, lifted_join
+from graduator.cli import main
+from graduator.lattice import ALL_GRAD, Abst, GradAbst, base_join, exact, lifted_join
 from graduator.syntax import parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
@@ -185,6 +186,10 @@ def test_entry_vertices_keep_the_empty_in_state():
         assert result.pi[v] == {}
 
 
+def _facts_with_key_order(result):
+    return [list(sigma.items()) for sigma in result.pi]
+
+
 def test_fixpoint_ignores_seed_order():
     rng = random.Random(41)
     for seed in range(12):
@@ -193,18 +198,47 @@ def test_fixpoint_ignores_seed_order():
         ids = [v.id for v in cfg.vertices]
         for _ in range(3):
             rng.shuffle(ids)
-            assert kildall(cfg, seed_order=list(ids)).pi == baseline.pi
+            result = kildall(cfg, seed_order=list(ids))
+            assert result.pi == baseline.pi
+            # key order too: every state is in sorted variable order
+            facts = _facts_with_key_order(result)
+            assert facts == _facts_with_key_order(baseline)
+            assert all([x for x, _ in sigma] == sorted(x for x, _ in sigma) for sigma in facts)
 
 
-def _merge_only_join(s1, s2):
+def _merge_only_join(s1, s2, join=lifted_join):
     # The union-join as a plain loop over s2: no shortcut for bottom or for
     # equal states, and always a fresh map.
     out = dict(s1)
     for x, g in s2.items():
         f = out.get(x)
         if f is not g:
-            out[x] = g if f is None else lifted_join(f, g)
+            out[x] = g if f is None else join(f, g)
     return out
+
+
+def _reference_fixpoint(cfg, mode):
+    """A dict worklist with no shortcuts, or the ValueError text in static mode.
+
+    Gradual mode runs lifted_flow; static mode runs the base rules (flow,
+    which refuses to write a '?') under the base join.
+    """
+    transfer, join = (lifted_flow, lifted_join) if mode == "gradual" else (flow, base_join)
+    pi = [{} for _ in cfg.vertices]
+    work = list(range(len(cfg.vertices)))
+    try:
+        while work:
+            v = work.pop(0)
+            out = transfer(cfg.instr(v), pi[v], cfg.universe[cfg.vertices[v].proc])
+            for u in cfg.successors(v):
+                grown = _merge_only_join(pi[u], out, join)
+                if grown != pi[u]:
+                    pi[u] = grown
+                    if u not in work:
+                        work.append(u)
+    except ValueError as e:
+        return str(e)
+    return [list(s.items()) for s in pi]
 
 
 def _fixpoint_or_error(cfg, mode):
@@ -212,18 +246,57 @@ def _fixpoint_or_error(cfg, mode):
         result = kildall(cfg, mode)
     except ValueError as e:
         return str(e)
-    return [list(s.items()) for s in result.pi]  # key order included
+    return _facts_with_key_order(result)
 
 
-def test_join_shortcuts_leave_every_fact_and_key_order_alone(monkeypatch):
+def test_byte_fixpoint_matches_a_dict_worklist_fact_for_fact():
     programs = [parse(path.read_text()) for path in corpus_paths()]
     programs += [gen_program(GenConfig(seed=seed, annotation_density=0.8)) for seed in range(100)]
     cfgs = [lower(p) for p in programs]
     modes = ("gradual", "static")
     fast = [[_fixpoint_or_error(cfg, mode) for mode in modes] for cfg in cfgs]
-    monkeypatch.setattr(analysis, "_state_join", _merge_only_join)
-    assert fast == [[_fixpoint_or_error(cfg, mode) for mode in modes] for cfg in cfgs]
+    assert fast == [[_reference_fixpoint(cfg, mode) for mode in modes] for cfg in cfgs]
     assert sum(isinstance(f, list) for per_cfg in fast for f in per_cfg) > 150
+    assert any(isinstance(f, str) for per_cfg in fast for f in per_cfg)
+
+
+def test_byte_tables_agree_with_the_fact_rules():
+    codes = range(len(analysis._FACT))
+    assert analysis._FACT == (None, *ALL_GRAD)
+    for a in codes:
+        for b in codes:
+            f, g = analysis._FACT[a], analysis._FACT[b]
+            join = g if f is None else f if g is None else lifted_join(f, g)
+            assert analysis._FACT[analysis._JOIN[7 * a + b]] is join
+            for table, rule in ((analysis._AND, analysis._and_case), (analysis._OR, analysis._or_case)):
+                case = None if f is None or g is None else analysis._lift_case(rule, f, g)
+                assert analysis._FACT[table[7 * a + b]] is case
+            # a copy takes its second operand; a constant write ignores both
+            assert analysis._FACT[analysis._COPY[7 * a + b]] is g
+            assert all(analysis._FACT[table[7 * a + b]] is c for c, table in analysis._CONST.items())
+    # no other entry is reachable: a digit pair is at most 7 * 6 + 6
+    for table in (analysis._JOIN, analysis._AND, analysis._OR, analysis._COPY, *analysis._CONST.values()):
+        assert len(table) == 256 and not any(table[49:])
+
+
+def test_fact_reads_what_pi_holds():
+    for path in corpus_paths():
+        cfg = lower(parse(path.read_text()))
+        result = kildall(cfg)
+        for v, sigma in enumerate(result.pi):
+            for x in [*cfg.universe[cfg.vertices[v].proc], "not-a-variable"]:
+                assert result.fact(v, x) is sigma.get(x)
+
+
+def test_check_stats_and_compare_build_no_per_vertex_map(monkeypatch):
+    def refuse(state, names):
+        raise AssertionError("a whole state was decoded")
+
+    monkeypatch.setattr(analysis, "_decode", refuse)
+    for path in map(str, corpus_paths()):
+        static_json = ["check", path, "--mode", "static", "--format", "json"]
+        for argv in (["check", path], static_json, ["stats", path], ["compare", path]):
+            assert main(argv) in (0, 1, 2)
 
 
 def test_seed_order_must_cover_every_vertex():
@@ -330,3 +403,9 @@ def test_findings_time_per_vertex_does_not_grow_on_wide_programs():
     small, large = (kildall(lower(parse(wide_src(n)))) for n in (100, 800))
     ratio = growth_per_vertex(findings, (small, len(small.cfg.vertices)), (large, len(large.cfg.vertices)))
     assert ratio <= 2, f"findings: {ratio:.2f}x the time per vertex at 8x the locals"
+
+
+def test_kildall_time_per_vertex_does_not_grow_on_wide_programs():
+    small, large = (lower(parse(wide_src(n))) for n in (100, 800))
+    ratio = growth_per_vertex(kildall, (small, len(small.vertices)), (large, len(large.vertices)))
+    assert ratio <= 2, f"kildall: {ratio:.2f}x the time per vertex at 8x the locals"

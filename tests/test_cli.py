@@ -8,6 +8,7 @@ from conftest import LOOP_SRC, scenario_src
 
 from graduator import __version__
 from graduator.cli import main
+from graduator.syntax import MAX_NESTING
 from graduator.testkit import corpus_dir
 
 LOOP_LINES = LOOP_SRC
@@ -123,6 +124,55 @@ def test_long_boolean_chains_need_no_deep_recursion(tmp_path, capsys, command, c
     path = picl(tmp_path, f"field f; main {{ var x; var y; y := new {{f}}; y.f := y; x := {chain}; return x; }}")
     assert main([command, path]) == code
     assert capsys.readouterr().err == ""
+
+
+def nested_ifs(depth):
+    """main's body and depth - 1 if-blocks inside it: depth levels of nesting."""
+    inner = "x := null;"
+    for _ in range(depth - 1):
+        inner = f"if (x == null) {{ {inner} }} else {{ skip; }}"
+    return f"main {{ var x; x := null; {inner} return x; }}"
+
+
+def nested_calls(depth):
+    """main's body and depth - 1 call arguments inside it."""
+    arg = "x"
+    for _ in range(depth - 1):
+        arg = f"q({arg})"
+    return f"proc q(y) {{ return y; }} main {{ var x; x := null; x := {arg}; return x; }}"
+
+
+def half_and_half(depth):
+    """Blocks and call arguments counted together: about half of each."""
+    blocks = depth // 2
+    arg = "x"
+    for _ in range(depth - blocks):
+        arg = f"q({arg})"
+    inner = f"x := {arg};"
+    for _ in range(blocks - 1):
+        inner = f"while (x != null) {{ {inner} }}"
+    return f"proc q(y) {{ return y; }} main {{ var x; x := null; {inner} return x; }}"
+
+
+@pytest.mark.parametrize("command", ["check", "run", "cfg", "stats", "compare"])
+@pytest.mark.parametrize(
+    "shape, innermost",
+    [(nested_ifs, "{ x := null;"), (nested_calls, "(x)"), (half_and_half, "(x)")],
+    ids=["blocks", "calls", "both"],
+)
+def test_nesting_past_the_limit_exits_2_at_the_opening_token(tmp_path, capsys, command, shape, innermost):
+    path = picl(tmp_path, shape(MAX_NESTING))
+    assert main([command, path]) == 0
+    out = capsys.readouterr()
+    assert "Traceback" not in out.err and "error" not in out.err
+
+    src = shape(MAX_NESTING + 1)
+    path = picl(tmp_path, src)
+    assert main([command, path]) == 2
+    # The first opening token past the limit opens the innermost level.
+    col = src.index(innermost) + 1
+    message = f"blocks and call arguments nest deeper than {MAX_NESTING} levels"
+    assert capsys.readouterr().err.splitlines() == [f"{path}:1:{col}: error: {message}"]
 
 
 def test_run_final(tmp_path, capsys):

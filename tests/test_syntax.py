@@ -14,6 +14,7 @@ from graduator.syntax import (
     ECall,
     ENull,
     EOr,
+    MAX_NESTING,
     EVar,
     ParseError,
     SAssign,
@@ -463,6 +464,20 @@ def test_parse_error_messages_are_exact(src, where, message):
     with pytest.raises(ParseError) as e:
         parse(src)
     assert ((e.value.line, e.value.col), e.value.message) == (where, message)
+
+
+def test_nesting_counts_open_levels_in_each_body():
+    # Each body starts at one level, and a closed level is given back, so
+    # sibling calls and blocks at the limit do not add up.
+    deepest = "q(" * (MAX_NESTING - 1) + "y" + ")" * (MAX_NESTING - 1)
+    body = f"{{ var z; z := {deepest}; z := {deepest}; if (z == null) {{ skip; }} else {{ skip; }} return z; }}"
+    parse(f"proc q(y) {{ return y; }} proc r(y) {body} main {body}")
+    too_deep = "q(" * MAX_NESTING + "y" + ")" * MAX_NESTING
+    src = f"proc q(y) {{ return y; }} proc r(y) {{ var z; z := {too_deep}; return z; }} main {{ var z; return z; }}"
+    with pytest.raises(ParseError) as e:
+        parse(src)
+    # the body's brace is level 1, so the last call's parenthesis is one too many
+    assert (e.value.line, e.value.col) == (1, src.rindex("(y)") + 1)
 
 
 _MAIN = "main { var y; y := null; return y; }"
