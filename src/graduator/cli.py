@@ -242,6 +242,7 @@ def cmd_selftest(args) -> int:
         testkit.oracle_lattice(),
         testkit.oracle_local_soundness(trials=args.trials, seed=args.seed),
         testkit.oracle_propositions(programs=args.programs, seed=args.seed),
+        testkit.oracle_frontend_fuzz(seed=args.seed),
     ]
     failed = False
     for r in reports:

@@ -37,6 +37,16 @@ The parser judges this placement as it reads each body, with no second walk
 over the tree, and reports it once the body (for `main`, the whole input)
 has parsed without a syntax error.
 
+The lexer scans the source one line at a time, up to each "\n", with one
+compiled regex: one match per token, with the blanks before it.  A column
+counts the code points before the token on its line, plus one.  The lexer
+gives the token texts and their (line, col) tuples as two parallel lists,
+ending with end of input, whose text is "".  A token's kind follows from its
+text: KEYWORDS, PUNCTUATION, or else an identifier.  The parser reads the
+lists by index, and every node's `pos` is the tuple the lexer made for the
+node's first token (for `&&`, `||` and field access, the operator; for a
+procedure, `proc`).
+
 Blocks and call arguments nest at most MAX_NESTING levels deep, counted
 together: a body is one level, each block inside it and each call argument
 one more.  Deeper input is a ParseError at the `{` or `(` that opens the
@@ -48,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .lattice import GradAbst, precision_leq
 
@@ -249,145 +259,152 @@ class Program:
 # Lexer
 # ---------------------------------------------------------------------------
 
+PUNCTUATION = frozenset({":=", "==", "!=", "&&", "||", *".;,{}()@?"})
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "keyword", "punct", "eof"
-    text: str
-    line: int
-    col: int
+# One match per token, with the blanks before it: punctuation (two characters
+# before one) or a word that starts with an ASCII letter or `_`, any other
+# word, a comment, or any other character, which is an error.  `\w` is exactly
+# `str.isalnum()` or `_`, and a word must start with `str.isalpha()` or `_`
+# (not `1`, `²` or `½`), which only the second kind of word needs checked.
+_TOKEN_RE = re.compile(r"([ \t\r]*)(?:(:=|==|!=|&&|\|\||[.;,{}()@?]|[A-Za-z_]\w*)|(\w+)|(//.*)|([^ \t\r]))")
 
-
-# One alternative per token class, tried in order: blanks, comments, two- then
-# one-character punctuation, words.  `\w` is exactly `str.isalnum()` or `_`; a
-# word must start with `str.isalpha()` or `_` (not `1`, `²` or `½`).
-_TOKEN_RE = re.compile(
-    r"(?P<blank>[ \t\r\n]+)"
-    r"|(?P<comment>//[^\n]*)"
-    r"|(?P<punct>:=|==|!=|&&|\|\||[.;,{}()@?])"
-    r"|(?P<word>\w+)"
-    r"|(?P<bad>.)",
-    re.DOTALL,
-)
+Pos = tuple[int, int]
 
 
-def _lex(src: str) -> list[_Token]:
-    toks: list[_Token] = []
-    line, line_start = 1, 0
-    m = None
-    for m in _TOKEN_RE.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        if kind == "blank":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = m.start() + text.rindex("\n") + 1
-            continue
-        if kind == "comment":
-            continue
-        col = m.start() - line_start + 1
-        if kind == "word" and (text[0].isalpha() or text[0] == "_"):
-            kind = "keyword" if text in KEYWORDS else "ident"
-        elif kind != "punct":
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        toks.append(_Token(kind, text, line, col))
-    # A comment's characters advance no column: end of input after a trailing
-    # comment sits where the comment starts.
-    end = m.start() if m is not None and m.lastgroup == "comment" else len(src)
-    toks.append(_Token("eof", "", line, end - line_start + 1))
-    return toks
+def _lex(src: str) -> tuple[list[str], list[Pos]]:
+    """Token texts and their (line, col), in parallel lists ending at end of input, text ""."""
+    texts: list[str] = []
+    positions: list[Pos] = []
+    add_text, add_pos = texts.append, positions.append
+    find, findall = src.find, _TOKEN_RE.findall
+    lineno, start, size = 0, 0, len(src)
+    # Each line is scanned where it lies in src: slicing the lines out would
+    # hold a second copy of the source while the tokens are built.
+    while start <= size:
+        lineno += 1
+        stop = find("\n", start)
+        if stop < 0:
+            stop = size
+        col, end = 1, stop - start + 1
+        for blanks, text, word, comment, bad in findall(src, start, stop):
+            col += len(blanks)
+            if not text:
+                if comment:
+                    # A comment's characters advance no column: end of input
+                    # after a trailing comment sits where the comment starts.
+                    end = col
+                    break
+                if bad or not word[0].isalpha():
+                    raise ParseError(f"unexpected character {(bad or word)[0]!r}", lineno, col)
+                text = word
+            add_text(text)
+            add_pos((lineno, col))
+            col += len(text)
+        start = stop + 1
+    add_text("")
+    add_pos((lineno, end))
+    return texts, positions
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
 
+# The texts that are not identifiers: keywords, punctuation and end of input.
+_NOT_IDENT = KEYWORDS | PUNCTUATION | {""}
+
 
 class _Parser:
-    def __init__(self, toks: list[_Token]):
-        self.toks = toks
+    """Recursive descent over the lexer's lists, read by index.
+
+    No read needs a bounds check.  The parser looks one token ahead only from
+    an identifier, which end of input always follows, and steps past end of
+    input only in a condition, where it then fails at once.
+    """
+
+    def __init__(self, texts: list[str], positions: list[Pos]):
+        self.texts = texts
+        self.positions = positions
         self.i = 0
-        # Return placement, judged as the statements are parsed: the first
-        # statement that follows one after which every path has returned, and
-        # the first `return`.  A procedure raises on the former, so it is
-        # None at the start of each body; `program` resets the latter for main.
-        self.unreachable: Optional[_Token] = None
+        # Return placement, judged as the statements are parsed: where the
+        # first statement is that follows one after which every path has
+        # returned, and the first `return`.  A procedure raises on the former,
+        # so it is None at the start of each body; `program` resets the latter
+        # for main.
+        self.unreachable: Optional[Pos] = None
         self.first_return: Optional[SReturn] = None
         self.depth = 0  # blocks and call arguments open around the next token
 
-    def nest(self, opening: _Token) -> None:
+    def nest(self, opening: Pos) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.fail(f"blocks and call arguments nest deeper than {MAX_NESTING} levels", opening)
+            raise ParseError(f"blocks and call arguments nest deeper than {MAX_NESTING} levels", *opening)
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Token:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
-
-    def fail(self, message: str, tok: Optional[_Token] = None) -> ParseError:
-        t = tok or self.peek()
-        return ParseError(message, t.line, t.col)
+    def fail(self, message: str, pos: Optional[Pos] = None) -> ParseError:
+        return ParseError(message, *(pos or self.positions[self.i]))
 
     def expected(self, what: str) -> ParseError:
-        t = self.peek()
-        return self.fail(f"expected {what}, found {t.text!r}" if t.text else f"expected {what}")
+        text = self.texts[self.i]
+        return self.fail(f"expected {what}, found {text!r}" if text else f"expected {what}")
 
     # A fixed token (punctuation or keyword) is known by its text alone: no
     # identifier spells a keyword or punctuation.
-    def at(self, text: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).text == text
-
-    def expect(self, text: str) -> _Token:
-        if not self.at(text):
+    def expect(self, text: str) -> Pos:
+        i = self.i
+        if self.texts[i] != text:
             raise self.expected(repr(text))
-        return self.next()
+        self.i = i + 1
+        return self.positions[i]
 
-    def expect_ident(self, what: str) -> _Token:
-        if self.peek().kind != "ident":
+    def expect_ident(self, what: str) -> str:
+        i = self.i
+        text = self.texts[i]
+        if text in _NOT_IDENT:
             raise self.expected(what)
-        return self.next()
+        self.i = i + 1
+        return text
 
     # -- declarations ------------------------------------------------------
 
     def program(self) -> Program:
+        texts = self.texts
         fields: list[FieldDecl] = []
         procs: list[ProcDecl] = []
         seen_fields: set[str] = set()
         seen_procs: set[str] = set()
-        while self.at("field") or self.at("proc"):
-            if self.at("field"):
-                tok = self.next()
+        while texts[self.i] in ("field", "proc"):
+            if texts[self.i] == "field":
+                pos = self.expect("field")
+                name_pos = self.positions[self.i]
                 name = self.expect_ident("field name")
                 self.expect(";")
-                if name.text in seen_fields:
-                    raise self.fail(f"duplicate field name {name.text!r}", name)
-                seen_fields.add(name.text)
-                fields.append(FieldDecl(name.text, pos=(tok.line, tok.col)))
+                if name in seen_fields:
+                    raise self.fail(f"duplicate field name {name!r}", name_pos)
+                seen_fields.add(name)
+                fields.append(FieldDecl(name, pos))
             else:
                 decl = self.procdecl()
                 if decl.name in seen_procs:
-                    raise self.fail(f"duplicate procedure name {decl.name!r}", self.toks[self.i - 1])
+                    raise self.fail(f"duplicate procedure name {decl.name!r}", self.positions[self.i - 1])
                 seen_procs.add(decl.name)
                 procs.append(decl)
-        if not self.at("main"):
+        if texts[self.i] != "main":
             raise self.fail("expected 'field', 'proc', or 'main'")
-        t = self.next()
+        main_pos = self.expect("main")
         self.first_return = None
         main, _ = self.block()
-        if self.peek().kind != "eof":
+        if texts[self.i]:
             raise self.expected("end of input")
         # main returns exactly once, as its literal last top-level statement.
         if not main or not isinstance(main[-1], SReturn):
-            raise self.fail("main must end with 'return x;'", t)
+            raise self.fail("main must end with 'return x;'", main_pos)
         if self.first_return is not main[-1]:
-            raise ParseError("'return' must be the final statement of main", *self.first_return.pos)
-        return Program(tuple(fields), tuple(procs), main, main_pos=(t.line, t.col))
+            raise self.fail("'return' must be the final statement of main", self.first_return.pos)
+        return Program(tuple(fields), tuple(procs), main, main_pos)
 
     def procdecl(self) -> ProcDecl:
-        tok = self.expect("proc")
+        pos = self.expect("proc")
+        name_pos = self.positions[self.i]
         name = self.expect_ident("procedure name")
         ret_ann = self.annotation_opt()
         self.expect("(")
@@ -399,17 +416,17 @@ class _Parser:
             raise self.fail("unreachable statement: every path above already returned", self.unreachable)
         if not returns:
             raise self.fail(
-                f"procedure {name.text!r}: some path through the body falls off the end without 'return'", name
+                f"procedure {name!r}: some path through the body falls off the end without 'return'", name_pos
             )
-        return ProcDecl(name.text, ret_ann, param.text, param_ann, body, pos=(tok.line, tok.col))
+        return ProcDecl(name, ret_ann, param, param_ann, body, pos)
 
     def annotation_opt(self) -> GradAbst:
-        if not self.at("@"):
+        if self.texts[self.i] != "@":
             return GradAbst.UNKNOWN
-        self.next()
-        text = self.peek().text
+        self.i += 1
+        text = self.texts[self.i]
         if text in ANNOTATION_WORDS:
-            self.next()
+            self.i += 1
             return ANNOTATION_WORDS[text]
         raise self.fail(f"unknown annotation {text!r}; expected NonNull, Nullable, or ?")
 
@@ -418,132 +435,141 @@ class _Parser:
     def block(self) -> tuple[Block, bool]:
         """A block, and whether every path through it returns."""
         self.nest(self.expect("{"))
+        texts = self.texts
         stmts: list[Stmt] = []
         returns = False
-        while not self.at("}"):
-            t = self.peek()
-            if t.kind == "eof":
+        while (text := texts[self.i]) != "}":
+            if not text:
                 raise self.fail("unexpected end of input inside block")
             if returns and self.unreachable is None:
-                self.unreachable = t
+                self.unreachable = self.positions[self.i]
             s, returns = self.stmt()
             stmts.append(s)
-        self.expect("}")
+        self.i += 1
         self.depth -= 1
         return tuple(stmts), returns
 
     def stmt(self) -> tuple[Stmt, bool]:
         """A statement, and whether every path through it returns."""
-        t = self.peek()
-        if self.at("skip"):
-            self.next()
-            self.expect(";")
-            return SSkip(pos=(t.line, t.col)), False
-        if self.at("var") or self.at("return"):
-            self.next()
-            name = self.expect_ident("variable name")
-            self.expect(";")
-            s = (SDecl if t.text == "var" else SReturn)(name.text, pos=(t.line, t.col))
-            returns = isinstance(s, SReturn)
-            if returns and self.first_return is None:
-                self.first_return = s
-            return s, returns
-        if self.at("if"):
-            self.next()
-            op, cond = self.cond()
-            then, then_returns = self.block()
-            self.expect("else")
-            els, els_returns = self.block()
-            return SIf(op, cond, then, els, pos=(t.line, t.col)), then_returns and els_returns
-        if self.at("while"):
-            self.next()
-            op, cond = self.cond()
-            body, _ = self.block()
-            return SWhile(op, cond, body, pos=(t.line, t.col)), False
-        if t.kind == "ident":
-            if self.at(".", 1):
-                obj = self.next()
-                self.expect(".")
+        texts = self.texts
+        i = self.i
+        text, pos = texts[i], self.positions[i]
+        if text not in _NOT_IDENT:
+            after = texts[i + 1]
+            if after == ":=":
+                self.i = i + 2
+                e = self.expr()
+                self.expect(";")
+                return SAssign(text, e, pos), False
+            if after == ".":
+                self.i = i + 2
                 fieldname = self.expect_ident("field name")
                 self.expect(":=")
                 source = self.expect_ident("variable name")
                 self.expect(";")
-                return SFieldAssign(obj.text, fieldname.text, source.text, pos=(t.line, t.col)), False
-            if self.at(":=", 1):
-                target = self.next()
-                self.expect(":=")
-                e = self.expr()
-                self.expect(";")
-                return SAssign(target.text, e, pos=(t.line, t.col)), False
-            raise self.fail("expected ':=' or '.' after variable name", self.peek(1))
+                return SFieldAssign(text, fieldname, source, pos), False
+            raise self.fail("expected ':=' or '.' after variable name", self.positions[i + 1])
+        if text == "if":
+            self.i = i + 1
+            op, cond = self.cond()
+            then, then_returns = self.block()
+            self.expect("else")
+            els, els_returns = self.block()
+            return SIf(op, cond, then, els, pos), then_returns and els_returns
+        if text == "while":
+            self.i = i + 1
+            op, cond = self.cond()
+            body, _ = self.block()
+            return SWhile(op, cond, body, pos), False
+        if text == "var" or text == "return":
+            self.i = i + 1
+            name = self.expect_ident("variable name")
+            self.expect(";")
+            if text == "var":
+                return SDecl(name, pos), False
+            s = SReturn(name, pos)
+            if self.first_return is None:
+                self.first_return = s
+            return s, True
+        if text == "skip":
+            self.i = i + 1
+            self.expect(";")
+            return SSkip(pos), False
         raise self.expected("a statement")
 
     def cond(self) -> tuple[str, Expr]:
         self.expect("(")
         e = self.expr()
-        t = self.next()
-        if t.text not in ("==", "!="):
-            raise self.fail("expected '==' or '!=' in condition", t)
+        i = self.i
+        op = self.texts[i]
+        self.i = i + 1
+        if op != "==" and op != "!=":
+            raise self.fail("expected '==' or '!=' in condition", self.positions[i])
         self.expect("null")
         self.expect(")")
-        return t.text, e
+        return op, e
 
     # -- expressions -------------------------------------------------------
 
     def expr(self) -> Expr:
         e = self.and_expr()
-        while self.at("||"):
-            t = self.next()
-            rhs = self.and_expr()
-            e = EOr(e, rhs, pos=(t.line, t.col))
+        texts = self.texts
+        while texts[self.i] == "||":
+            pos = self.positions[self.i]
+            self.i += 1
+            e = EOr(e, self.and_expr(), pos)
         return e
 
     def and_expr(self) -> Expr:
         e = self.postfix_expr()
-        while self.at("&&"):
-            t = self.next()
-            rhs = self.postfix_expr()
-            e = EAnd(e, rhs, pos=(t.line, t.col))
+        texts = self.texts
+        while texts[self.i] == "&&":
+            pos = self.positions[self.i]
+            self.i += 1
+            e = EAnd(e, self.postfix_expr(), pos)
         return e
 
     def postfix_expr(self) -> Expr:
         e = self.primary_expr()
-        while self.at("."):
-            t = self.next()
-            name = self.expect_ident("field name")
-            e = EField(e, name.text, pos=(t.line, t.col))
+        texts = self.texts
+        while texts[self.i] == ".":
+            pos = self.positions[self.i]
+            self.i += 1
+            e = EField(e, self.expect_ident("field name"), pos)
         return e
 
     def primary_expr(self) -> Expr:
-        t = self.peek()
-        if self.at("null"):
-            self.next()
-            return ENull(pos=(t.line, t.col))
-        if self.at("new"):
-            self.next()
-            self.expect("{")
-            names = [self.expect_ident("field name").text]
-            while self.at(","):
-                self.next()
-                names.append(self.expect_ident("field name").text)
-            self.expect("}")
-            return ENew(tuple(names), pos=(t.line, t.col))
-        if t.kind == "ident":
-            if self.at("(", 1):
-                self.next()
+        texts = self.texts
+        i = self.i
+        text, pos = texts[i], self.positions[i]
+        if text not in _NOT_IDENT:
+            if texts[i + 1] == "(":
+                self.i = i + 1
                 self.nest(self.expect("("))
                 arg = self.expr()
                 self.expect(")")
                 self.depth -= 1
-                return ECall(t.text, arg, pos=(t.line, t.col))
-            self.next()
-            return EVar(t.text, pos=(t.line, t.col))
+                return ECall(text, arg, pos)
+            self.i = i + 1
+            return EVar(text, pos)
+        if text == "null":
+            self.i = i + 1
+            return ENull(pos)
+        if text == "new":
+            self.i = i + 1
+            self.expect("{")
+            names = [self.expect_ident("field name")]
+            while texts[self.i] == ",":
+                self.i += 1
+                names.append(self.expect_ident("field name"))
+            self.expect("}")
+            return ENew(tuple(names), pos)
         raise self.expected("an expression")
 
 
 def parse(source: str) -> Program:
     """Parse PICL source text.  Raises ParseError with a 1-based position."""
-    return _Parser(_lex(source)).program()
+    return _Parser(*_lex(source)).program()
 
 
 # ---------------------------------------------------------------------------

@@ -23,17 +23,25 @@ paths they judge:
   and never changes behavior before the original's first error, and checked
   execution of valid programs never gets stuck and only errors at declared
   check sites while staying described by the fixpoint.
+- oracle_frontend_fuzz feeds an in-process `check` seeded token-level
+  mutants of the corpus and blocks and calls nested at the limit and one
+  level past it: each must exit 0, 1 or 2 without raising and print the same
+  bytes twice, and each that parses must survive a render round trip.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import random
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
 from .analysis import check_sites, kildall, lifted_flow, static_warnings
+from .cli import main
 from .cfg import (
     MAIN,
     IAnd,
@@ -86,6 +94,7 @@ from .runtime import (
     step,
 )
 from .syntax import (
+    MAX_NESTING,
     EAnd,
     ECall,
     EField,
@@ -103,11 +112,15 @@ from .syntax import (
     SReturn,
     SSkip,
     SWhile,
+    ParseError,
     Stmt,
+    _lex,
     annotation_sites,
     check_surface,
     erase_annotations,
+    parse,
     precision_leq_prog,
+    render_program,
 )
 
 # ---------------------------------------------------------------------------
@@ -956,4 +969,103 @@ def oracle_propositions(programs: int = 40, seed: int = 0, fuel: int = 1500) -> 
             ck.check(False, f"[progress] {msg}")
         ck.check(True, "progress and check sites")
 
+    return ck.report()
+
+
+# ---------------------------------------------------------------------------
+# Front-end fuzz oracle
+# ---------------------------------------------------------------------------
+
+
+def _token_run(rng: random.Random, toks: list[str]) -> tuple[int, int]:
+    """A seeded run toks[i:j]: half the time from a statement boundary through the next `;`."""
+    if rng.random() < 0.5:
+        i = rng.choice([k + 1 for k, t in enumerate(toks) if t in (";", "{", "}")] or [0])
+        return i, next((k + 1 for k in range(i, len(toks)) if toks[k] == ";"), i)
+    i = rng.randrange(len(toks) + 1)
+    return i, i + rng.randint(1, 4)
+
+
+def _token_mutant(rng: random.Random, texts: list[str], donors: list[list[str]]) -> str:
+    """One to three seeded edits of a token list.
+
+    An edit deletes a run, duplicates one, splices in a donor's, or deletes
+    everything from a run's start on, so that input ends in any state.
+    """
+    toks = list(texts)
+    for _ in range(rng.randint(1, 3)):
+        i, j = _token_run(rng, toks)
+        edit = rng.randrange(4)
+        if edit == 0:
+            del toks[i:j]
+        elif edit == 1:
+            toks[i:i] = toks[i:j]
+        elif edit == 2:
+            donor = rng.choice(donors)
+            a, b = _token_run(rng, donor)
+            toks[i:i] = donor[a:b]
+        else:
+            del toks[i:]
+    return " ".join(toks)
+
+
+def _nested_sources(levels: int) -> list[str]:
+    """A call nest and a block nest that open `levels` levels, the body counting as one."""
+    inner = levels - 1
+    calls = f"proc q(y) {{ return y; }} main {{ var z; z := {'q(' * inner}null{')' * inner}; return z; }}"
+    blocks = f"main {{ var z; z := null; {'while (z != null) { ' * inner}skip;{' }' * inner} return z; }}"
+    return [calls, blocks]
+
+
+def oracle_frontend_fuzz(mutants: int = 10, seed: int = 0) -> OracleReport:
+    """`check` survives token-level mutants of the corpus and nesting at the limit.
+
+    Each corpus file gets `mutants` seeded mutants (see _token_mutant); the
+    nests sit at MAX_NESTING, which must parse, and one level past it, which
+    must not.  Every input must make an in-process `check` exit 0, 1 or 2
+    without raising, and print the same bytes when run again; every input that
+    parses must come back from a render round trip equal.
+    """
+    ck = _Checker("frontend-fuzz")
+    rng = random.Random(f"frontend-fuzz-{seed}")
+    tokens = [_lex(path.read_text())[0][:-1] for path in corpus_paths()]
+    cases = [
+        (f"mutant{k}-{n}", _token_mutant(rng, texts, tokens), None)
+        for k, texts in enumerate(tokens)
+        for n in range(mutants)
+    ]
+    for levels in (MAX_NESTING, MAX_NESTING + 1):
+        cases += [(f"nest{levels}-{n}", src, levels <= MAX_NESTING) for n, src in enumerate(_nested_sources(levels))]
+
+    def check(path: Path) -> tuple[object, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code: object = main(["check", str(path)])
+        except Exception as exc:  # a finding of the oracle, not its own failure
+            code = f"raised {type(exc).__name__}: {exc}"
+        return code, out.getvalue(), err.getvalue()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, src, must_parse in cases:
+            path = Path(tmp) / f"{name}.picl"
+            path.write_text(src, encoding="utf-8")
+            first = check(path)
+            ck.check(first[0] in (0, 1, 2), f"{name}: check gave {first[0]}, not exit 0, 1 or 2")
+            ck.check(check(path) == first, f"{name}: a second check printed other bytes")
+            try:
+                p: Optional[Program] = parse(src)
+            except ParseError:
+                p = None
+            except Exception:
+                continue  # the check above has reported it
+            if must_parse is not None:
+                ck.check((p is not None) == must_parse, f"{name}: parse {'failed' if must_parse else 'passed'}")
+            if p is None:
+                ck.check(first[0] == 2, f"{name}: parse failed but check exited {first[0]}")
+                continue
+            try:
+                ck.check(parse(render_program(p)) == p, f"{name}: parse(render_program(p)) != p")
+            except (ParseError, ValueError) as exc:
+                ck.check(False, f"{name}: render round trip raised {exc}")
     return ck.report()

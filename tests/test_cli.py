@@ -1,11 +1,16 @@
 """Command-line interface: exit codes and output formats."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import LOOP_SRC, scenario_src
 
+import graduator
 from graduator import __version__
 from graduator.cli import main
 from graduator.syntax import MAX_NESTING
@@ -289,7 +294,7 @@ def test_compare_policies(capsys):
 def test_selftest(capsys):
     assert main(["selftest", "--trials", "300", "--programs", "6", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    for name in ("lattice", "local-soundness", "propositions"):
+    for name in ("lattice", "local-soundness", "propositions", "frontend-fuzz"):
         assert re.search(rf"PASS  {name}  \(\d+ checks\)", out)
 
 
@@ -298,3 +303,30 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == f"graduator {__version__}"
+
+
+def test_in_process_calls_leak_no_state_between_them(capsys):
+    # Tests, selftest and the benchmark call main many times in one process: a
+    # flag given to one call must not reach the next, and each call prints
+    # what a fresh process does.
+    path = corpus("maybe_head.picl")
+    calls = [
+        ["run", path, "--trace"],
+        ["run", path],
+        ["check", path, "--mode", "static", "--format", "json"],
+        ["check", path],
+    ]
+    outputs = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    traced, plain = outputs[0][1].splitlines(), outputs[1][1].splitlines()
+    assert len(plain) == 1 and plain[0].startswith("final: ") and len(traced) > 1 and traced[-1] == plain[0]
+    assert json.loads(outputs[2][1])["mode"] == "static"
+    assert outputs[3][1].startswith(f"{path}: mode=gradual\n")
+    src = str(Path(graduator.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, output in zip(calls, outputs):
+        fresh = subprocess.run([sys.executable, "-m", "graduator.cli", *argv], capture_output=True, text=True, env=env)
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == output, argv

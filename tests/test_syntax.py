@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -12,13 +13,22 @@ from graduator.lattice import GradAbst
 from graduator.syntax import (
     EAnd,
     ECall,
+    EField,
+    ENew,
     ENull,
     EOr,
     MAX_NESTING,
     EVar,
+    KEYWORDS,
+    PUNCTUATION,
     ParseError,
     SAssign,
+    SDecl,
+    SFieldAssign,
+    SIf,
     SReturn,
+    SSkip,
+    SWhile,
     _lex,
     _walk_exprs,
     annotation_sites,
@@ -31,7 +41,7 @@ from graduator.syntax import (
     precision_leq_prog,
     render_program,
 )
-from graduator.testkit import GenConfig, gen_program
+from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 
 def errs(p):
@@ -295,6 +305,56 @@ def test_precision_relation_on_programs():
     assert not precision_leq_prog(p, other)
 
 
+# The token a node's position points at: a fixed text, or one of its names.
+_FIXED_TOKEN = {
+    SSkip: "skip", SDecl: "var", SReturn: "return", SIf: "if", SWhile: "while",
+    ENull: "null", ENew: "new", EAnd: "&&", EOr: "||", EField: ".",
+}
+_NAME_TOKEN = {SAssign: "target", SFieldAssign: "obj", EVar: "name", ECall: "proc"}
+
+
+def _node_tokens(p):
+    """(node class, position, the token at that position) for every node of p."""
+    out = [("Program", p.main_pos, "main")]
+    out += [("FieldDecl", f.pos, "field") for f in p.fields]
+    out += [("ProcDecl", q.pos, "proc") for q in p.procs]
+    nodes = []
+    blocks = [q.body for q in p.procs] + [p.main]
+    while blocks:
+        for s in blocks.pop():
+            nodes.append(s)
+            if isinstance(s, SAssign):
+                nodes.extend(_walk_exprs(s.expr))
+            elif isinstance(s, SIf):
+                nodes.extend(_walk_exprs(s.cond))
+                blocks += [s.then, s.els]
+            elif isinstance(s, SWhile):
+                nodes.extend(_walk_exprs(s.cond))
+                blocks.append(s.body)
+    for n in nodes:
+        token = _FIXED_TOKEN.get(type(n)) or getattr(n, _NAME_TOKEN[type(n)])
+        out.append((type(n).__name__, n.pos, token))
+    return out
+
+
+def test_every_node_position_points_at_its_token():
+    sources = [path.read_text() for path in corpus_paths()]
+    sources += [render_program(gen_program(GenConfig(seed=seed))) for seed in range(200)]
+    sources.append(wide_src(50))
+    seen = set()
+    for src in sources:
+        lines = src.split("\n")
+        for kind, (line, col), token in _node_tokens(parse(src)):
+            at = lines[line - 1][col - 1 :]
+            # a word token must end where the word at the position ends
+            whole = not re.match(r"\w\w", at[len(token) - 1 : len(token) + 1])
+            assert at.startswith(token) and whole, (kind, line, col, token, at[:20])
+            seen.add(kind)
+    stmts = {"SSkip", "SDecl", "SAssign", "SFieldAssign", "SIf", "SWhile", "SReturn"}
+    exprs = {"ENull", "EVar", "EAnd", "EOr", "EField", "ENew", "ECall"}
+    assert seen == {"Program", "FieldDecl", "ProcDecl"} | stmts | exprs
+
+
 def test_positions_do_not_affect_equality():
     a = parse("main { var x; x := null; return x; }")
     b = parse("main {\n    var x;\n    x := null;\n    return x;\n}")
@@ -352,9 +412,11 @@ def test_render_round_trips_long_chains():
 
 def _lexed(src):
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in _lex(src)]
+        texts, positions = _lex(src)
     except ParseError as e:
         return str(e)
+    kinds = ("eof" if not t else "punct" if t in PUNCTUATION else "keyword" if t in KEYWORDS else "ident" for t in texts)
+    return [(kind, text, line, col) for kind, text, (line, col) in zip(kinds, texts, positions)]
 
 
 def _targeted_code_points():
@@ -412,6 +474,15 @@ def test_lexer_positions_after_tabs_crlf_and_comments():
     # where the comment starts.
     assert _lexed("x := y; // done")[-1] == ("eof", "", 1, 9)
     assert _lexed("x\n// done")[-1] == ("eof", "", 2, 1)
+    # End of input after nothing, after CRLF, after trailing blanks, and after
+    # a comment with a newline and blanks behind it; a lone CR is a blank.
+    assert _lexed("") == [("eof", "", 1, 1)]
+    assert _lexed("x;\r\n") == [("ident", "x", 1, 1), ("punct", ";", 1, 2), ("eof", "", 2, 1)]
+    assert _lexed("x; \t ") == [("ident", "x", 1, 1), ("punct", ";", 1, 2), ("eof", "", 1, 6)]
+    assert _lexed("a\rb") == [("ident", "a", 1, 1), ("ident", "b", 1, 3), ("eof", "", 1, 4)]
+    assert _lexed("x \r y") == [("ident", "x", 1, 1), ("ident", "y", 1, 5), ("eof", "", 1, 6)]
+    assert _lexed("x; // c\n   ") == [("ident", "x", 1, 1), ("punct", ";", 1, 2), ("eof", "", 2, 4)]
+    assert _lexed("x\r\n// c\r\n\t") == [("ident", "x", 1, 1), ("eof", "", 3, 2)]
     with pytest.raises(ParseError) as e:
         parse("main { var x; // open")
     assert (e.value.line, e.value.col, e.value.message) == (1, 15, "unexpected end of input inside block")
