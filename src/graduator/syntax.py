@@ -266,7 +266,10 @@ PUNCTUATION = frozenset({":=", "==", "!=", "&&", "||", *".;,{}()@?"})
 # word, a comment, or any other character, which is an error.  `\w` is exactly
 # `str.isalnum()` or `_`, and a word must start with `str.isalpha()` or `_`
 # (not `1`, `²` or `½`), which only the second kind of word needs checked.
-_TOKEN_RE = re.compile(r"([ \t\r]*)(?:(:=|==|!=|&&|\|\||[.;,{}()@?]|[A-Za-z_]\w*)|(\w+)|(//.*)|([^ \t\r]))")
+# Blanks that end a line match on their own, with every group empty, which
+# is tried only where a token match fails; without that alternative every
+# position in them would start a match that fails, quadratic in their length.
+_TOKEN_RE = re.compile(r"([ \t\r]*)(?:(:=|==|!=|&&|\|\||[.;,{}()@?]|[A-Za-z_]\w*)|(\w+)|(//.*)|([^ \t\r]))|[ \t\r]+$")
 
 Pos = tuple[int, int]
 
@@ -294,6 +297,8 @@ def _lex(src: str) -> tuple[list[str], list[Pos]]:
                     # after a trailing comment sits where the comment starts.
                     end = col
                     break
+                if not (word or bad):
+                    break  # blanks that end the line
                 if bad or not word[0].isalpha():
                     raise ParseError(f"unexpected character {(bad or word)[0]!r}", lineno, col)
                 text = word

@@ -1017,10 +1017,14 @@ def _nested_sources(levels: int) -> list[str]:
     return [calls, blocks]
 
 
-def oracle_frontend_fuzz(mutants: int = 10, seed: int = 0) -> OracleReport:
+# How many seeded mutants oracle_frontend_fuzz makes of each corpus file.
+_MUTANTS_PER_FILE = 10
+
+
+def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
     """`check` survives token-level mutants of the corpus and nesting at the limit.
 
-    Each corpus file gets `mutants` seeded mutants (see _token_mutant); the
+    Each corpus file gets _MUTANTS_PER_FILE seeded mutants (see _token_mutant); the
     nests sit at MAX_NESTING, which must parse, and one level past it, which
     must not.  Every input must make an in-process `check` exit 0, 1 or 2
     without raising, and print the same bytes when run again; every input that
@@ -1032,7 +1036,7 @@ def oracle_frontend_fuzz(mutants: int = 10, seed: int = 0) -> OracleReport:
     cases = [
         (f"mutant{k}-{n}", _token_mutant(rng, texts, tokens), None)
         for k, texts in enumerate(tokens)
-        for n in range(mutants)
+        for n in range(_MUTANTS_PER_FILE)
     ]
     for levels in (MAX_NESTING, MAX_NESTING + 1):
         cases += [(f"nest{levels}-{n}", src, levels <= MAX_NESTING) for n, src in enumerate(_nested_sources(levels))]

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from conftest import LOOP_SRC, growth_per_vertex, scenario_src, wide_src
+from conftest import LOOP_SRC, best_cpu, growth_per_vertex, scenario_src, wide_src
 from graduator.cfg import lower
 from graduator.lattice import GradAbst
 from graduator.syntax import (
@@ -500,6 +500,18 @@ def test_lexer_positions_after_tabs_crlf_and_comments():
         ("ident", "f", 1, 16),
         ("eof", "", 1, 17),
     ]
+
+
+def test_blanks_that_end_a_line_lex_as_fast_as_blanks_between_tokens():
+    n = 100_000
+    blanks = (" \t\r" * n)[:n]
+    between = "x" + blanks + "y"
+    assert _lexed(between)[-1] == ("eof", "", 1, n + 3)
+    base = best_cpu(_lex, between)
+    for src, eof in [("x" + blanks, (1, n + 2)), (blanks, (1, n + 1)), ("x" + blanks + "\ny", (2, 2))]:
+        assert _lexed(src)[-1] == ("eof", "", *eof)
+        took = best_cpu(_lex, src)
+        assert took <= 10 * base + 0.05, f"{took:.3f}s for {len(src)} characters against {base:.3f}s"
 
 
 @pytest.mark.parametrize("c", [":", "=", "&", "|", "!", "/"])
