@@ -22,15 +22,24 @@ operand facts, pushes each pair through the base rule, and abstracts the
 result set back.  Those results, and the join's, are tabulated once per
 pair of fact bytes.
 
+Rules are built once per vertex by dispatch on the instruction's type; the
+tables of the constants Null, NonNull and Nullable are resolved at import.
+
 Fixpoints come from a worklist iteration seeded with every vertex (initial
 state: bottom, every variable undefined).  The result is order-independent;
-the default order is reverse postorder per procedure.  ``AnalysisResult``
-keeps the byte states: ``pi`` and ``grad_pi`` build a vertex's map only when
-it is read, and ``fact(v, x)`` reads one fact.
+the default order is the vertex order, which lowering makes a topological
+order up to loop back edges, so most vertices see their predecessors' final
+states on their first visit.  ``AnalysisResult`` keeps the byte states:
+``pi`` and ``grad_pi`` build a vertex's map only when it is read, and
+``fact(v, x)`` reads one fact.
 
 Validity splits per position into three verdicts: the fact is consistent
 with the safety bound (fine), plausibly consistent but not provably so
-(a run-time check site), or provably inconsistent (a static warning).
+(a run-time check site), or provably inconsistent (a static warning).  A 7 x 7
+table over (fact byte, bound byte), built at import from ``lifted_leq`` and
+``base_leq`` on ceilings, holds every verdict; ``findings`` reads each
+position's fact byte from the states and looks its verdict up, in one walk
+over the vertices.
 """
 
 from __future__ import annotations
@@ -58,7 +67,6 @@ from .cfg import (
     Instr,
     ProgramCfg,
     Vertex,
-    reverse_postorder,
 )
 from .lattice import (
     ALL_GRAD,
@@ -158,40 +166,44 @@ def _decode(state: bytes, names: Iterable[str]) -> GradState:
 _Write = tuple[int, int, int, bytes]
 
 
+_NULL, _NONNULL, _NULLABLE = (_CONST[g] for g in (GradAbst.NULL, GradAbst.NONNULL, GradAbst.NULLABLE))
+
+
+def _entry_rule(ins: IMain | IProc, index: dict[str, int], universe: Iterable[str]) -> tuple[_Write, ...]:
+    # An entry writes every byte: Null over universe, undefined elsewhere.
+    facts = dict.fromkeys(index, _CONST[None]) | dict.fromkeys(universe, _NULL)
+    if type(ins) is IProc:
+        facts[ins.param] = _CONST[ins.param_ann]
+    return tuple((index[x], 0, 0, table) for x, table in facts.items())
+
+
+# The rule of each instruction type, as a function of (ins, index, universe).
+_RULES: dict[type, Callable[..., tuple[_Write, ...]]] = {
+    IBranch: lambda ins, index, universe: (),
+    IReturn: lambda ins, index, universe: (),
+    IMain: _entry_rule,
+    IProc: _entry_rule,
+    # Reading narrows the receiver; when target and receiver coincide the
+    # receiver fact wins (the write order is load-bearing).
+    IFieldRead: lambda ins, index, universe: (
+        (index[ins.target], 0, 0, _NULLABLE),
+        (index[ins.obj], 0, 0, _NONNULL),
+    ),
+    IAnd: lambda ins, index, universe: ((index[ins.target], index[ins.left], index[ins.right], _AND),),
+    IOr: lambda ins, index, universe: ((index[ins.target], index[ins.left], index[ins.right], _OR),),
+    ICopy: lambda ins, index, universe: ((index[ins.target], index[ins.source], index[ins.source], _COPY),),
+    IConstNull: lambda ins, index, universe: ((index[ins.target], 0, 0, _NULL),),
+    ICall: lambda ins, index, universe: ((index[ins.target], 0, 0, _CONST[ins.ret_ann]),),
+    INew: lambda ins, index, universe: ((index[ins.target], 0, 0, _NONNULL),),
+    IFieldWrite: lambda ins, index, universe: ((index[ins.obj], 0, 0, _NONNULL),),
+    IIf: lambda ins, index, universe: ((index[ins.var], 0, 0, _NONNULL),),
+    IElse: lambda ins, index, universe: ((index[ins.var], 0, 0, _NULL),),
+}
+
+
 def _rule(ins: Instr, index: dict[str, int], universe: Iterable[str]) -> tuple[_Write, ...]:
     """The writes of ins on states whose variables index numbers."""
-    if isinstance(ins, (IBranch, IReturn)):
-        return ()
-    if isinstance(ins, (IMain, IProc)):
-        # An entry writes every byte: Null over universe, undefined elsewhere.
-        facts = dict.fromkeys(index, None) | dict.fromkeys(universe, GradAbst.NULL)
-        if isinstance(ins, IProc):
-            facts[ins.param] = ins.param_ann
-        return tuple((index[x], 0, 0, _CONST[g]) for x, g in facts.items())
-    if isinstance(ins, IFieldRead):
-        # Reading narrows the receiver; when target and receiver coincide
-        # the receiver fact wins (the write order is load-bearing).
-        return (
-            (index[ins.target], 0, 0, _CONST[GradAbst.NULLABLE]),
-            (index[ins.obj], 0, 0, _CONST[GradAbst.NONNULL]),
-        )
-    if isinstance(ins, (IAnd, IOr)):
-        return ((index[ins.target], index[ins.left], index[ins.right], _AND if isinstance(ins, IAnd) else _OR),)
-    if isinstance(ins, ICopy):
-        return ((index[ins.target], index[ins.source], index[ins.source], _COPY),)
-    if isinstance(ins, IConstNull):
-        x, fact = ins.target, GradAbst.NULL
-    elif isinstance(ins, ICall):
-        x, fact = ins.target, ins.ret_ann
-    elif isinstance(ins, INew):
-        x, fact = ins.target, GradAbst.NONNULL
-    elif isinstance(ins, IFieldWrite):
-        x, fact = ins.obj, GradAbst.NONNULL
-    elif isinstance(ins, (IIf, IElse)):
-        x, fact = ins.var, GradAbst.NONNULL if isinstance(ins, IIf) else GradAbst.NULL
-    else:
-        raise AssertionError(f"unknown instruction {ins!r}")
-    return ((index[x], 0, 0, _CONST[fact]),)
+    return _RULES[type(ins)](ins, index, universe)
 
 
 def _apply(rule: tuple[_Write, ...], state: bytes) -> bytes:
@@ -246,15 +258,19 @@ def safe(ins: Instr, x: str) -> Abst:
     return _exact_ann(lifted_safe(ins, x))
 
 
+# The bounds of each instruction type that constrains an operand.
+_BOUNDS: dict[type, Callable[..., tuple[tuple[str, GradAbst], ...]]] = {
+    ICall: lambda ins: ((ins.arg, ins.arg_ann),),
+    IReturn: lambda ins: ((ins.var, ins.ann),),
+    IFieldRead: lambda ins: ((ins.obj, GradAbst.NONNULL),),
+    IFieldWrite: lambda ins: ((ins.obj, GradAbst.NONNULL),),
+}
+
+
 def _safety_bounds(ins: Instr) -> tuple[tuple[str, GradAbst], ...]:
     """(variable, safety bound) for the operand that can be constrained, if any."""
-    if isinstance(ins, ICall):
-        return ((ins.arg, ins.arg_ann),)
-    if isinstance(ins, IReturn):
-        return ((ins.var, ins.ann),)
-    if isinstance(ins, (IFieldRead, IFieldWrite)):
-        return ((ins.obj, GradAbst.NONNULL),)
-    return ()
+    bounds = _BOUNDS.get(type(ins))
+    return () if bounds is None else bounds(ins)
 
 
 def lifted_safe(ins: Instr, x: str) -> GradAbst:
@@ -345,9 +361,10 @@ def kildall(
     """Worklist fixpoint of the gradual transfer function.
 
     Every vertex starts at bottom, all bytes 0 (one shared object per state
-    width), and is processed at least once; a successor re-enters the
-    worklist whenever its state grows.  The result does not depend on
-    seed_order (that is a tested property, not a hope).
+    width), and is processed at least once, first in seed_order (by default
+    the vertex order; see lower); a successor re-enters the worklist
+    whenever its state grows.  The result does not depend on seed_order
+    (that is a tested property, not a hope).
 
     Static mode is the same fixpoint, read through base facts.  A '?' enters
     the fixpoint only as a call result or a parameter annotation, and those
@@ -367,14 +384,17 @@ def kildall(
     rules = [_rule(v.instr, numbering[v.proc], cfg.universe[v.proc]) for v in cfg.vertices]
     bottoms = [bottom[v.proc] for v in cfg.vertices]
     states = list(bottoms)
-    order = list(seed_order) if seed_order is not None else reverse_postorder(cfg)
-    assert sorted(order) == sorted(v.id for v in cfg.vertices), "seed order must cover every vertex"
+    if seed_order is None:
+        order: Iterable[int] = range(len(states))
+    else:
+        order = list(seed_order)
+        assert sorted(order) == list(range(len(states))), "seed order must cover every vertex"
     work = deque(order)
-    queued = set(order)
+    queued = bytearray(b"\1") * len(states)
     succ = cfg.succ
     while work:
         v = work.popleft()
-        queued.discard(v)
+        queued[v] = 0
         out = _apply(rules[v], states[v])
         for u in succ[v]:
             old = states[u]
@@ -391,9 +411,9 @@ def kildall(
                 if new == old:
                     continue
             states[u] = new
-            if u not in queued:
+            if not queued[u]:
                 work.append(u)
-                queued.add(u)
+                queued[u] = 1
     return AnalysisResult(cfg=cfg, mode=mode, states=states, numbering=numbering)
 
 
@@ -434,15 +454,21 @@ class Finding:
         )
 
 
-def _positions(result: AnalysisResult):
-    """Constrained (vertex, variable, fact, bound) tuples in report order."""
-    for vertex in result.cfg.vertices:
-        for x, bound in _safety_bounds(vertex.instr):
-            found = result.fact(vertex.id, x)
-            if found is None:
-                # Never reached with x defined; nothing to judge.
-                continue
-            yield vertex, x, found, bound
+# The verdict on a fact against a safety bound, at entry 7 * fact code +
+# bound code: fine (0), a static warning (1) or a run-time check site (2).
+# An undefined fact (code 0) is never judged.
+_FINE, _WARN, _SITE = 0, 1, 2
+
+
+def _verdict(found: Optional[GradAbst], bound: Optional[GradAbst]) -> int:
+    if found is None or bound is None:
+        return _FINE
+    if not lifted_leq(found, bound):
+        return _WARN
+    return _FINE if base_leq(ceil(found), ceil(bound)) else _SITE
+
+
+_VERDICT = bytes(_verdict(f, b) for f in _FACT for b in _FACT)
 
 
 def _finding(category: str, vertex: Vertex, x: str, found: GradAbst, bound: GradAbst) -> Finding:
@@ -450,30 +476,43 @@ def _finding(category: str, vertex: Vertex, x: str, found: GradAbst, bound: Grad
     return Finding(category, vertex.proc, vertex.id, line, col, x, str(ceil(bound)), str(found))
 
 
+def findings(result: AnalysisResult) -> tuple[list[Finding], list[Finding]]:
+    """(static warnings, check sites), each in vertex order, from one walk over the vertices.
+
+    A position is a variable with a safety bound at a vertex where the
+    fixpoint defines it.  Its fact is inconsistent with the bound (a
+    warning), or consistent but not provably so (a check site: some denoted
+    base fact would violate the bound, so the gradual semantics guards the
+    instruction), or fine.
+    """
+    warnings: list[Finding] = []
+    checks: list[Finding] = []
+    states, numbering = result.states, result.numbering
+    for vertex in result.cfg.vertices:
+        for x, bound in _safety_bounds(vertex.instr):
+            i = numbering[vertex.proc].get(x)
+            if i is None:
+                continue
+            code = states[vertex.id][i]
+            verdict = _VERDICT[7 * code + _CODE[bound]]
+            if verdict == _WARN:
+                warnings.append(_finding(WARN_STATIC, vertex, x, _FACT[code], bound))
+            elif verdict == _SITE:
+                checks.append(_finding(site_category(vertex.instr), vertex, x, _FACT[code], bound))
+    return warnings, checks
+
+
 def static_warnings(result: AnalysisResult) -> list[Finding]:
     """Positions whose fact is inconsistent with the safety bound."""
-    return [
-        _finding(WARN_STATIC, vertex, x, found, bound)
-        for vertex, x, found, bound in _positions(result)
-        if not lifted_leq(found, bound)
-    ]
+    return findings(result)[0]
 
 
 def check_sites(result: AnalysisResult) -> list[Finding]:
-    """Positions that pass only optimistically and need a run-time check.
-
-    The fact is consistent with the bound, but its pessimistic reading is
-    not: some denoted base fact would violate the bound, so the gradual
-    semantics guards the instruction.
-    """
-    return [
-        _finding(site_category(vertex.instr), vertex, x, found, bound)
-        for vertex, x, found, bound in _positions(result)
-        if lifted_leq(found, bound) and not base_leq(ceil(found), ceil(bound))
-    ]
+    """Positions that pass only optimistically and need a run-time check."""
+    return findings(result)[1]
 
 
 def analyze(cfg: ProgramCfg, mode: Mode = "gradual") -> tuple[AnalysisResult, list[Finding], list[Finding]]:
     """Fixpoint plus derived findings: (result, warnings, checks)."""
     result = kildall(cfg, mode)
-    return result, static_warnings(result), check_sites(result)
+    return (result, *findings(result))

@@ -215,13 +215,6 @@ class ProgramCfg:
     def successors(self, v: int) -> tuple[int, ...]:
         return self.succ[v]
 
-    def predecessors(self) -> dict[int, list[int]]:
-        preds: dict[int, list[int]] = {v.id: [] for v in self.vertices}
-        for v in self.vertices:
-            for u in self.succ[v.id]:
-                preds[u].append(v.id)
-        return preds
-
     def descend(self, root: int) -> set[int]:
         """Vertices reachable from root, root included."""
         seen = {root}
@@ -367,6 +360,11 @@ def lower(p: Program) -> ProgramCfg:
 
     Assumes parse-level structure and clean surface checks; annotations at
     call sites are copied from the callee's declaration.
+
+    Vertices are numbered in emission order, and every edge u -> v with
+    v <= u is a loop back edge (v reaches u): only a loop's body returns to
+    an earlier vertex, its head.  kildall's default worklist order relies on
+    this for speed, not for correctness.
     """
     lw = _Lowerer(p)
     proc_entry: dict[str, int] = {}
@@ -420,10 +418,17 @@ def validate(cfg: ProgramCfg) -> list[str]:
        which is not an if or else vertex.
     """
     out: list[str] = []
-    mains = [v.id for v in cfg.vertices if isinstance(v.instr, IMain)]
+    instrs = [v.instr for v in cfg.vertices]
+    kinds = list(map(type, instrs))
+    succ = cfg.succ
+    preds: list[list[int]] = [[] for _ in instrs]
+    for v, succs in enumerate(succ):
+        for u in succs:
+            preds[u].append(v)
+
+    mains = [v for v, kind in enumerate(kinds) if kind is IMain]
     if len(mains) != 1:
         out.append(f"expected exactly one main vertex, found {len(mains)}")
-    preds = cfg.predecessors()
     for m in mains:
         if preds[m]:
             out.append(f"main vertex v{m} has predecessors {sorted(preds[m])}")
@@ -433,100 +438,70 @@ def validate(cfg: ProgramCfg) -> list[str]:
         entries.append((MAIN, mains[0]))
     proc_ret: dict[str, GradAbst] = {}
     proc_param: dict[str, GradAbst] = {}
-    for v in cfg.vertices:
-        if isinstance(v.instr, IProc):
-            entries.append((v.instr.name, v.id))
-            proc_ret[v.instr.name] = v.instr.ret_ann
-            proc_param[v.instr.name] = v.instr.param_ann
+    for v, kind in enumerate(kinds):
+        if kind is IProc:
+            ins = instrs[v]
+            entries.append((ins.name, v))
+            proc_ret[ins.name] = ins.ret_ann
+            proc_param[ins.name] = ins.param_ann
 
     regions: dict[str, set[int]] = {name: cfg.descend(root) for name, root in entries}
-    covered: dict[int, str] = {}
+    covered: list[Optional[str]] = [None] * len(instrs)
     for name, region in regions.items():
         for vid in region:
-            if vid in covered:
+            if covered[vid] is not None:
                 out.append(f"vertex v{vid} reachable from both {covered[vid]!r} and {name!r}")
             else:
                 covered[vid] = name
-    for v in cfg.vertices:
-        if v.id not in covered:
-            out.append(f"vertex v{v.id} unreachable from every entry")
+    for v, owner in enumerate(covered):
+        if owner is None:
+            out.append(f"vertex v{v} unreachable from every entry")
 
     # A vertex reaches a return iff it is backward-reachable from one.
-    reaches = {v.id for v in cfg.vertices if isinstance(v.instr, IReturn)}
-    stack = list(reaches)
+    stack = [v for v, kind in enumerate(kinds) if kind is IReturn]
+    reaches = [False] * len(instrs)
+    for v in stack:
+        reaches[v] = True
     while stack:
         for u in preds[stack.pop()]:
-            if u not in reaches:
-                reaches.add(u)
+            if not reaches[u]:
+                reaches[u] = True
                 stack.append(u)
     for name, region in regions.items():
         want = proc_ret.get(name, GradAbst.NULLABLE)
         for vid in sorted(region):
-            if vid not in reaches:
+            if not reaches[vid]:
                 out.append(f"vertex v{vid} cannot reach a return")
-            ins = cfg.instr(vid)
-            if isinstance(ins, IReturn) and ins.ann is not want:
-                out.append(f"return at v{vid} annotated @{ins.ann}, region {name!r} declares @{want}")
+            if kinds[vid] is IReturn and instrs[vid].ann is not want:
+                out.append(f"return at v{vid} annotated @{instrs[vid].ann}, region {name!r} declares @{want}")
 
-    for v in cfg.vertices:
-        ins = v.instr
-        if isinstance(ins, ICall):
+    for v, kind in enumerate(kinds):
+        if kind is ICall:
+            ins = instrs[v]
             if ins.proc not in proc_ret:
-                out.append(f"call at v{v.id} targets unknown procedure {ins.proc!r}")
-            else:
-                if ins.ret_ann is not proc_ret[ins.proc] or ins.arg_ann is not proc_param[ins.proc]:
-                    out.append(f"call at v{v.id} disagrees with {ins.proc!r}'s signature annotations")
+                out.append(f"call at v{v} targets unknown procedure {ins.proc!r}")
+            elif ins.ret_ann is not proc_ret[ins.proc] or ins.arg_ann is not proc_param[ins.proc]:
+                out.append(f"call at v{v} disagrees with {ins.proc!r}'s signature annotations")
 
-    for v in cfg.vertices:
-        ins = v.instr
-        succs = cfg.succ[v.id]
-        if isinstance(ins, IBranch):
-            kinds = sorted(type(cfg.instr(u)).__name__ for u in succs)
-            okvars = all(
-                getattr(cfg.instr(u), "var", None) == ins.var for u in succs
-            )
-            if len(succs) != 2 or kinds != ["IElse", "IIf"] or not okvars:
-                out.append(f"branch at v{v.id} lacks matching if/else successors")
-        elif isinstance(ins, IReturn):
+    for v, (kind, succs) in enumerate(zip(kinds, succ)):
+        if kind is IBranch:
+            var = instrs[v].var
+            arms = {kinds[u] for u in succs}
+            if len(succs) != 2 or arms != {IIf, IElse} or any(instrs[u].var != var for u in succs):
+                out.append(f"branch at v{v} lacks matching if/else successors")
+        elif kind is IReturn:
             if succs:
-                out.append(f"return at v{v.id} has successors {sorted(succs)}")
-        else:
-            if len(succs) != 1:
-                out.append(f"vertex v{v.id} has {len(succs)} successors, expected 1")
-            elif isinstance(cfg.instr(succs[0]), (IIf, IElse)):
-                out.append(f"vertex v{v.id} feeds an if/else arm without branching")
+                out.append(f"return at v{v} has successors {sorted(succs)}")
+        elif len(succs) != 1:
+            out.append(f"vertex v{v} has {len(succs)} successors, expected 1")
+        elif kinds[succs[0]] is IIf or kinds[succs[0]] is IElse:
+            out.append(f"vertex v{v} feeds an if/else arm without branching")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Traversal order and DOT
+# DOT
 # ---------------------------------------------------------------------------
-
-
-def reverse_postorder(cfg: ProgramCfg) -> list[int]:
-    """Reverse postorder per region, main region last, regions in entry order."""
-    order: list[int] = []
-    roots = [vid for _, vid in sorted(cfg.proc_entry.items(), key=lambda kv: kv[1])]
-    roots.append(cfg.entry)
-    seen: set[int] = set()
-    for root in roots:
-        post: list[int] = []
-        stack: list[tuple[int, int]] = [(root, 0)]
-        seen.add(root)
-        while stack:
-            v, k = stack[-1]
-            succs = cfg.succ[v]
-            if k < len(succs):
-                stack[-1] = (v, k + 1)
-                u = succs[k]
-                if u not in seen:
-                    seen.add(u)
-                    stack.append((u, 0))
-            else:
-                stack.pop()
-                post.append(v)
-        order.extend(reversed(post))
-    return order
 
 
 def _dot_escape(s: str) -> str:

@@ -704,24 +704,22 @@ def lint_allocation_fields(p: Program) -> list[Diagnostic]:
     """
     exprs: list[Expr] = []  # every expression node, conditions included, in walk order
     accessed: set[str] = set()
-
-    def scan(block: Block) -> None:
-        for s in block:
-            if isinstance(s, SAssign):
-                exprs.extend(_walk_exprs(s.expr))
-            elif isinstance(s, SFieldAssign):
-                accessed.add(s.fieldname)
-            elif isinstance(s, SIf):
-                exprs.extend(_walk_exprs(s.cond))
-                scan(s.then)
-                scan(s.els)
-            elif isinstance(s, SWhile):
-                exprs.extend(_walk_exprs(s.cond))
-                scan(s.body)
-
-    for proc in p.procs:
-        scan(proc.body)
-    scan(p.main)
+    # Statements still to visit, the next one last: an explicit stack, not a
+    # recursive closure, which would be a reference cycle holding exprs.
+    todo: list[Stmt] = [s for block in (p.main, *(proc.body for proc in reversed(p.procs))) for s in reversed(block)]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, SAssign):
+            exprs.extend(_walk_exprs(s.expr))
+        elif isinstance(s, SFieldAssign):
+            accessed.add(s.fieldname)
+        elif isinstance(s, SIf):
+            exprs.extend(_walk_exprs(s.cond))
+            todo.extend(reversed(s.els))
+            todo.extend(reversed(s.then))
+        elif isinstance(s, SWhile):
+            exprs.extend(_walk_exprs(s.cond))
+            todo.extend(reversed(s.body))
     accessed.update(e.fieldname for e in exprs if isinstance(e, EField))
     return [
         Diagnostic(

@@ -5,6 +5,9 @@ producer until it gets a non-null value.  Its region in the CFG is the
 six-vertex shape (entry, branch, both arms, call, return) that the branch
 narrowing rules were designed around, so several suites pin facts about it.
 
+workload_source(name, scale) is the source of one of the benchmark's sized
+workloads (chain, wide, alloc; bench/workloads.py) at seed 1.
+
 wide_src(n) builds the shape of a wide program: one main with n locals and
 an if/else field read of each, so a single region holds about 5n vertices;
 the growth gates time the front end on it.
@@ -16,7 +19,9 @@ dereferences the result exactly once.
 """
 
 import gc
+import sys
 import time
+from pathlib import Path
 from typing import Optional
 
 # One line per acceptance criterion, printed as a summary section at the end
@@ -56,8 +61,9 @@ def best_cpu(fn, *args, reps=3):
 def growth_per_vertex(fn, small, large):
     """CPU time per vertex of fn on large over that on small.
 
-    small and large are (argument, vertex count) pairs.  Each size takes its
-    best of three calls, and the calls alternate between the sizes, so that
+    small and large are (argument, vertex count) pairs; any count of work
+    units, such as interpreter steps, serves.  Each size takes its best of
+    three calls, and the calls alternate between the sizes, so that
     a change in the host's speed meets both.
     """
     best = [float("inf"), float("inf")]
@@ -141,3 +147,13 @@ def wide_src(n: int) -> str:
             "}",
         ]
     )
+
+
+def workload_source(name: str, scale: int) -> str:
+    """The source of the benchmark's sized workload name at scale (1, 4 or 16), seed 1."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.append(bench)
+    import workloads
+
+    return workloads.SIZED[name](1, scale).source

@@ -10,6 +10,8 @@ from graduator.analysis import (
     WARN_BOUNDARY,
     WARN_CHECK,
     WARN_STATIC,
+    Finding,
+    _safety_bounds,
     analyze,
     check_sites,
     constrained_vars,
@@ -40,8 +42,8 @@ from graduator.cfg import (
     lower,
 )
 from graduator.cli import main
-from graduator.lattice import ALL_GRAD, Abst, GradAbst, base_join, exact, lifted_join
-from graduator.syntax import parse
+from graduator.lattice import ALL_GRAD, Abst, GradAbst, base_join, base_leq, ceil, exact, lifted_join, lifted_leq
+from graduator.syntax import is_fully_annotated, parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 U = frozenset({"x", "y", "z"})
@@ -386,6 +388,43 @@ def test_warnings_and_checks_partition_the_judged_positions():
         warn_at = {(f.vertex, f.variable) for f in static_warnings(result)}
         check_at = {(f.vertex, f.variable) for f in check_sites(result)}
         assert not warn_at & check_at
+
+
+def findings_by_definition(result):
+    """(warnings, checks) judged position by position through the lattice, in vertex order."""
+    warnings, checks = [], []
+    for vertex in result.cfg.vertices:
+        for x, bound in _safety_bounds(vertex.instr):
+            found = result.fact(vertex.id, x)
+            if found is None:
+                continue
+            line, col = vertex.pos
+            args = (vertex.proc, vertex.id, line, col, x, str(ceil(bound)), str(found))
+            if not lifted_leq(found, bound):
+                warnings.append(Finding(WARN_STATIC, *args))
+            elif not base_leq(ceil(found), ceil(bound)):
+                checks.append(Finding(site_category(vertex.instr), *args))
+    return warnings, checks
+
+
+def test_findings_match_their_definitions():
+    programs = [parse(path.read_text()) for path in corpus_paths()]
+    programs += [
+        gen_program(GenConfig(seed=seed, annotation_density=density))
+        for density in (0, 0.5, 1)
+        for seed in range(200)
+    ]
+    counts = {"static": 0, "warnings": 0, "checks": 0}
+    for p in programs:
+        cfg = lower(p)
+        for mode in ("gradual", "static") if is_fully_annotated(p) else ("gradual",):
+            result, warnings, checks = analyze(cfg, mode)
+            assert (warnings, checks) == findings_by_definition(result), mode
+            assert (static_warnings(result), check_sites(result)) == (warnings, checks)
+            counts["static"] += mode == "static"
+            counts["warnings"] += len(warnings)
+            counts["checks"] += len(checks)
+    assert counts["static"] >= 200 and counts["warnings"] and counts["checks"], counts
 
 
 def test_static_grad_pi_embeds_pi_exactly():

@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from conftest import LOOP_SRC, growth_per_vertex, wide_src
+from conftest import LOOP_SRC, growth_per_vertex, wide_src, workload_source
 from graduator.cfg import (
     MAIN,
     IBranch,
@@ -21,12 +21,11 @@ from graduator.cfg import (
     emit_dot,
     lower,
     render_instr,
-    reverse_postorder,
     validate,
 )
 from graduator.lattice import GradAbst
 from graduator.syntax import parse
-from graduator.testkit import GenConfig, gen_program
+from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 
 def lowered(src):
@@ -278,11 +277,17 @@ def test_validation_branch_successor_shape():
     assert any("matching if/else" in m for m in validate(g))
 
 
-def test_reverse_postorder_covers_every_vertex_once():
-    for seed in range(20):
-        cfg = lower(gen_program(GenConfig(seed=seed)))
-        order = reverse_postorder(cfg)
-        assert sorted(order) == [v.id for v in cfg.vertices]
+def test_every_edge_to_an_earlier_vertex_is_a_loop_back_edge():
+    # lower's order guarantee: an edge u -> v with v <= u closes a cycle,
+    # so v reaches u.  kildall's default order relies on it for speed.
+    programs = [parse(path.read_text()) for path in corpus_paths()]
+    programs += [parse(workload_source(name, scale)) for name in ("chain", "wide", "alloc") for scale in (1, 4)]
+    programs += [gen_program(GenConfig(seed=seed)) for seed in range(200)]
+    for p in programs:
+        cfg = lower(p)
+        for u, succs in enumerate(cfg.succ):
+            for v in succs:
+                assert v > u or u in cfg.descend(v), (u, v)
 
 
 def test_dot_output_shape_and_determinism():

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes and output formats."""
 
+import gc
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import LOOP_SRC, scenario_src
+from conftest import LOOP_SRC, scenario_src, workload_source
 
 import graduator
 from graduator import __version__
@@ -330,3 +331,22 @@ def test_in_process_calls_leak_no_state_between_them(capsys):
     for argv, output in zip(calls, outputs):
         fresh = subprocess.run([sys.executable, "-m", "graduator.cli", *argv], capture_output=True, text=True, env=env)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == output, argv
+
+
+@pytest.mark.parametrize("command", [["check"], ["check", "--format", "json"], ["run"]])
+def test_a_call_leaves_no_garbage_that_grows_with_the_program(tmp_path, capsys, command):
+    # What one call leaves only for the cyclic collector (argparse's parser
+    # tree, json's encoder closures) must not hold any part of the program.
+    def garbage(scale):
+        argv = [command[0], picl(tmp_path, workload_source("chain", scale), f"chain{scale}.picl"), *command[1:]]
+        main(argv)
+        gc.collect()
+        gc.disable()
+        try:
+            main(argv)
+            return gc.collect()
+        finally:
+            gc.enable()
+            capsys.readouterr()
+
+    assert garbage(4) == garbage(1)
