@@ -205,8 +205,10 @@ class ProgramCfg:
     entry: int
     proc_entry: dict[str, int]  # procedure name -> IProc vertex id
     universe: dict[str, frozenset[str]]  # per procedure (and "main")
-    # What the interpreter needs from each vertex, built on its first step
-    # (runtime._sites); not part of the graph's value.
+    # The interpreter's decoded site of each vertex, None until the vertex's
+    # first step (runtime._execute); not part of the graph's value.  A site
+    # may hold `vertices` and `succ` but never the graph, or the two would
+    # form a reference cycle.
     _run_sites: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def instr(self, v: int) -> Instr:

@@ -14,7 +14,10 @@ blocks), while checked (gradual) execution consults the safety bounds
 *before* every step and reports a structured error at the offending vertex
 instead of running into the violation.
 
-One executor, `_execute`, holds the instruction rules.  It updates a
+One executor, `_execute`, runs every step.  On its first step a vertex is
+decoded into a site, kept on the graph: a flat tuple of the handler for its
+instruction type and the operands it reads, with annotations and safety
+bounds resolved to whether they admit null and non-null.  It updates a
 `MachineState` in place: the frames are a list, the heap a dict, and the
 state keeps its next free location, so a step costs the same whatever the
 heap size and stack depth.  Every stuck, annotation and safety-bound check
@@ -27,7 +30,7 @@ outcome, so a caller that needs an earlier state copies it first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .analysis import GradState, _safety_bounds, site_category
 from .cfg import (
@@ -150,136 +153,194 @@ Outcome = Union[Stepped, Final, Stuck, Errored]
 # ---------------------------------------------------------------------------
 
 
-# What one vertex's step needs from the graph, looked up once:
-#   (instr, the sole successor or None, the (if, else) arms of a branch or
-#    None, guards, for main and proc entries every universe variable at 0
-#    or None)
-# where guards are the (variable, bound, (admits 0, admits non-0))
-# triples of the bounds that can fail.
+# A site is what one vertex's step needs from the graph, decoded once:
+#   (handler, guards, vertex, the sole successor or None, operands...)
+# where the handler is the function for the vertex's instruction type, the
+# operands are what it reads from the site, and guards are the (variable,
+# required, (admits 0, admits non-0)) triples of the safety bounds that can
+# fail.  A site holds parts of the graph (its vertex list and successor
+# lists), never the graph itself: the graph keeps the sites, and a site that
+# held it would make a reference cycle.
 _Site = tuple
 
-# Whether a bound admits (null, non-null): membership depends only on that.
+# Whether a fact admits (null, non-null): membership depends only on that.
 _ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in GradAbst}
+# A bound's (required, admits) when some value fails it, else ().
+_GUARD = {g: () if all(_ADMITS[g]) else (ceil(g), _ADMITS[g]) for g in GradAbst}
+
+
+def _skip(site: _Site, m: MachineState, env: Env) -> None:
+    m.frames[-1] = (env, site[3])
+
+
+def _const_null(site: _Site, m: MachineState, env: Env) -> None:
+    env[site[4]] = 0
+    m.frames[-1] = (env, site[3])
+
+
+def _copy(site: _Site, m: MachineState, env: Env) -> None:
+    _, _, _, nxt, target, source = site
+    env[target] = env[source]
+    m.frames[-1] = (env, nxt)
+
+
+def _new(site: _Site, m: MachineState, env: Env) -> None:
+    _, _, _, nxt, target, blank = site
+    loc = m.next_loc
+    m.next_loc = loc + 1
+    m.heap[loc] = blank.copy()
+    env[target] = loc
+    m.frames[-1] = (env, nxt)
+
+
+def _and_or(site: _Site, m: MachineState, env: Env) -> None:
+    """`l && r` is r when l is non-null, else l; `l || r` is r when l is null, else l."""
+    _, _, _, nxt, target, left, right, is_and = site
+    n1, n2 = env[left], env[right]
+    env[target] = n2 if (n1 > 0) is is_and else n1
+    m.frames[-1] = (env, nxt)
+
+
+def _field(site: _Site, m: MachineState, env: Env) -> Optional[Stuck]:
+    """A field read (target set) or write (source set) through obj."""
+    _, _, v, nxt, obj, fieldname, target, source = site
+    r = env[obj]
+    if r == 0:
+        return Stuck(m, v, f"null dereference: {obj} is null")
+    fields = m.heap.get(r)
+    if fields is None or fieldname not in fields:
+        return Stuck(m, v, f"object at {r} has no field {fieldname!r}")
+    if target is None:
+        fields[fieldname] = env[source]
+    else:
+        env[target] = fields[fieldname]
+    m.frames[-1] = (env, nxt)
+    return None
+
+
+def _branch(site: _Site, m: MachineState, env: Env) -> None:
+    _, _, _, _, var, if_v, else_v = site
+    m.frames[-1] = (env, if_v if env[var] > 0 else else_v)
+
+
+def _main(site: _Site, m: MachineState, env: Env) -> None:
+    m.frames[-1] = (dict(site[4]), site[3])
+
+
+def _call(site: _Site, m: MachineState, env: Env) -> None:
+    # The caller frame stays at the call, for the matching return.
+    m.frames.append(({}, site[4]))
+
+
+def _enter(site: _Site, m: MachineState, env: Env) -> Optional[Stuck]:
+    _, _, v, nxt, name, param, admits, ann, entry_env, vertices = site
+    frames = m.frames
+    if len(frames) < 2:
+        return Stuck(m, v, "procedure entry without a caller")
+    caller_env, caller_v = frames[-2]
+    call = vertices[caller_v].instr
+    if not isinstance(call, ICall) or call.proc != name:
+        return Stuck(m, v, "caller frame is not at a matching call")
+    arg = caller_env[call.arg]
+    if not admits[arg != 0]:
+        return Stuck(m, v, f"argument {call.arg} = {arg} violates parameter annotation @{ann}")
+    rho = dict(entry_env)
+    rho[param] = arg
+    frames[-1] = (rho, nxt)
+    return None
+
+
+def _return(site: _Site, m: MachineState, env: Env) -> Union[Final, Stuck, None]:
+    _, _, v, _, var, admits, ann, vertices, succ = site
+    frames = m.frames
+    if len(frames) == 1:
+        return Final(m)
+    caller_env, caller_v = frames[-2]
+    call = vertices[caller_v].instr
+    if not isinstance(call, ICall):
+        return Stuck(m, v, "caller frame is not at a call")
+    retval = env[var]
+    if not admits[retval != 0]:
+        return Stuck(m, v, f"return value {var} = {retval} violates return annotation @{ann}")
+    frames.pop()
+    caller_env[call.target] = retval
+    frames[-1] = (caller_env, succ[caller_v][0])
+    return None
+
+
+# Each instruction type's handler, and the operands it reads from
+# (cfg, vertex id, instruction).
+_DECODE: dict[type, tuple[Callable[..., Optional[Outcome]], Callable[..., tuple]]] = {
+    ICopy: (_copy, lambda cfg, v, ins: (ins.target, ins.source)),
+    IConstNull: (_const_null, lambda cfg, v, ins: (ins.target,)),
+    INew: (_new, lambda cfg, v, ins: (ins.target, dict.fromkeys(ins.fields, 0))),
+    IAnd: (_and_or, lambda cfg, v, ins: (ins.target, ins.left, ins.right, True)),
+    IOr: (_and_or, lambda cfg, v, ins: (ins.target, ins.left, ins.right, False)),
+    IFieldRead: (_field, lambda cfg, v, ins: (ins.obj, ins.fieldname, ins.target, None)),
+    IFieldWrite: (_field, lambda cfg, v, ins: (ins.obj, ins.fieldname, None, ins.source)),
+    IBranch: (_branch, lambda cfg, v, ins: (ins.var, *cfg.branch_arms(v))),
+    IIf: (_skip, lambda cfg, v, ins: ()),
+    IElse: (_skip, lambda cfg, v, ins: ()),
+    IMain: (_main, lambda cfg, v, ins: (dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0),)),
+    ICall: (_call, lambda cfg, v, ins: (cfg.proc_entry[ins.proc],)),
+    IProc: (_enter, lambda cfg, v, ins: (
+        ins.name, ins.param, _ADMITS[ins.param_ann], ins.param_ann,
+        dict.fromkeys(sorted(cfg.universe[ins.name]), 0), cfg.vertices,
+    )),
+    IReturn: (_return, lambda cfg, v, ins: (ins.var, _ADMITS[ins.ann], ins.ann, cfg.vertices, cfg.succ)),
+}
 
 
 def _site(cfg: ProgramCfg, v: int) -> _Site:
     ins = cfg.vertices[v].instr
+    entry = _DECODE.get(type(ins))
+    if entry is None:
+        raise AssertionError(f"unknown instruction {ins!r}")
+    handler, decode = entry
+    guards: tuple = ()
+    for x, bound in _safety_bounds(ins):
+        if guard := _GUARD[bound]:
+            guards += ((x, *guard),)
     succs = cfg.succ[v]
-    guards = tuple((x, bound, _ADMITS[bound]) for x, bound in _safety_bounds(ins) if not all(_ADMITS[bound]))
-    arms = entry_env = None
-    if isinstance(ins, IBranch):
-        arms = cfg.branch_arms(v)
-    elif isinstance(ins, IMain):
-        entry_env = dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0)
-    elif isinstance(ins, IProc):
-        entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
-    return (ins, succs[0] if succs else None, arms, guards, entry_env)
+    return (handler, guards, v, succs[0] if succs else None) + decode(cfg, v, ins)
 
 
-def _sites(cfg: ProgramCfg) -> list[_Site]:
-    """Every vertex's site, built once per cfg."""
-    if cfg._run_sites is None:
-        cfg._run_sites = [_site(cfg, v) for v in range(len(cfg.vertices))]
-    return cfg._run_sites
+def _execute(
+    cfg: ProgramCfg, m: MachineState, checked: bool, fuel: int, trace: Optional[list[str]] = None
+) -> tuple[Optional[Outcome], int]:
+    """Up to fuel steps of m in place: (the stop or None, the steps taken).
 
-
-def _execute(cfg: ProgramCfg, site: _Site, m: MachineState, checked: bool) -> Optional[Outcome]:
-    """Execute the top frame's vertex, whose site is given, on m in place.
-
-    None when it stepped.  A stop returns its outcome around m, into which
-    nothing has been written.
+    A vertex's site is built on its first step and kept on cfg.  A stop
+    returns its outcome around m, into which it has written nothing.  With a
+    trace, each step taken appends its line.
     """
+    if cfg._run_sites is None:
+        cfg._run_sites = [None] * len(cfg.vertices)
+    sites = cfg._run_sites
     frames = m.frames
-    env, v = frames[-1]
-    ins, nxt, arms, guards, entry_env = site
-    if checked:
-        # Only the driving instruction's own operand carries a bound that can
-        # fail.
-        for x, bound, admits in guards:
-            if x in env:
-                value = env[x]
-                if not admits[value != 0]:
-                    return Errored(m, v, x, ceil(bound), value)
-
-    if isinstance(ins, IReturn) and len(frames) == 1:
-        return Final(m)
-
-    try:
-        if isinstance(ins, ICopy):
-            env[ins.target] = env[ins.source]
-        elif isinstance(ins, IConstNull):
-            env[ins.target] = 0
-        elif isinstance(ins, INew):
-            loc = m.next_loc
-            m.next_loc = loc + 1
-            m.heap[loc] = {f: 0 for f in ins.fields}
-            env[ins.target] = loc
-        elif isinstance(ins, IAnd):
-            n1, n2 = env[ins.left], env[ins.right]
-            env[ins.target] = n2 if n1 > 0 else n1
-        elif isinstance(ins, IOr):
-            n1, n2 = env[ins.left], env[ins.right]
-            env[ins.target] = n1 if n1 > 0 else n2
-        elif isinstance(ins, (IFieldRead, IFieldWrite)):
-            r = env[ins.obj]
-            if r == 0:
-                return Stuck(m, v, f"null dereference: {ins.obj} is null")
-            obj = m.heap.get(r)
-            if obj is None or ins.fieldname not in obj:
-                return Stuck(m, v, f"object at {r} has no field {ins.fieldname!r}")
-            if isinstance(ins, IFieldRead):
-                env[ins.target] = obj[ins.fieldname]
-            else:
-                obj[ins.fieldname] = env[ins.source]
-        elif isinstance(ins, IBranch):
-            nxt = arms[0] if env[ins.var] > 0 else arms[1]
-        elif isinstance(ins, (IIf, IElse)):
-            pass
-        elif isinstance(ins, IMain):
-            frames[-1] = (dict(entry_env), nxt)
-            return None
-        elif isinstance(ins, ICall):
-            frames.append(({}, cfg.proc_entry[ins.proc]))
-            return None
-        elif isinstance(ins, IProc):
-            if len(frames) < 2:
-                return Stuck(m, v, "procedure entry without a caller")
-            caller_env, caller_v = frames[-2]
-            call = cfg.instr(caller_v)
-            if not isinstance(call, ICall) or call.proc != ins.name:
-                return Stuck(m, v, "caller frame is not at a matching call")
-            arg = caller_env[call.arg]
-            if not grad_conc_contains(ins.param_ann, arg):
-                return Stuck(
-                    m, v,
-                    f"argument {call.arg} = {arg} violates parameter annotation @{ins.param_ann}",
-                )
-            rho = dict(entry_env)
-            rho[ins.param] = arg
-            frames[-1] = (rho, nxt)
-            return None
-        elif isinstance(ins, IReturn):
-            caller_env, caller_v = frames[-2]
-            call = cfg.instr(caller_v)
-            if not isinstance(call, ICall):
-                return Stuck(m, v, "caller frame is not at a call")
-            retval = env[ins.var]
-            if not grad_conc_contains(ins.ann, retval):
-                return Stuck(
-                    m, v,
-                    f"return value {ins.var} = {retval} violates return annotation @{ins.ann}",
-                )
-            cont = cfg.successors(caller_v)[0]
-            frames.pop()
-            caller_env[call.target] = retval
-            frames[-1] = (caller_env, cont)
-            return None
-        else:
-            raise AssertionError(f"unknown instruction {ins!r}")
-    except KeyError as missing:
-        return Stuck(m, v, f"undefined variable {missing}")
-    frames[-1] = (env, nxt)
-    return None
+    for steps in range(fuel):
+        env, v = frames[-1]
+        try:
+            site = sites[v]
+            if site is None:
+                site = sites[v] = _site(cfg, v)
+            if checked:
+                # Only the driving instruction's own operand carries a bound
+                # that can fail.
+                for x, required, admits in site[1]:
+                    if x in env:
+                        value = env[x]
+                        if not admits[value != 0]:
+                            return Errored(m, v, x, required, value), steps
+            stop = site[0](site, m, env)
+        except KeyError as missing:
+            return Stuck(m, v, f"undefined variable {missing}"), steps
+        if stop is not None:
+            return stop, steps
+        if trace is not None:
+            vtx = cfg.vertices[v]
+            trace.append(f"{steps}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
+    return None, max(fuel, 0)  # a negative fuel takes no step
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +350,7 @@ def _execute(cfg: ProgramCfg, site: _Site, m: MachineState, checked: bool) -> Op
 
 def step(cfg: ProgramCfg, state: MachineState) -> Union[Stepped, Final, Stuck]:
     """One plain transition of state, in place, or Final/Stuck when none exists."""
-    return _execute(cfg, _sites(cfg)[state.frames[-1][1]], state, False) or Stepped(state)
+    return _execute(cfg, state, False, 1)[0] or Stepped(state)
 
 
 def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
@@ -299,7 +360,7 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
     every other variable's bound is Nullable, which no value violates.  On a
     violation the lexicographically first offending variable is reported.
     """
-    return _execute(cfg, _sites(cfg)[state.frames[-1][1]], state, True) or Stepped(state)
+    return _execute(cfg, state, True, 1)[0] or Stepped(state)
 
 
 # ---------------------------------------------------------------------------
@@ -338,22 +399,13 @@ def run(
     """
     if mode not in ("plain", "gradual"):
         raise ValueError(f"unknown mode {mode!r}")
-    checked = mode == "gradual"
-    sites = _sites(cfg)
     state = initial_state(cfg)
     trace: list[str] = []
-    steps = 0
-    while steps < max_steps:
-        v = state.frames[-1][1]
-        stop = _execute(cfg, sites[v], state, checked)
-        if stop is not None:
-            if isinstance(stop, Final):
-                return RunResult("final", state, steps, trace, final_var=cfg.instr(v).var)
-            if isinstance(stop, Stuck):
-                return RunResult("stuck", state, steps, trace, stuck_reason=stop.reason)
-            return RunResult("error", state, steps, trace, error=stop)
-        if collect_trace:
-            vtx = cfg.vertices[v]
-            trace.append(f"{steps}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
-        steps += 1
-    return RunResult("fuel", state, steps, trace)
+    stop, steps = _execute(cfg, state, mode == "gradual", max_steps, trace if collect_trace else None)
+    if stop is None:
+        return RunResult("fuel", state, steps, trace)
+    if isinstance(stop, Final):
+        return RunResult("final", state, steps, trace, final_var=cfg.instr(state.top.vertex).var)
+    if isinstance(stop, Stuck):
+        return RunResult("stuck", state, steps, trace, stuck_reason=stop.reason)
+    return RunResult("error", state, steps, trace, error=stop)

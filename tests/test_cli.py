@@ -333,7 +333,9 @@ def test_in_process_calls_leak_no_state_between_them(capsys):
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == output, argv
 
 
-@pytest.mark.parametrize("command", [["check"], ["check", "--format", "json"], ["run"]])
+@pytest.mark.parametrize(
+    "command", [["check"], ["check", "--format", "json"], ["run"], ["run", "--mode", "plain"]]
+)
 def test_a_call_leaves_no_garbage_that_grows_with_the_program(tmp_path, capsys, command):
     # What one call leaves only for the cyclic collector (argparse's parser
     # tree, json's encoder closures) must not hold any part of the program.

@@ -1,12 +1,33 @@
 """Small-step machine: plain and checked execution."""
 
 import copy
+import typing
 
 import pytest
 from conftest import LOOP_SRC, growth_per_vertex, scenario_src
 
-from graduator.cfg import ICall, IFieldRead, IFieldWrite, INew, IProc, IReturn, lower, render_instr
-from graduator.lattice import Abst, GradAbst, exact
+from graduator import cfg as cfg_module
+from graduator import runtime
+from graduator.analysis import _safety_bounds
+from graduator.cfg import (
+    IAnd,
+    IBranch,
+    ICall,
+    IConstNull,
+    ICopy,
+    IElse,
+    IFieldRead,
+    IFieldWrite,
+    IIf,
+    IMain,
+    INew,
+    IOr,
+    IProc,
+    IReturn,
+    lower,
+    render_instr,
+)
+from graduator.lattice import Abst, GradAbst, ceil, exact, grad_conc_contains
 from graduator.runtime import (
     Errored,
     Final,
@@ -428,3 +449,196 @@ def test_cost_per_step_does_not_grow_with_heap_and_stack():
     # The two sizes alternate, so that a change in the host's speed meets both.
     ratio = growth_per_vertex(run, alloc_program(8), alloc_program(64))
     assert ratio <= 1.5, f"{ratio:.2f}x the time per step at k=64 vs k=8"
+
+
+# ---------------------------------------------------------------------------
+# Pre-decoded sites against the rules they replaced
+# ---------------------------------------------------------------------------
+
+
+def test_build_time_tables_agree_with_the_lattice():
+    # The executor reads membership from a (null, non-null) pair, for guards
+    # and for parameter and return annotations alike.
+    for g in GradAbst:
+        for n in (0, 1, 2, 1000):
+            assert runtime._ADMITS[g][n != 0] == grad_conc_contains(g, n), (g, n)
+    guarded = 0
+    for path in corpus_paths():
+        cfg = lower(parse(path.read_text()))
+        for v in range(len(cfg.vertices)):
+            bounds = dict(_safety_bounds(cfg.instr(v)))
+            for x, required, admits in runtime._site(cfg, v)[1]:
+                assert required == ceil(bounds[x]) and admits == runtime._ADMITS[bounds[x]]
+                assert not all(admits)
+                guarded += 1
+    assert guarded > 0
+
+
+EVERY_INSTR_SRC = (
+    "field f;"
+    " proc id@NonNull(x @NonNull) { return x; }"
+    " main { var a; var b; var c; a := new {f}; b := a; c := null; c := a && b; c := a || b;"
+    " a.f := b; c := a.f; c := id(a); if (c != null) { skip; } else { skip; } return c; }"
+)
+
+
+def test_every_instruction_type_has_a_handler():
+    cfg = lower(parse(EVERY_INSTR_SRC))
+    first = {}
+    for v in cfg.vertices:
+        first.setdefault(type(v.instr), v.id)
+    kinds = typing.get_args(cfg_module.Instr)
+    assert set(first) == set(kinds)
+    for kind in kinds:
+        site = runtime._site(cfg, first[kind])
+        assert callable(site[0]) and site[2] == first[kind], kind.__name__
+
+
+# The instruction rules as they were before sites were decoded: one
+# isinstance chain over the instruction at every step.  The executor must
+# agree with it step for step.
+_REF_ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in GradAbst}
+
+
+def ref_site(cfg, v):
+    ins = cfg.vertices[v].instr
+    succs = cfg.succ[v]
+    guards = tuple(
+        (x, bound, _REF_ADMITS[bound]) for x, bound in _safety_bounds(ins) if not all(_REF_ADMITS[bound])
+    )
+    arms = entry_env = None
+    if isinstance(ins, IBranch):
+        arms = cfg.branch_arms(v)
+    elif isinstance(ins, IMain):
+        entry_env = dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0)
+    elif isinstance(ins, IProc):
+        entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
+    return (ins, succs[0] if succs else None, arms, guards, entry_env)
+
+
+def ref_execute(cfg, site, m, checked):
+    frames = m.frames
+    env, v = frames[-1]
+    ins, nxt, arms, guards, entry_env = site
+    if checked:
+        for x, bound, admits in guards:
+            if x in env:
+                value = env[x]
+                if not admits[value != 0]:
+                    return Errored(m, v, x, ceil(bound), value)
+
+    if isinstance(ins, IReturn) and len(frames) == 1:
+        return Final(m)
+
+    try:
+        if isinstance(ins, ICopy):
+            env[ins.target] = env[ins.source]
+        elif isinstance(ins, IConstNull):
+            env[ins.target] = 0
+        elif isinstance(ins, INew):
+            loc = m.next_loc
+            m.next_loc = loc + 1
+            m.heap[loc] = {f: 0 for f in ins.fields}
+            env[ins.target] = loc
+        elif isinstance(ins, IAnd):
+            n1, n2 = env[ins.left], env[ins.right]
+            env[ins.target] = n2 if n1 > 0 else n1
+        elif isinstance(ins, IOr):
+            n1, n2 = env[ins.left], env[ins.right]
+            env[ins.target] = n1 if n1 > 0 else n2
+        elif isinstance(ins, (IFieldRead, IFieldWrite)):
+            r = env[ins.obj]
+            if r == 0:
+                return Stuck(m, v, f"null dereference: {ins.obj} is null")
+            obj = m.heap.get(r)
+            if obj is None or ins.fieldname not in obj:
+                return Stuck(m, v, f"object at {r} has no field {ins.fieldname!r}")
+            if isinstance(ins, IFieldRead):
+                env[ins.target] = obj[ins.fieldname]
+            else:
+                obj[ins.fieldname] = env[ins.source]
+        elif isinstance(ins, IBranch):
+            nxt = arms[0] if env[ins.var] > 0 else arms[1]
+        elif isinstance(ins, (IIf, IElse)):
+            pass
+        elif isinstance(ins, IMain):
+            frames[-1] = (dict(entry_env), nxt)
+            return None
+        elif isinstance(ins, ICall):
+            frames.append(({}, cfg.proc_entry[ins.proc]))
+            return None
+        elif isinstance(ins, IProc):
+            if len(frames) < 2:
+                return Stuck(m, v, "procedure entry without a caller")
+            caller_env, caller_v = frames[-2]
+            call = cfg.instr(caller_v)
+            if not isinstance(call, ICall) or call.proc != ins.name:
+                return Stuck(m, v, "caller frame is not at a matching call")
+            arg = caller_env[call.arg]
+            if not grad_conc_contains(ins.param_ann, arg):
+                return Stuck(
+                    m, v,
+                    f"argument {call.arg} = {arg} violates parameter annotation @{ins.param_ann}",
+                )
+            rho = dict(entry_env)
+            rho[ins.param] = arg
+            frames[-1] = (rho, nxt)
+            return None
+        elif isinstance(ins, IReturn):
+            caller_env, caller_v = frames[-2]
+            call = cfg.instr(caller_v)
+            if not isinstance(call, ICall):
+                return Stuck(m, v, "caller frame is not at a call")
+            retval = env[ins.var]
+            if not grad_conc_contains(ins.ann, retval):
+                return Stuck(
+                    m, v,
+                    f"return value {ins.var} = {retval} violates return annotation @{ins.ann}",
+                )
+            cont = cfg.successors(caller_v)[0]
+            frames.pop()
+            caller_env[call.target] = retval
+            frames[-1] = (caller_env, cont)
+            return None
+        else:
+            raise AssertionError(f"unknown instruction {ins!r}")
+    except KeyError as missing:
+        return Stuck(m, v, f"undefined variable {missing}")
+    frames[-1] = (env, nxt)
+    return None
+
+
+LOCKSTEP_PROGRAMS = [parse(p.read_text()) for p in corpus_paths()] + [
+    gen_program(GenConfig(seed=seed, annotation_density=(0.0, 0.5, 1.0)[seed % 3]))
+    for seed in range(200)
+]
+
+
+@pytest.mark.parametrize(
+    "mode, outcomes",
+    [("plain", {Final, Stuck, Stepped}), ("gradual", {Final, Errored, Stepped})],
+)
+def test_sites_step_in_lockstep_with_the_reference_rules(mode, outcomes):
+    stepper, checked = (step, False) if mode == "plain" else (grad_step, True)
+    seen = set()
+    for i, program in enumerate(LOCKSTEP_PROGRAMS):
+        cfg = lower(program)
+        ref_sites = [ref_site(cfg, v) for v in range(len(cfg.vertices))]
+        ref, state = initial_state(cfg), initial_state(cfg)
+        for k in range(2000):
+            expected = ref_execute(cfg, ref_sites[ref.frames[-1][1]], ref, checked) or Stepped(ref)
+            outcome = stepper(cfg, state)
+            where = f"program {i}, step {k}"
+            assert type(outcome) is type(expected), where
+            if isinstance(expected, Stuck):
+                assert (outcome.vertex, outcome.reason) == (expected.vertex, expected.reason), where
+            elif isinstance(expected, Errored):
+                fields = ("vertex", "variable", "required", "value")
+                assert [getattr(outcome, f) for f in fields] == [getattr(expected, f) for f in fields], where
+            assert (state.frames, state.heap, state.next_loc) == (ref.frames, ref.heap, ref.next_loc), where
+            if not isinstance(outcome, Stepped):
+                seen.add(type(outcome))
+                break
+        else:
+            seen.add(Stepped)  # out of fuel
+    assert outcomes <= seen, seen
