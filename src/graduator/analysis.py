@@ -30,8 +30,8 @@ state: bottom, every variable undefined).  The result is order-independent;
 the default order is the vertex order, which lowering makes a topological
 order up to loop back edges, so most vertices see their predecessors' final
 states on their first visit.  ``AnalysisResult`` keeps the byte states:
-``pi`` and ``grad_pi`` build a vertex's map only when it is read, and
-``fact(v, x)`` reads one fact.
+``pi`` and ``grad_pi`` decode them into per-vertex maps once, on first
+read, and ``fact(v, x)`` reads one fact.
 
 Validity splits per position into three verdicts: the fact is consistent
 with the safety bound (fine), plausibly consistent but not provably so
@@ -45,8 +45,8 @@ over the vertices.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Literal, Optional
 
 from .cfg import (
@@ -297,41 +297,13 @@ def site_category(ins: Instr) -> str:
 Mode = Literal["static", "gradual"]
 
 
-class Facts(Sequence):
-    """Per-vertex partial maps of a fixpoint, each built when it is read."""
-
-    def __init__(self, result: AnalysisResult, decode: Callable[[bytes, Iterable[str]], dict]):
-        self._result = result
-        self._decode = decode
-
-    def __len__(self) -> int:
-        return len(self._result.states)
-
-    def __getitem__(self, v: int) -> dict:
-        r = self._result
-        return self._decode(r.states[v], r.numbering[r.cfg.vertices[v].proc])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (Facts, list)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
-def _decode_exact(state: bytes, names: Iterable[str]) -> BaseState:
-    return {x: _exact_ann(g) for x, g in _decode(state, names).items()}
-
-
 @dataclass
 class AnalysisResult:
     """One byte-coded state per vertex, over its procedure's variables numbered in sorted order.
 
-    pi (base facts in static mode, gradual ones otherwise) and grad_pi build
-    a vertex's map when it is read; fact reads one gradual fact.
+    pi (base facts in static mode, gradual ones otherwise) and grad_pi are
+    the per-vertex maps, decoded once, on first read, and shared by every
+    later read; fact reads one gradual fact.
     """
 
     cfg: ProgramCfg
@@ -339,13 +311,15 @@ class AnalysisResult:
     states: list[bytes]
     numbering: dict[str, dict[str, int]] = field(repr=False)  # procedure -> variable -> byte index
 
-    @property
-    def grad_pi(self) -> Facts:
-        return Facts(self, _decode)
+    @cached_property
+    def grad_pi(self) -> list[GradState]:
+        return [_decode(state, self.numbering[v.proc]) for state, v in zip(self.states, self.cfg.vertices)]
 
-    @property
-    def pi(self) -> Facts:
-        return self.grad_pi if self.mode == "gradual" else Facts(self, _decode_exact)
+    @cached_property
+    def pi(self) -> list[dict]:
+        if self.mode == "gradual":
+            return self.grad_pi
+        return [{x: _exact_ann(g) for x, g in sigma.items()} for sigma in self.grad_pi]
 
     def fact(self, v: int, x: str) -> Optional[GradAbst]:
         """The gradual fact of x at vertex v, or None where x is undefined."""
@@ -436,16 +410,7 @@ class Finding:
     found: str
 
     def to_json(self) -> dict:
-        return {
-            "category": self.category,
-            "proc": self.proc,
-            "vertex": self.vertex,
-            "line": self.line,
-            "col": self.col,
-            "variable": self.variable,
-            "required": self.required,
-            "found": self.found,
-        }
+        return dict(vars(self))  # the fields, in declaration order
 
     def render(self) -> str:
         return (

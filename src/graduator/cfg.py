@@ -4,10 +4,10 @@ Lowering flattens surface programs into per-procedure graphs whose vertices
 each hold exactly one primitive instruction.  Compound expressions run
 through fresh temporaries ($0, $1, ... within each procedure); conditions
 evaluate into a variable and branch on it.  `branch(x)` has exactly two
-successors, `if(x)` (taken when x is non-null) and `else(x)` (taken when x
-is null); `while (e == null)` therefore exits through its `if` arm.  When
-the condition is already a bare variable no temporary is inserted and the
-branch tests the variable directly.
+successors, in order `if(x)` (taken when x is non-null) and `else(x)`
+(taken when x is null); `while (e == null)` therefore exits through its
+`if` arm.  When the condition is already a bare variable no temporary is
+inserted and the branch tests the variable directly.
 
 There are no interprocedural edges: calls and returns meet only through
 annotations, which lowering copies from the callee signature onto the call
@@ -211,12 +211,6 @@ class ProgramCfg:
     # form a reference cycle.
     _run_sites: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
-    def instr(self, v: int) -> Instr:
-        return self.vertices[v].instr
-
-    def successors(self, v: int) -> tuple[int, ...]:
-        return self.succ[v]
-
     def descend(self, root: int) -> set[int]:
         """Vertices reachable from root, root included."""
         seen = {root}
@@ -228,13 +222,6 @@ class ProgramCfg:
                     seen.add(u)
                     stack.append(u)
         return seen
-
-    def branch_arms(self, branch: int) -> tuple[int, int]:
-        """(if-vertex, else-vertex) successor pair of a branch vertex."""
-        arms = self.succ[branch]
-        if_v = next(u for u in arms if isinstance(self.vertices[u].instr, IIf))
-        else_v = next(u for u in arms if isinstance(self.vertices[u].instr, IElse))
-        return if_v, else_v
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +243,18 @@ class _Lowerer:
         self.vars: set[str] = set()
         self.temp_count = 0
         self.prockey = MAIN
+        self.universe: dict[str, frozenset[str]] = {}
+
+    def lower_region(
+        self, name: str, head: Instr, pos: tuple[int, int], bound: set[str], body: Iterable[Stmt], ret_ann: GradAbst
+    ) -> int:
+        """Lower a procedure or main whose entry binds bound; returns its entry vertex."""
+        self.prockey, self.vars, self.temp_count = name, bound, 0
+        entry = self.emit(head, pos, [])
+        leftover = self.lower_stmts(body, [entry], ret_ann)
+        assert not leftover, "parser guarantees every path of a procedure or main returns"
+        self.universe[name] = frozenset(self.vars)
+        return entry
 
     def emit(self, instr: Instr, pos: tuple[int, int], pending: list[int]) -> int:
         vid = len(self.vertices)
@@ -370,32 +369,16 @@ def lower(p: Program) -> ProgramCfg:
     """
     lw = _Lowerer(p)
     proc_entry: dict[str, int] = {}
-    universe: dict[str, frozenset[str]] = {}
-
     for proc in p.procs:
-        lw.prockey = proc.name
-        lw.vars = {proc.param}
-        lw.temp_count = 0
-        entry = lw.emit(IProc(proc.name, proc.ret_ann, proc.param, proc.param_ann), proc.pos, [])
-        proc_entry[proc.name] = entry
-        leftover = lw.lower_stmts(proc.body, [entry], proc.ret_ann)
-        assert not leftover, "parser guarantees every procedure path returns"
-        universe[proc.name] = frozenset(lw.vars)
-
-    lw.prockey = MAIN
-    lw.vars = set()
-    lw.temp_count = 0
-    main_entry = lw.emit(IMain(), p.main_pos, [])
-    leftover = lw.lower_stmts(p.main, [main_entry], GradAbst.NULLABLE)
-    assert not leftover, "parser guarantees main ends with return"
-    universe[MAIN] = frozenset(lw.vars)
-
+        head = IProc(proc.name, proc.ret_ann, proc.param, proc.param_ann)
+        proc_entry[proc.name] = lw.lower_region(proc.name, head, proc.pos, {proc.param}, proc.body, proc.ret_ann)
+    main_entry = lw.lower_region(MAIN, IMain(), p.main_pos, set(), p.main, GradAbst.NULLABLE)
     return ProgramCfg(
         vertices=lw.vertices,
         succ=[tuple(s) for s in lw.succ],
         entry=main_entry,
         proc_entry=proc_entry,
-        universe=universe,
+        universe=lw.universe,
     )
 
 
@@ -415,7 +398,8 @@ def validate(cfg: ProgramCfg) -> list[str]:
        first half is one backward pass over the predecessors, from the
        returns.
     4. Call-site annotations agree with the callee's entry vertex.
-    5. A branch has exactly two successors, an if and an else on the same
+    5. A branch has exactly two successors, an if then an else (in that
+       order: the interpreter reads the arms from it), both on the branch's
        variable; a return has none; every other vertex has exactly one,
        which is not an if or else vertex.
     """
@@ -488,8 +472,8 @@ def validate(cfg: ProgramCfg) -> list[str]:
     for v, (kind, succs) in enumerate(zip(kinds, succ)):
         if kind is IBranch:
             var = instrs[v].var
-            arms = {kinds[u] for u in succs}
-            if len(succs) != 2 or arms != {IIf, IElse} or any(instrs[u].var != var for u in succs):
+            arms = len(succs) == 2 and kinds[succs[0]] is IIf and kinds[succs[1]] is IElse
+            if not arms or instrs[succs[0]].var != var or instrs[succs[1]].var != var:
                 out.append(f"branch at v{v} lacks matching if/else successors")
         elif kind is IReturn:
             if succs:

@@ -7,7 +7,8 @@ Subcommands:
 - cfg      print the control-flow graph (text or DOT)
 - stats    dereference-site table: how many sites need no run-time check
 - compare  gradual analysis vs. all-NonNull and all-Nullable annotation defaults
-- selftest run the built-in oracles (lattice, local soundness, propositions)
+- selftest run the built-in oracles: lattice, local-soundness, propositions
+           and frontend-fuzz
 
 Exit codes.  check: 0 clean, 1 static warnings, 2 front-end failure.
 run: 0 final, 2 front-end failure, 3 checked-execution error, 4 stuck,
@@ -27,11 +28,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    WARN_CHECK,
-    WARN_STATIC,
-    analyze,
-)
+from .analysis import WARN_CHECK, analyze
 from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, lower, render_instr, validate
 from .lattice import GradAbst
 from .runtime import DEFAULT_FUEL, run
@@ -63,25 +60,26 @@ def _read(path: Path) -> str:
         raise _Fail(2, f"{path}: {exc}")
 
 
-def _load(path: Path) -> tuple[Program, ProgramCfg]:
-    return _front_end(path, _read(path))
-
-
-def _front_end(path: Path, text: str, transform=None) -> tuple[Program, ProgramCfg]:
+def _front_end(path: Path, transform=None) -> tuple[Program, ProgramCfg]:
+    """The file's program (rewritten by transform, if given) and its validated graph."""
     try:
-        prog = parse(text)
+        prog = parse(_read(path))
     except ParseError as exc:
         raise _Fail(2, f"{path}:{exc.line}:{exc.col}: error: {exc.message}")
-    errors = [d for d in check_surface(prog) if d.severity == "error"]
+    errors = check_surface(prog)
     if errors:
         raise _Fail(2, "\n".join(f"{path}:{d.line}:{d.col}: error: {d.message}" for d in errors))
     if transform is not None:
         prog = transform(prog)
+    return prog, _lower(path, prog)
+
+
+def _lower(path: Path, prog: Program) -> ProgramCfg:
     cfg = lower(prog)
     bad = validate(cfg)
     if bad:
         raise _Fail(2, "\n".join(f"{path}: malformed control flow: {b}" for b in bad))
-    return prog, cfg
+    return cfg
 
 
 def _deref_stats(cfg: ProgramCfg, checks) -> tuple[int, int, int]:
@@ -123,7 +121,7 @@ def _build_report(source: str, mode: str, cfg: ProgramCfg, warnings, checks) -> 
 
 def cmd_check(args) -> int:
     path = Path(args.path)
-    prog, cfg = _load(path)
+    prog, cfg = _front_end(path)
     if args.mode == "static" and not is_fully_annotated(prog):
         raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
     _, warnings, checks = analyze(cfg, args.mode)
@@ -163,7 +161,7 @@ def _fuel(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.path)
-    _, cfg = _load(path)
+    _, cfg = _front_end(path)
     result = run(cfg, mode=args.mode, max_steps=_fuel(args), collect_trace=args.trace)
     for line in result.trace:
         print(line)
@@ -184,12 +182,12 @@ def cmd_run(args) -> int:
 
 def cmd_cfg(args) -> int:
     path = Path(args.path)
-    _, cfg = _load(path)
+    _, cfg = _front_end(path)
     if args.dot:
         sys.stdout.write(emit_dot(cfg))
         return 0
     for v in cfg.vertices:
-        succs = ", ".join(f"v{u}" for u in cfg.successors(v.id))
+        succs = ", ".join(f"v{u}" for u in cfg.succ[v.id])
         arrow = f"  -> {succs}" if succs else ""
         print(f"v{v.id}: {v.proc}: {render_instr(v.instr)}{arrow}")
     return 0
@@ -199,8 +197,7 @@ def cmd_stats(args) -> int:
     rows = []
     for raw in args.paths:
         path = Path(raw)
-        transform = (lambda p: erase_annotations(p)) if args.ignore_annotations else None
-        _, cfg = _front_end(path, _read(path), transform)
+        _, cfg = _front_end(path, erase_annotations if args.ignore_annotations else None)
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))
@@ -218,18 +215,11 @@ def cmd_stats(args) -> int:
 
 def cmd_compare(args) -> int:
     path = Path(args.path)
-    prog, cfg = _load(path)
-    policies = [
-        ("gradual", prog),
-        ("nonnull-default", fill_annotations(prog, GradAbst.NONNULL)),
-        ("nullable-default", fill_annotations(prog, GradAbst.NULLABLE)),
-    ]
+    prog, cfg = _front_end(path)
     print(f"{'policy':<18}  warnings  checks")
-    for name, variant in policies:
-        vcfg = lower(variant)
-        bad = validate(vcfg)
-        if bad:
-            raise _Fail(2, f"{path}: malformed control flow under {name}: {bad[0]}")
+    policies = (("gradual", None), ("nonnull-default", GradAbst.NONNULL), ("nullable-default", GradAbst.NULLABLE))
+    for name, default in policies:
+        vcfg = cfg if default is None else _lower(path, fill_annotations(prog, default))
         _, warnings, checks = analyze(vcfg, "gradual")
         print(f"{name:<18}  {len(warnings):8d}  {len(checks):6d}")
     return 0

@@ -278,7 +278,7 @@ _DECODE: dict[type, tuple[Callable[..., Optional[Outcome]], Callable[..., tuple]
     IOr: (_and_or, lambda cfg, v, ins: (ins.target, ins.left, ins.right, False)),
     IFieldRead: (_field, lambda cfg, v, ins: (ins.obj, ins.fieldname, ins.target, None)),
     IFieldWrite: (_field, lambda cfg, v, ins: (ins.obj, ins.fieldname, None, ins.source)),
-    IBranch: (_branch, lambda cfg, v, ins: (ins.var, *cfg.branch_arms(v))),
+    IBranch: (_branch, lambda cfg, v, ins: (ins.var, *cfg.succ[v])),  # (if, else): see validate
     IIf: (_skip, lambda cfg, v, ins: ()),
     IElse: (_skip, lambda cfg, v, ins: ()),
     IMain: (_main, lambda cfg, v, ins: (dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0),)),
@@ -405,7 +405,7 @@ def run(
     if stop is None:
         return RunResult("fuel", state, steps, trace)
     if isinstance(stop, Final):
-        return RunResult("final", state, steps, trace, final_var=cfg.instr(state.top.vertex).var)
+        return RunResult("final", state, steps, trace, final_var=cfg.vertices[state.top.vertex].instr.var)
     if isinstance(stop, Stuck):
         return RunResult("stuck", state, steps, trace, stuck_reason=stop.reason)
     return RunResult("error", state, steps, trace, error=stop)

@@ -58,7 +58,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .lattice import GradAbst, precision_leq
 
@@ -752,35 +752,33 @@ def annotation_sites(p: Program) -> list[tuple[str, GradAbst]]:
     return sites
 
 
+def _rewrite_annotations(p: Program, rewrite: Callable[[str, GradAbst], GradAbst]) -> Program:
+    """p with each site's annotation replaced by rewrite(site key, annotation)."""
+    procs = tuple(
+        dataclasses.replace(
+            proc,
+            param_ann=rewrite(f"{proc.name}.param", proc.param_ann),
+            ret_ann=rewrite(f"{proc.name}.return", proc.ret_ann),
+        )
+        for proc in p.procs
+    )
+    return dataclasses.replace(p, procs=procs)
+
+
 def erase_annotations(p: Program, sites: Optional[set[str]] = None) -> Program:
     """Replace annotations with ? at the given sites (all sites if None)."""
     if sites is not None:
-        known = {key for key, _ in annotation_sites(p)}
-        unknown = set(sites) - known
+        unknown = set(sites).difference(key for key, _ in annotation_sites(p))
         if unknown:
             raise ValueError(f"unknown annotation site(s): {sorted(unknown)}")
-    procs = []
-    for proc in p.procs:
-        param_ann = proc.param_ann
-        ret_ann = proc.ret_ann
-        if sites is None or f"{proc.name}.param" in sites:
-            param_ann = GradAbst.UNKNOWN
-        if sites is None or f"{proc.name}.return" in sites:
-            ret_ann = GradAbst.UNKNOWN
-        procs.append(dataclasses.replace(proc, param_ann=param_ann, ret_ann=ret_ann))
-    return dataclasses.replace(p, procs=tuple(procs))
+    return _rewrite_annotations(p, lambda key, ann: GradAbst.UNKNOWN if sites is None or key in sites else ann)
 
 
 def fill_annotations(p: Program, default: GradAbst) -> Program:
     """Replace every ? annotation with a concrete default (NonNull/Nullable)."""
     if default not in (GradAbst.NONNULL, GradAbst.NULLABLE):
         raise ValueError("default annotation must be NonNull or Nullable")
-    procs = []
-    for proc in p.procs:
-        param_ann = default if proc.param_ann is GradAbst.UNKNOWN else proc.param_ann
-        ret_ann = default if proc.ret_ann is GradAbst.UNKNOWN else proc.ret_ann
-        procs.append(dataclasses.replace(proc, param_ann=param_ann, ret_ann=ret_ann))
-    return dataclasses.replace(p, procs=tuple(procs))
+    return _rewrite_annotations(p, lambda key, ann: default if ann is GradAbst.UNKNOWN else ann)
 
 
 def is_fully_annotated(p: Program) -> bool:

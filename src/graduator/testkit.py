@@ -102,6 +102,7 @@ from .syntax import (
     ENull,
     EOr,
     EVar,
+    Expr,
     FieldDecl,
     ProcDecl,
     Program,
@@ -185,6 +186,14 @@ class _Gen:
         if self.rng.random() < self.config.annotation_density:
             return GradAbst.NONNULL if self.rng.random() < 0.35 else GradAbst.NULLABLE
         return GradAbst.UNKNOWN
+
+    def bind_fresh(self, out: list[Stmt], scope: _Scope, expr: Expr) -> str:
+        """Declare a fresh variable, assign it expr and add it to scope."""
+        name = self.fresh()
+        out += [SDecl(name), SAssign(name, expr)]
+        scope.declared.append(name)
+        scope.assign(name)
+        return name
 
     def target(self, out: list[Stmt], scope: _Scope) -> str:
         if scope.declared and self.rng.random() < 0.7:
@@ -270,21 +279,11 @@ class _Gen:
         """A variable to dereference, or None when the caller should guard."""
         r = self.rng.random()
         if r < 0.45 or (r < 0.92 and avail == 0):
-            t = self.fresh()
-            out.append(SDecl(t))
-            out.append(SAssign(t, ENew(self.fields)))
-            scope.declared.append(t)
-            scope.assign(t)
-            return t
+            return self.bind_fresh(out, scope, ENew(self.fields))
         if r < 0.75:
             return None  # guard with a null test
         if r < 0.92:
-            t = self.fresh()
-            out.append(SDecl(t))
-            out.append(SAssign(t, self._call_expr(scope, avail)))
-            scope.declared.append(t)
-            scope.assign(t)
-            return t
+            return self.bind_fresh(out, scope, self._call_expr(scope, avail))
         return self.rng.choice(scope.assigned)
 
     def _stmt_fieldread(self, out, depth, scope, avail) -> None:
@@ -298,12 +297,7 @@ class _Gen:
         if recv == x:
             recv = None if others else recv
         if recv is None and not others:
-            t = self.fresh()
-            out.append(SDecl(t))
-            out.append(SAssign(t, ENew(self.fields)))
-            scope.declared.append(t)
-            scope.assign(t)
-            recv = t
+            recv = self.bind_fresh(out, scope, ENew(self.fields))
         if recv is None:
             y = self.rng.choice(others)
             out.append(
@@ -377,8 +371,7 @@ class _Gen:
             scope = _Scope(declared=["p"], assigned=["p"])
             body = self.gen_block(0, scope, avail=i)
             if ret_ann is GradAbst.NONNULL and rng.random() < 0.85:
-                r = self.fresh()
-                body += [SDecl(r), SAssign(r, ENew(self.fields)), SReturn(r)]
+                body.append(SReturn(self.bind_fresh(body, scope, ENew(self.fields))))
             else:
                 body.append(SReturn(rng.choice(scope.assigned)))
             procs.append(ProcDecl(name, ret_ann, "p", param_ann, tuple(body)))
@@ -386,10 +379,7 @@ class _Gen:
         scope = _Scope(declared=[], assigned=[])
         main = self.gen_block(0, scope, avail=nprocs)
         if not scope.assigned:
-            r = self.fresh()
-            main += [SDecl(r), SAssign(r, ENull())]
-            scope.declared.append(r)
-            scope.assign(r)
+            self.bind_fresh(main, scope, ENull())
         main.append(SReturn(rng.choice(scope.assigned)))
         return Program(fields, tuple(procs), tuple(main))
 
@@ -922,7 +912,7 @@ def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool
     if static_warnings(r):
         return ["precondition violated: program is not statically valid"]
     sites = {(c.vertex, c.variable) for c in check_sites(r)}
-    pi = list(r.pi) if check_described else []
+    pi = r.pi if check_described else []
     state = initial_state(cfg)
     for _ in range(fuel):
         if check_described:

@@ -123,7 +123,7 @@ def test_criterion_3_retry_loop_dataflow():
             {"$0": "Null", "r": "NonNull"},
         ]
         branch_in, return_in = _hand_iterated_loop_facts()
-        foo = {type(cfg.instr(v.id)).__name__: v.id for v in cfg.vertices if v.proc == "foo"}
+        foo = {type(cfg.vertices[v.id].instr).__name__: v.id for v in cfg.vertices if v.proc == "foo"}
         assert facts[foo["IBranch"]] == {"x": branch_in}
         assert facts[foo["IReturn"]] == {"x": return_in}
         _, warnings, checks = analyze(cfg)

@@ -164,7 +164,7 @@ def test_safety_bounds():
 def test_retry_loop_fixpoint():
     cfg = lower(parse(LOOP_SRC))
     result = kildall(cfg, "gradual")
-    foo = {type(cfg.instr(v.id)).__name__: v.id for v in cfg.vertices if v.proc == "foo"}
+    foo = {type(cfg.vertices[v.id].instr).__name__: v.id for v in cfg.vertices if v.proc == "foo"}
     # the loop head sees the join of the entry fact and the call result
     assert result.pi[foo["IBranch"]] == {"x": GradAbst.NULLABLE}
     assert result.pi[foo["IIf"]] == {"x": GradAbst.NULLABLE}
@@ -231,8 +231,8 @@ def _reference_fixpoint(cfg, mode):
     try:
         while work:
             v = work.pop(0)
-            out = transfer(cfg.instr(v), pi[v], cfg.universe[cfg.vertices[v].proc])
-            for u in cfg.successors(v):
+            out = transfer(cfg.vertices[v].instr, pi[v], cfg.universe[cfg.vertices[v].proc])
+            for u in cfg.succ[v]:
                 grown = _merge_only_join(pi[u], out, join)
                 if grown != pi[u]:
                     pi[u] = grown
@@ -342,7 +342,7 @@ def test_warning_on_null_argument():
     assert w.proc == MAIN
     assert w.variable == "$0"  # the lowered argument temp
     assert w.required == "NonNull" and w.found == "Null"
-    assert isinstance(result.cfg.instr(w.vertex), ICall)
+    assert isinstance(result.cfg.vertices[w.vertex].instr, ICall)
     assert f"v{w.vertex}" in w.render()
     assert w.to_json()["category"] == WARN_STATIC
 
@@ -354,7 +354,7 @@ def test_check_on_unannotated_call_result():
     assert c.category == WARN_CHECK
     assert c.variable == "reversed"
     assert c.required == "NonNull" and c.found == "?"
-    assert isinstance(result.cfg.instr(c.vertex), IFieldRead)
+    assert isinstance(result.cfg.vertices[c.vertex].instr, IFieldRead)
 
 
 def test_boundary_checks_at_call_and_return():

@@ -65,8 +65,8 @@ def test_null_test_polarity_swaps_the_arms():
     els = next(v for v in cfg.vertices if isinstance(v.instr, IElse))
     iff = next(v for v in cfg.vertices if isinstance(v.instr, IIf))
     body = cfg.succ[els.id][0]
-    assert isinstance(cfg.instr(body), IConstNull)
-    assert isinstance(cfg.instr(cfg.succ[iff.id][0]), IReturn)
+    assert isinstance(cfg.vertices[body].instr, IConstNull)
+    assert isinstance(cfg.vertices[cfg.succ[iff.id][0]].instr, IReturn)
 
 
 def test_compound_condition_evaluates_into_a_temp():
@@ -275,6 +275,13 @@ def test_validation_branch_successor_shape():
         universe={MAIN: frozenset({"x", "y"})},
     )
     assert any("matching if/else" in m for m in validate(g))
+
+    # The arms are ordered: the interpreter takes the first when the
+    # variable is non-null, so (else, if) is malformed too.
+    vertices[4] = Vertex(4, IElse("x"), MAIN)
+    assert validate(g) == []
+    g.succ[2] = (4, 3)
+    assert validate(g) == ["branch at v2 lacks matching if/else successors"]
 
 
 def test_every_edge_to_an_earlier_vertex_is_a_loop_back_edge():

@@ -77,6 +77,52 @@ def test_check_json_report(tmp_path, capsys):
     }
 
 
+_CHECK_TEXT = """\
+PATH: mode=gradual
+  22:21: GRADUAL_CHECK: 'reversed' is ?, position requires NonNull (main, v12)
+  0 warning(s), 1 check(s), 0 boundary check(s); 0/1 dereference site(s) check-free (0%)
+"""
+
+_CHECK_JSON = """\
+{
+  "schema": 1,
+  "tool": "graduator",
+  "version": "VERSION",
+  "source": "PATH",
+  "mode": "gradual",
+  "warnings": [],
+  "checks": [
+    {
+      "category": "GRADUAL_CHECK",
+      "proc": "main",
+      "vertex": 12,
+      "line": 22,
+      "col": 21,
+      "variable": "reversed",
+      "required": "NonNull",
+      "found": "?"
+    }
+  ],
+  "summary": {
+    "static": 0,
+    "check": 1,
+    "boundary": 0,
+    "dereference_sites": 1,
+    "eliminated": 0,
+    "eliminated_pct": 0
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("fmt, expected", [("text", _CHECK_TEXT), ("json", _CHECK_JSON)])
+def test_check_stdout_is_pinned_byte_for_byte(tmp_path, capsys, fmt, expected):
+    # Key order, indentation and wording are part of the output contract.
+    path = picl(tmp_path, scenario_src())
+    assert main(["check", path, "--format", fmt]) == 0
+    assert capsys.readouterr().out == expected.replace("PATH", path).replace("VERSION", __version__)
+
+
 def test_check_static_mode_needs_full_annotations(tmp_path, capsys):
     path = picl(tmp_path, scenario_src())
     assert main(["check", path, "--mode", "static"]) == 2

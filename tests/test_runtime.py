@@ -134,7 +134,7 @@ def test_branch_follows_the_scrutinee():
     src = "main { var x; x := null; if (x != null) { x := x; } else { x := null; } return x; }"
     cfg = lower(parse(src))
     state = drive(cfg, 3)  # main, const, branch
-    assert "IElse" == type(cfg.instr(state.top.vertex)).__name__
+    assert "IElse" == type(cfg.vertices[state.top.vertex].instr).__name__
 
 
 def test_field_read_and_write():
@@ -159,14 +159,14 @@ def test_call_pushes_an_unbound_frame_then_entry_binds():
     cfg = lower(parse(LOOP_SRC))
     # right after ICall the new top frame is unbound at the callee entry
     state = initial_state(cfg)
-    while not isinstance(cfg.instr(state.top.vertex), ICall):
+    while not isinstance(cfg.vertices[state.top.vertex].instr, ICall):
         state = step(cfg, state).state
     step(cfg, state)
     assert len(state.frames) == 2
     assert state.top.env == {}
     assert state.top.vertex in cfg.proc_entry.values()
     # the entry step then binds the parameter from the caller's argument
-    entry_ins = cfg.instr(state.top.vertex)
+    entry_ins = cfg.vertices[state.top.vertex].instr
     step(cfg, state)
     assert state.top.env[entry_ins.param] == 0  # foo(null)
 
@@ -184,7 +184,7 @@ def test_entry_enforces_the_parameter_annotation():
     # the checked machine refuses earlier, at the call site itself
     checked = until_outcome(cfg, mode="gradual")
     assert isinstance(checked, Errored)
-    assert isinstance(cfg.instr(checked.vertex), ICall)
+    assert isinstance(cfg.vertices[checked.vertex].instr, ICall)
     assert checked.required is Abst.NONNULL and checked.value == 0
 
 
@@ -216,7 +216,7 @@ def test_checked_error_at_a_null_field_read():
     checked = run(cfg, mode="gradual")
     assert checked.outcome == "error"
     err = checked.error
-    assert isinstance(cfg.instr(err.vertex), IFieldRead)
+    assert isinstance(cfg.vertices[err.vertex].instr, IFieldRead)
     assert err.variable == "reversed" and err.value == 0
     assert err.to_json(cfg)["category"] == "GRADUAL_CHECK"
     plain = run(cfg, mode="plain")
@@ -381,7 +381,7 @@ def test_a_stopped_step_writes_nothing(source, mode, expected):
     elif expected is Final:
         assert isinstance(outcome, Final)
     else:
-        assert isinstance(outcome, Errored) and isinstance(cfg.instr(outcome.vertex), expected)
+        assert isinstance(outcome, Errored) and isinstance(cfg.vertices[outcome.vertex].instr, expected)
 
 
 @pytest.mark.parametrize("stepper", [step, grad_step])
@@ -466,7 +466,7 @@ def test_build_time_tables_agree_with_the_lattice():
     for path in corpus_paths():
         cfg = lower(parse(path.read_text()))
         for v in range(len(cfg.vertices)):
-            bounds = dict(_safety_bounds(cfg.instr(v)))
+            bounds = dict(_safety_bounds(cfg.vertices[v].instr))
             for x, required, admits in runtime._site(cfg, v)[1]:
                 assert required == ceil(bounds[x]) and admits == runtime._ADMITS[bounds[x]]
                 assert not all(admits)
@@ -508,7 +508,7 @@ def ref_site(cfg, v):
     )
     arms = entry_env = None
     if isinstance(ins, IBranch):
-        arms = cfg.branch_arms(v)
+        arms = cfg.succ[v]
     elif isinstance(ins, IMain):
         entry_env = dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0)
     elif isinstance(ins, IProc):
@@ -571,7 +571,7 @@ def ref_execute(cfg, site, m, checked):
             if len(frames) < 2:
                 return Stuck(m, v, "procedure entry without a caller")
             caller_env, caller_v = frames[-2]
-            call = cfg.instr(caller_v)
+            call = cfg.vertices[caller_v].instr
             if not isinstance(call, ICall) or call.proc != ins.name:
                 return Stuck(m, v, "caller frame is not at a matching call")
             arg = caller_env[call.arg]
@@ -586,7 +586,7 @@ def ref_execute(cfg, site, m, checked):
             return None
         elif isinstance(ins, IReturn):
             caller_env, caller_v = frames[-2]
-            call = cfg.instr(caller_v)
+            call = cfg.vertices[caller_v].instr
             if not isinstance(call, ICall):
                 return Stuck(m, v, "caller frame is not at a call")
             retval = env[ins.var]
@@ -595,7 +595,7 @@ def ref_execute(cfg, site, m, checked):
                     m, v,
                     f"return value {ins.var} = {retval} violates return annotation @{ins.ann}",
                 )
-            cont = cfg.successors(caller_v)[0]
+            cont = cfg.succ[caller_v][0]
             frames.pop()
             caller_env[call.target] = retval
             frames[-1] = (caller_env, cont)
