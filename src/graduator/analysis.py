@@ -45,7 +45,6 @@ over the vertices.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Literal, Optional
 
@@ -81,6 +80,7 @@ from .lattice import (
     lifted_join,
     lifted_leq,
 )
+from .record import field, record
 
 BaseState = dict[str, Abst]
 GradState = dict[str, GradAbst]
@@ -297,7 +297,7 @@ def site_category(ins: Instr) -> str:
 Mode = Literal["static", "gradual"]
 
 
-@dataclass
+@record
 class AnalysisResult:
     """One byte-coded state per vertex, over its procedure's variables numbered in sorted order.
 
@@ -396,7 +396,7 @@ def kildall(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Finding:
     """A reportable position: static warning or run-time check placement."""
 

@@ -16,10 +16,10 @@ instruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .lattice import GradAbst
+from .record import field, record
 from .syntax import (
     EAnd,
     ECall,
@@ -48,18 +48,18 @@ MAIN = "main"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ICopy:
     target: str
     source: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IConstNull:
     target: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ICall:
     target: str
     proc: str
@@ -68,67 +68,67 @@ class ICall:
     arg_ann: GradAbst
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class INew:
     target: str
     fields: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IAnd:
     target: str
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IOr:
     target: str
     left: str
     right: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IFieldRead:
     target: str
     obj: str
     fieldname: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IFieldWrite:
     obj: str
     fieldname: str
     source: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IBranch:
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IIf:
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IElse:
     var: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IReturn:
     var: str
     ann: GradAbst
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IMain:
     pass
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IProc:
     name: str
     ret_ann: GradAbst
@@ -190,7 +190,7 @@ def render_instr(ins: Instr) -> str:
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Vertex:
     id: int
     instr: Instr
@@ -198,7 +198,7 @@ class Vertex:
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
-@dataclass
+@record
 class ProgramCfg:
     vertices: list[Vertex]
     succ: list[tuple[int, ...]]

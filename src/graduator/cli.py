@@ -105,8 +105,8 @@ def _build_report(source: str, mode: str, cfg: ProgramCfg, warnings, checks) -> 
         "checks": [c.to_json() for c in checks],
         "summary": {
             "static": len(warnings),
-            "check": sum(1 for c in checks if c.category == WARN_CHECK),
-            "boundary": sum(1 for c in checks if c.category != WARN_CHECK),
+            "check": checked,
+            "boundary": len(checks) - checked,
             "dereference_sites": derefs,
             "eliminated": eliminated,
             "eliminated_pct": _pct(eliminated, derefs),

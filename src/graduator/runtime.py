@@ -29,7 +29,6 @@ outcome, so a caller that needs an earlier state copies it first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Union
 
 from .analysis import GradState, _safety_bounds, site_category
@@ -52,6 +51,7 @@ from .cfg import (
     render_instr,
 )
 from .lattice import Abst, GradAbst, ceil, grad_conc_contains
+from .record import field, record
 
 Env = dict[str, int]
 Heap = dict[int, dict[str, int]]
@@ -64,7 +64,7 @@ class Frame(NamedTuple):
     vertex: int
 
 
-@dataclass(slots=True)
+@record(slots=True)
 class MachineState:
     """Stack of (env, vertex) frames, top last, over a heap; steps update it in place.
 
@@ -103,24 +103,24 @@ def lifted_desc(env: Env, sigma: GradState) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stepped:
     state: MachineState
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Final:
     state: MachineState
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Stuck:
     state: MachineState
     vertex: int
     reason: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Errored:
     """A checked-execution stop: the next step's safety bound is violated."""
 
@@ -368,7 +368,7 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class RunResult:
     outcome: str  # "final" | "stuck" | "error" | "fuel"
     state: MachineState

@@ -55,12 +55,11 @@ first level too many, so no later pass recurses past that depth.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
 from .lattice import GradAbst, precision_leq
+from .record import field, record, replace
 
 KEYWORDS = frozenset(
     {
@@ -98,7 +97,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     """A surface-check finding.  severity is 'error' or 'note'."""
 
@@ -122,45 +121,45 @@ def _pos_field() -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ENull:
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EVar:
     name: str
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EAnd:
     left: "Expr"
     right: "Expr"
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EOr:
     left: "Expr"
     right: "Expr"
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EField:
     obj: "Expr"
     fieldname: str
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ENew:
     fields: tuple[str, ...]
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ECall:
     proc: str
     arg: "Expr"
@@ -170,25 +169,25 @@ class ECall:
 Expr = Union[ENull, EVar, EAnd, EOr, EField, ENew, ECall]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SSkip:
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SDecl:
     name: str
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SAssign:
     target: str
     expr: Expr
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SFieldAssign:
     obj: str
     fieldname: str
@@ -196,7 +195,7 @@ class SFieldAssign:
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SIf:
     op: str  # "==" or "!="
     cond: Expr
@@ -205,7 +204,7 @@ class SIf:
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SWhile:
     op: str
     cond: Expr
@@ -213,7 +212,7 @@ class SWhile:
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SReturn:
     name: str
     pos: tuple[int, int] = _pos_field()
@@ -223,7 +222,7 @@ Stmt = Union[SSkip, SDecl, SAssign, SFieldAssign, SIf, SWhile, SReturn]
 Block = tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProcDecl:
     name: str
     ret_ann: GradAbst
@@ -233,13 +232,13 @@ class ProcDecl:
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDecl:
     name: str
     pos: tuple[int, int] = _pos_field()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Program:
     fields: tuple[FieldDecl, ...]
     procs: tuple[ProcDecl, ...]
@@ -755,14 +754,14 @@ def annotation_sites(p: Program) -> list[tuple[str, GradAbst]]:
 def _rewrite_annotations(p: Program, rewrite: Callable[[str, GradAbst], GradAbst]) -> Program:
     """p with each site's annotation replaced by rewrite(site key, annotation)."""
     procs = tuple(
-        dataclasses.replace(
+        replace(
             proc,
             param_ann=rewrite(f"{proc.name}.param", proc.param_ann),
             ret_ann=rewrite(f"{proc.name}.return", proc.ret_ann),
         )
         for proc in p.procs
     )
-    return dataclasses.replace(p, procs=procs)
+    return replace(p, procs=procs)
 
 
 def erase_annotations(p: Program, sites: Optional[set[str]] = None) -> Program:

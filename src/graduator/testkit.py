@@ -32,11 +32,9 @@ paths they judge:
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import random
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -93,6 +91,7 @@ from .runtime import (
     lifted_desc,
     step,
 )
+from .record import record, replace
 from .syntax import (
     MAX_NESTING,
     EAnd,
@@ -150,7 +149,7 @@ STMT_WEIGHTS: tuple[tuple[str, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenConfig:
     seed: int = 0
     annotation_density: float = 0.5
@@ -395,7 +394,7 @@ def gen_program(config: GenConfig) -> Program:
 
 
 def gen_programs(config: GenConfig, n: int) -> list[Program]:
-    return [gen_program(dataclasses.replace(config, seed=config.seed + i)) for i in range(n)]
+    return [gen_program(replace(config, seed=config.seed + i)) for i in range(n)]
 
 
 def gen_valid_programs(config: GenConfig, n: int) -> list[Program]:
@@ -405,7 +404,7 @@ def gen_valid_programs(config: GenConfig, n: int) -> list[Program]:
     while len(found) < n:
         if i >= 200 * max(n, 1):
             raise RuntimeError(f"validity yield too low: {len(found)}/{n} after {i} seeds")
-        p = gen_program(dataclasses.replace(config, seed=config.seed + i))
+        p = gen_program(replace(config, seed=config.seed + i))
         i += 1
         if not static_warnings(kildall(lower(p), "gradual")):
             found.append(p)
@@ -425,7 +424,7 @@ def corpus_paths() -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class OracleReport:
     name: str
     passed: bool

@@ -1,7 +1,5 @@
 """Lowering shapes, structural validation, and DOT output."""
 
-import dataclasses
-
 from conftest import LOOP_SRC, growth_per_vertex, wide_src, workload_source
 from graduator.cfg import (
     MAIN,
@@ -24,6 +22,7 @@ from graduator.cfg import (
     validate,
 )
 from graduator.lattice import GradAbst
+from graduator.record import replace
 from graduator.syntax import parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
@@ -179,15 +178,15 @@ def test_validation_accepts_the_minimal_graph():
 
 def test_validation_unique_entry():
     g = hand_graph()
-    bad = dataclasses.replace(g, vertices=[g.vertices[0], Vertex(1, IMain(), MAIN), g.vertices[2]])
+    bad = replace(g, vertices=[g.vertices[0], Vertex(1, IMain(), MAIN), g.vertices[2]])
     assert any("one main" in m for m in validate(bad))
-    looped = dataclasses.replace(g, succ=[(1,), (2,), (0,)])
+    looped = replace(g, succ=[(1,), (2,), (0,)])
     assert any("predecessors" in m for m in validate(looped))
 
 
 def test_validation_partition():
     g = hand_graph()
-    orphan = dataclasses.replace(
+    orphan = replace(
         g,
         vertices=g.vertices + [Vertex(3, IConstNull("x"), MAIN)],
         succ=[(1,), (2,), (), (2,)],
@@ -198,11 +197,11 @@ def test_validation_partition():
 def test_validation_return_reachability_and_annotation():
     g = hand_graph()
     # v1 loops to itself instead of reaching the return
-    stuck = dataclasses.replace(g, succ=[(1,), (1,), ()])
+    stuck = replace(g, succ=[(1,), (1,), ()])
     msgs = validate(stuck)
     assert any("cannot reach a return" in m for m in msgs)
 
-    wrong = dataclasses.replace(
+    wrong = replace(
         g, vertices=[g.vertices[0], g.vertices[1], Vertex(2, IReturn("x", GradAbst.NONNULL), MAIN)]
     )
     assert any("declares" in m for m in validate(wrong))
@@ -249,12 +248,12 @@ def test_validate_time_per_vertex_does_not_grow_on_wide_programs():
 def test_validation_call_site_agreement():
     cfg = lowered(LOOP_SRC)
     call_vertex = next(v for v in cfg.vertices if isinstance(v.instr, ICall))
-    busted = dataclasses.replace(call_vertex.instr, ret_ann=GradAbst.NULLABLE)
+    busted = replace(call_vertex.instr, ret_ann=GradAbst.NULLABLE)
     vertices = [
-        dataclasses.replace(v, instr=busted) if v.id == call_vertex.id else v
+        replace(v, instr=busted) if v.id == call_vertex.id else v
         for v in cfg.vertices
     ]
-    bad = dataclasses.replace(cfg, vertices=vertices)
+    bad = replace(cfg, vertices=vertices)
     assert any("disagrees" in m for m in validate(bad))
 
 

@@ -1,6 +1,5 @@
 """Parser, surface checks, annotation edits, and the renderer round trip."""
 
-import dataclasses
 import itertools
 import random
 import re
@@ -10,6 +9,7 @@ import pytest
 from conftest import LOOP_SRC, best_cpu, growth_per_vertex, scenario_src, wide_src
 from graduator.cfg import lower
 from graduator.lattice import GradAbst
+from graduator.record import replace
 from graduator.syntax import (
     EAnd,
     ECall,
@@ -373,8 +373,8 @@ def test_render_round_trip_on_fixtures_and_generated():
 def test_render_rejects_nesting_outside_the_grammar():
     p = parse("main { var a; a := null; a := a && a; return a; }")
     stmt = p.main[2]
-    bad = dataclasses.replace(stmt, expr=EAnd(EVar("a"), EAnd(EVar("a"), EVar("a"))))
-    mangled = dataclasses.replace(p, main=(p.main[0], p.main[1], bad, p.main[3]))
+    bad = replace(stmt, expr=EAnd(EVar("a"), EAnd(EVar("a"), EVar("a"))))
+    mangled = replace(p, main=(p.main[0], p.main[1], bad, p.main[3]))
     with pytest.raises(ValueError):
         render_program(mangled)
 
