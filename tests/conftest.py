@@ -19,6 +19,7 @@ dereferences the result exactly once.
 """
 
 import gc
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -62,15 +63,17 @@ def growth_per_vertex(fn, small, large):
     """CPU time per vertex of fn on large over that on small.
 
     small and large are (argument, vertex count) pairs; any count of work
-    units, such as interpreter steps, serves.  Each size takes its best of
-    three calls, and the calls alternate between the sizes, so that
-    a change in the host's speed meets both.
+    units, such as interpreter steps, serves.  The sizes alternate for three
+    rounds, each round compares two calls that are neighbours in time, and
+    the median round stands, so that a change in the host's speed between
+    two calls moves one round, not the verdict.
     """
-    best = [float("inf"), float("inf")]
+    (small_arg, small_n), (large_arg, large_n) = small, large
+    ratios = []
     for _ in range(3):
-        for i, (arg, vertices) in enumerate((small, large)):
-            best[i] = min(best[i], best_cpu(fn, arg, reps=1) / vertices)
-    return best[1] / best[0]
+        per_small = best_cpu(fn, small_arg, reps=1) / small_n
+        ratios.append(best_cpu(fn, large_arg, reps=1) / large_n / per_small)
+    return statistics.median(ratios)
 
 
 LOOP_SRC = """

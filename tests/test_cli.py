@@ -12,7 +12,7 @@ import pytest
 from conftest import LOOP_SRC, scenario_src, workload_source
 
 import graduator
-from graduator import __version__
+from graduator import __version__, testkit
 from graduator.cli import main
 from graduator.syntax import MAX_NESTING
 from graduator.testkit import corpus_dir
@@ -338,8 +338,28 @@ def test_compare_policies(capsys):
     assert table["nullable-default"] == (2, 0)
 
 
-def test_selftest(capsys):
+@pytest.fixture
+def caller_thresholds():
+    """Distinctive collector thresholds for the test's calls; the suite's own come back after."""
+    saved = gc.get_threshold()
+    gc.set_threshold(701, 11, 12)
+    yield (701, 11, 12)
+    gc.set_threshold(*saved)
+
+
+def test_selftest(capsys, monkeypatch, caller_thresholds):
+    # The front-end fuzz oracle calls main hundreds of times; it runs at the
+    # caller's thresholds, and each nested call sets and restores its own.
+    seen = []
+    oracle = testkit.oracle_frontend_fuzz
+
+    def fuzz(seed):
+        seen.append(gc.get_threshold())
+        return oracle(seed=seed)
+
+    monkeypatch.setattr(testkit, "oracle_frontend_fuzz", fuzz)
     assert main(["selftest", "--trials", "300", "--programs", "6", "--seed", "0"]) == 0
+    assert seen == [caller_thresholds] and gc.get_threshold() == caller_thresholds
     out = capsys.readouterr().out
     for name in ("lattice", "local-soundness", "propositions", "frontend-fuzz"):
         assert re.search(rf"PASS  {name}  \(\d+ checks\)", out)
@@ -398,3 +418,49 @@ def test_a_call_leaves_no_garbage_that_grows_with_the_program(tmp_path, capsys, 
             capsys.readouterr()
 
     assert garbage(4) == garbage(1)
+
+
+def test_main_restores_the_callers_collector_thresholds(tmp_path, capsys, caller_thresholds):
+    clean = picl(tmp_path, scenario_src(ret_ann="NonNull"), "clean.picl")
+    warns = picl(tmp_path, scenario_src(ret_ann="Nullable"), "warns.picl")
+    fails = picl(tmp_path, scenario_src(null_body=True), "fails.picl")
+    loops = picl(tmp_path, "main { var x; x := null; while (x == null) { skip; } return x; }", "loops.picl")
+    calls = [
+        (["check", clean], 0),
+        (["check", warns], 1),
+        (["check", str(tmp_path / "missing.picl")], 2),
+        (["run", fails], 3),
+        (["run", fails, "--mode", "plain"], 4),
+        (["run", loops, "--max-steps", "40"], 5),
+    ]
+    for argv, code in calls:
+        assert main(argv) == code, argv
+        assert gc.get_threshold() == caller_thresholds, argv
+    for argv in (["--version"], ["check", clean, "--no-such-flag"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert gc.get_threshold() == caller_thresholds, argv
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("scale", [1, 4])
+@pytest.mark.parametrize("command", [["check", "--mode", "static", "--format", "json"], ["run", "--mode", "plain"]])
+def test_a_command_starts_no_collector_pass(tmp_path, capsys, command, scale):
+    # What a command builds holds no cycles (the garbage test above), so a
+    # pass over it would free nothing, and main defers every pass until the
+    # command returns.
+    argv = [command[0], picl(tmp_path, workload_source("chain", scale)), *command[1:]]
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(count)
+    capsys.readouterr()
+    assert passes == []

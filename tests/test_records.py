@@ -269,5 +269,5 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         "import graduator.cli\n"
         "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
-    out = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"

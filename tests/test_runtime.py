@@ -1,11 +1,10 @@
 """Small-step machine: plain and checked execution."""
 
 import copy
-import statistics
 import typing
 
 import pytest
-from conftest import LOOP_SRC, best_cpu, scenario_src
+from conftest import LOOP_SRC, growth_per_vertex, scenario_src
 
 from graduator import cfg as cfg_module
 from graduator import runtime
@@ -448,9 +447,7 @@ def alloc_program(k):
 def test_cost_per_step_does_not_grow_with_heap_and_stack():
     # k=64 ends with 4,224 heap objects and 4,098 frames at its deepest; k=8 with 80 and 66.
     # One k=8 run takes under a millisecond, so the k=8 side is back-to-back runs that take
-    # as many steps as one k=64 run.  The sizes alternate and each round compares neighbours
-    # in time; the median round stands, so that a change in the host's speed between two
-    # calls moves one round, not the verdict.
+    # as many steps as one k=64 run.
     small, small_steps = alloc_program(8)
     large, large_steps = alloc_program(64)
     count = round(large_steps / small_steps)
@@ -459,11 +456,7 @@ def test_cost_per_step_does_not_grow_with_heap_and_stack():
         for _ in range(count):
             run(small)
 
-    ratios = []
-    for _ in range(3):
-        per_step = best_cpu(small_runs, reps=1) / (count * small_steps)
-        ratios.append(best_cpu(run, large, reps=1) / large_steps / per_step)
-    ratio = statistics.median(ratios)
+    ratio = growth_per_vertex(lambda go: go(), (small_runs, count * small_steps), (lambda: run(large), large_steps))
     assert ratio <= 1.5, f"{ratio:.2f}x the time per step at k=64 vs k=8"
 
 
