@@ -45,7 +45,6 @@ over the vertices.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from typing import Callable, Iterable, Literal, Optional
 
 from .cfg import (
@@ -310,16 +309,22 @@ class AnalysisResult:
     mode: Mode
     states: list[bytes]
     numbering: dict[str, dict[str, int]] = field(repr=False)  # procedure -> variable -> byte index
+    # grad_pi and pi once decoded, None until their first read.
+    _grad_pi: Optional[list[GradState]] = field(default=None, init=False, compare=False, repr=False)
+    _pi: Optional[list[dict]] = field(default=None, init=False, compare=False, repr=False)
 
-    @cached_property
+    @property
     def grad_pi(self) -> list[GradState]:
-        return [_decode(state, self.numbering[v.proc]) for state, v in zip(self.states, self.cfg.vertices)]
+        if self._grad_pi is None:
+            self._grad_pi = [_decode(state, self.numbering[v.proc]) for state, v in zip(self.states, self.cfg.vertices)]
+        return self._grad_pi
 
-    @cached_property
+    @property
     def pi(self) -> list[dict]:
-        if self.mode == "gradual":
-            return self.grad_pi
-        return [{x: _exact_ann(g) for x, g in sigma.items()} for sigma in self.grad_pi]
+        if self._pi is None:
+            grad_pi = self.grad_pi
+            self._pi = grad_pi if self.mode == "gradual" else [{x: _exact_ann(g) for x, g in s.items()} for s in grad_pi]
+        return self._pi
 
     def fact(self, v: int, x: str) -> Optional[GradAbst]:
         """The gradual fact of x at vertex v, or None where x is undefined."""
@@ -410,7 +415,7 @@ class Finding:
     found: str
 
     def to_json(self) -> dict:
-        return dict(vars(self))  # the fields, in declaration order
+        return {name: getattr(self, name) for name in self.__slots__}  # the fields, in declaration order
 
     def render(self) -> str:
         return (

@@ -229,9 +229,13 @@ class ProgramCfg:
 # ---------------------------------------------------------------------------
 
 
+# The expressions that chain down their left operand or receiver.
+_LINKS = frozenset({EAnd, EOr, EField})
+
+
 def _link(e: Expr) -> Expr:
     """The operand a chain link nests down: a field read's receiver, else the left operand."""
-    return e.obj if isinstance(e, EField) else e.left
+    return e.obj if type(e) is EField else e.left
 
 
 class _Lowerer:
@@ -272,62 +276,54 @@ class _Lowerer:
 
     def lower_operand(self, e: Expr, pending: list[int]) -> tuple[str, list[int]]:
         """Bring an expression into a variable, emitting evaluation vertices."""
-        if isinstance(e, EVar):
+        if type(e) is EVar:
             return e.name, pending
         temp = self.fresh_temp()
         pending = self.lower_assign(temp, e, pending)
         return temp, pending
 
     def lower_assign(self, target: str, e: Expr, pending: list[int]) -> list[int]:
-        if isinstance(e, ENull):
-            return [self.emit(IConstNull(target), e.pos, pending)]
-        if isinstance(e, EVar):
+        kind = type(e)
+        if kind is EVar:
             return [self.emit(ICopy(target, e.name), e.pos, pending)]
-        if isinstance(e, ENew):
+        if kind is ENull:
+            return [self.emit(IConstNull(target), e.pos, pending)]
+        if kind is ENew:
             return [self.emit(INew(target, e.fields), e.pos, pending)]
-        if isinstance(e, (EAnd, EOr, EField)):
+        if kind is ECall:
+            arg, pending = self.lower_operand(e.arg, pending)
+            callee = self.procs[e.proc]
+            ins = ICall(target, e.proc, callee.ret_ann, arg, callee.param_ann)
+            return [self.emit(ins, e.pos, pending)]
+        if kind in _LINKS:
             # Chains `a && b && ...` and `y.f.g...` nest down their left
             # operands and receivers.  Walk that spine with a loop, not one
             # recursion per link, naming the temporaries outermost first and
             # emitting innermost first.
             spine = [(target, e)]
-            while isinstance(_link(spine[-1][1]), (EAnd, EOr, EField)):
+            while type(_link(spine[-1][1])) in _LINKS:
                 spine.append((self.fresh_temp(), _link(spine[-1][1])))
             left, pending = self.lower_operand(_link(spine[-1][1]), pending)
             for tgt, node in reversed(spine):
-                if isinstance(node, EField):
+                kind = type(node)
+                if kind is EField:
                     ins = IFieldRead(tgt, left, node.fieldname)
                 else:
                     right, pending = self.lower_operand(node.right, pending)
-                    ins = (IAnd if isinstance(node, EAnd) else IOr)(tgt, left, right)
+                    ins = (IAnd if kind is EAnd else IOr)(tgt, left, right)
                 pending = [self.emit(ins, node.pos, pending)]
                 left = tgt
             return pending
-        if isinstance(e, ECall):
-            arg, pending = self.lower_operand(e.arg, pending)
-            callee = self.procs[e.proc]
-            ins = ICall(target, e.proc, callee.ret_ann, arg, callee.param_ann)
-            return [self.emit(ins, e.pos, pending)]
         raise AssertionError(f"unknown expression {e!r}")
 
     def lower_stmts(self, stmts: Iterable[Stmt], pending: list[int], ret_ann: GradAbst) -> list[int]:
         for s in stmts:
-            if isinstance(s, SSkip):
-                continue
-            if isinstance(s, SDecl):
-                self.vars.add(s.name)
-                continue
-            if isinstance(s, SAssign):
+            kind = type(s)
+            if kind is SAssign:
                 pending = self.lower_assign(s.target, s.expr, pending)
-                continue
-            if isinstance(s, SFieldAssign):
-                pending = [self.emit(IFieldWrite(s.obj, s.fieldname, s.source), s.pos, pending)]
-                continue
-            if isinstance(s, SReturn):
-                self.emit(IReturn(s.name, ret_ann), s.pos, pending)
-                pending = []
-                continue
-            if isinstance(s, SIf):
+            elif kind is SDecl:
+                self.vars.add(s.name)
+            elif kind is SIf:
                 # A bare variable branches directly; anything else evaluates
                 # into a temporary first, and loops re-enter at that evaluation.
                 var, pending = self.lower_operand(s.cond, pending)
@@ -338,8 +334,12 @@ class _Lowerer:
                 exits_nonnull = self.lower_stmts(nonnull_arm, [if_v], ret_ann)
                 exits_null = self.lower_stmts(null_arm, [else_v], ret_ann)
                 pending = exits_nonnull + exits_null
-                continue
-            if isinstance(s, SWhile):
+            elif kind is SReturn:
+                self.emit(IReturn(s.name, ret_ann), s.pos, pending)
+                pending = []
+            elif kind is SFieldAssign:
+                pending = [self.emit(IFieldWrite(s.obj, s.fieldname, s.source), s.pos, pending)]
+            elif kind is SWhile:
                 head_mark = len(self.vertices)
                 var, cond_exits = self.lower_operand(s.cond, pending)
                 b = self.emit(IBranch(var), s.pos, cond_exits)
@@ -351,8 +351,8 @@ class _Lowerer:
                 for v in body_exits:
                     self.succ[v].append(head)
                 pending = [exit_arm]
-                continue
-            raise AssertionError(f"unknown statement {s!r}")
+            elif kind is not SSkip:
+                raise AssertionError(f"unknown statement {s!r}")
         return pending
 
 

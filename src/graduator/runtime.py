@@ -64,7 +64,7 @@ class Frame(NamedTuple):
     vertex: int
 
 
-@record(slots=True)
+@record
 class MachineState:
     """Stack of (env, vertex) frames, top last, over a heap; steps update it in place.
 

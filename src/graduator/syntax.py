@@ -620,7 +620,9 @@ def check_surface(p: Program) -> list[Diagnostic]:
 
     Empty iff every variable is declared before use and assigned before it
     is read along every syntactic path, every called procedure exists, and
-    every mentioned field is declared.
+    every mentioned field is declared.  Each statement and expression is
+    judged by its exact type, most frequent kind first; a node of any other
+    type is an AssertionError.
     """
     out: list[Diagnostic] = []
     fields = p.field_names
@@ -630,19 +632,30 @@ def check_surface(p: Program) -> list[Diagnostic]:
         out.append(Diagnostic("error", message, pos[0], pos[1]))
 
     def check_expr(e: Expr, declared: Names, assigned: Names) -> None:
-        for node in _walk_exprs(e):
-            if isinstance(node, EVar):
+        # Every subexpression in preorder, with an explicit stack (chains run deep).
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is EVar:
                 check_var_use(node.name, node.pos, declared, assigned)
-            elif isinstance(node, ECall):
-                if node.proc not in procs:
-                    err(f"unknown procedure {node.proc!r}", node.pos)
-            elif isinstance(node, EField):
-                if node.fieldname not in fields:
-                    err(f"unknown field {node.fieldname!r}", node.pos)
-            elif isinstance(node, ENew):
+            elif kind is ENew:
                 for f in node.fields:
                     if f not in fields:
                         err(f"unknown field {f!r}", node.pos)
+            elif kind is ECall:
+                if node.proc not in procs:
+                    err(f"unknown procedure {node.proc!r}", node.pos)
+                stack.append(node.arg)
+            elif kind is EField:
+                if node.fieldname not in fields:
+                    err(f"unknown field {node.fieldname!r}", node.pos)
+                stack.append(node.obj)
+            elif kind is EAnd or kind is EOr:
+                stack.append(node.right)
+                stack.append(node.left)
+            elif kind is not ENull:
+                raise AssertionError(f"unknown expression {node!r}")
 
     def check_var_use(name: str, pos: tuple[int, int], declared: Names, assigned: Names) -> None:
         if name not in declared:
@@ -652,36 +665,37 @@ def check_surface(p: Program) -> list[Diagnostic]:
 
     def walk(block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> None:
         for s in block:
-            if isinstance(s, SSkip):
-                pass
-            elif isinstance(s, SDecl):
-                if s.name in ever_declared:
-                    err(f"redeclaration of variable {s.name!r}", s.pos)
-                ever_declared.add(s.name)
-                declared[s.name] = None
-            elif isinstance(s, SAssign):
+            kind = type(s)
+            if kind is SAssign:
                 check_expr(s.expr, declared, assigned)
                 if s.target not in declared:
                     err(f"undeclared variable {s.target!r}", s.pos)
                 assigned[s.target] = None
-            elif isinstance(s, SFieldAssign):
-                check_var_use(s.obj, s.pos, declared, assigned)
-                check_var_use(s.source, s.pos, declared, assigned)
-                if s.fieldname not in fields:
-                    err(f"unknown field {s.fieldname!r}", s.pos)
-            elif isinstance(s, SReturn):
-                check_var_use(s.name, s.pos, declared, assigned)
-            elif isinstance(s, SIf):
+            elif kind is SDecl:
+                if s.name in ever_declared:
+                    err(f"redeclaration of variable {s.name!r}", s.pos)
+                ever_declared.add(s.name)
+                declared[s.name] = None
+            elif kind is SIf:
                 check_expr(s.cond, declared, assigned)
                 then_declared, then_assigned = arm(s.then, declared, assigned, ever_declared)
                 else_declared, else_assigned = arm(s.els, declared, assigned, ever_declared)
                 # What both arms add survives the if.
                 _keep_common(declared, then_declared, else_declared)
                 _keep_common(assigned, then_assigned, else_assigned)
-            elif isinstance(s, SWhile):
+            elif kind is SReturn:
+                check_var_use(s.name, s.pos, declared, assigned)
+            elif kind is SFieldAssign:
+                check_var_use(s.obj, s.pos, declared, assigned)
+                check_var_use(s.source, s.pos, declared, assigned)
+                if s.fieldname not in fields:
+                    err(f"unknown field {s.fieldname!r}", s.pos)
+            elif kind is SWhile:
                 check_expr(s.cond, declared, assigned)
                 # The body may run zero times: its effects do not survive it.
                 arm(s.body, declared, assigned, ever_declared)
+            elif kind is not SSkip:
+                raise AssertionError(f"unknown statement {s!r}")
 
     def arm(block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> tuple[Names, Names]:
         """Walk a block in place, then take back and return what it declared and assigned."""

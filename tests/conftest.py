@@ -25,6 +25,11 @@ import time
 from pathlib import Path
 from typing import Optional
 
+# Write no bytecode, before anything imports graduator: a `__pycache__` under
+# src/ would let later launches skip compiling the package, so how fast
+# graduator starts would depend on whether the checkout had run its tests.
+sys.dont_write_bytecode = True
+
 # One line per acceptance criterion, printed as a summary section at the end
 # of the run (see pytest_terminal_summary below); test_acceptance.py appends.
 ACCEPTANCE_LINES: list = []

@@ -395,7 +395,7 @@ def test_in_process_calls_leak_no_state_between_them(capsys):
     src = str(Path(graduator.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     for argv, output in zip(calls, outputs):
-        fresh = subprocess.run([sys.executable, "-m", "graduator.cli", *argv], capture_output=True, text=True, env=env)
+        fresh = subprocess.run([sys.executable, "-B", "-m", "graduator.cli", *argv], capture_output=True, text=True, env=env)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == output, argv
 
 

@@ -1,4 +1,4 @@
-"""The record types of syntax, cfg, analysis and runtime: constructor, repr, equality, hash, immutability.
+"""The record types of syntax, cfg, analysis and runtime: constructor, repr, equality, hash, immutability, slots, copying.
 
 One instance of every record type, built by a function of its position (a
 type without a position ignores it), pins what the pipeline relies on:
@@ -6,6 +6,8 @@ the repr text, equality and hashing over the declared fields only (never a
 position, never across types), and which types are frozen.
 """
 
+import copy
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +204,39 @@ def test_frozen_fields_reject_assignment_and_deletion(name):
     with pytest.raises(AttributeError):
         delattr(instance, frozen_field)
     assert instance == make((0, 0))
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_are_slotted_over_their_declared_fields(name):
+    # Frozen or not, a record stores its fields in slots and has no __dict__.
+    instance = RECORDS[name][0]((0, 0))
+    assert not hasattr(instance, "__dict__")
+    assert type(instance).__slots__ == tuple(type(instance).__annotations__)
+
+
+def _positions(obj):
+    """The position of every record in obj, depth first."""
+    if isinstance(obj, (tuple, list)):
+        return [pos for item in obj for pos in _positions(item)]
+    out = []
+    for name in getattr(type(obj), "_init_fields", ()):
+        value = getattr(obj, name)
+        out += [value] if name.endswith("pos") else _positions(value)
+    return out
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_round_trip_through_copy_and_pickle(name, how):
+    original = RECORDS[name][0]((7, 9))
+    twin = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+    }[how](original)
+    assert twin is not original and type(twin) is type(original)
+    assert twin == original and repr(twin) == repr(original)
+    assert _positions(twin) == _positions(original)
 
 
 def test_types_with_equal_fields_compare_unequal():

@@ -6,11 +6,12 @@ import re
 
 import pytest
 
-from conftest import LOOP_SRC, best_cpu, growth_per_vertex, scenario_src, wide_src
+from conftest import LOOP_SRC, best_cpu, growth_per_vertex, scenario_src, wide_src, workload_source
 from graduator.cfg import lower
 from graduator.lattice import GradAbst
 from graduator.record import replace
 from graduator.syntax import (
+    Diagnostic,
     EAnd,
     ECall,
     EField,
@@ -22,6 +23,7 @@ from graduator.syntax import (
     KEYWORDS,
     PUNCTUATION,
     ParseError,
+    Program,
     SAssign,
     SDecl,
     SFieldAssign,
@@ -41,7 +43,7 @@ from graduator.syntax import (
     precision_leq_prog,
     render_program,
 )
-from graduator.testkit import GenConfig, corpus_paths, gen_program
+from graduator.testkit import GenConfig, _nested_sources, _token_mutant, corpus_paths, gen_program
 
 
 def errs(p):
@@ -224,6 +226,184 @@ def test_nested_arms_and_loop_bodies_scope_exactly():
         ("variable 'b' may be read before initialization", 22, 10),
         ("redeclaration of variable 'd'", 23, 5),
     ]
+
+
+def reference_check_surface(p):
+    """check_surface as an isinstance chain over a preorder expression walk: the reference."""
+    out = []
+    fields = p.field_names
+    procs = set(p.proc_map)
+
+    def err(message, pos):
+        out.append(Diagnostic("error", message, pos[0], pos[1]))
+
+    def check_expr(e, declared, assigned):
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, EVar):
+                check_var_use(node.name, node.pos, declared, assigned)
+            elif isinstance(node, ECall):
+                if node.proc not in procs:
+                    err(f"unknown procedure {node.proc!r}", node.pos)
+            elif isinstance(node, EField):
+                if node.fieldname not in fields:
+                    err(f"unknown field {node.fieldname!r}", node.pos)
+            elif isinstance(node, ENew):
+                for f in node.fields:
+                    if f not in fields:
+                        err(f"unknown field {f!r}", node.pos)
+            if isinstance(node, (EAnd, EOr)):
+                stack += [node.right, node.left]
+            elif isinstance(node, EField):
+                stack.append(node.obj)
+            elif isinstance(node, ECall):
+                stack.append(node.arg)
+
+    def check_var_use(name, pos, declared, assigned):
+        if name not in declared:
+            err(f"undeclared variable {name!r}", pos)
+        elif name not in assigned:
+            err(f"variable {name!r} may be read before initialization", pos)
+
+    def walk(block, declared, assigned, ever_declared):
+        for s in block:
+            if isinstance(s, SDecl):
+                if s.name in ever_declared:
+                    err(f"redeclaration of variable {s.name!r}", s.pos)
+                ever_declared.add(s.name)
+                declared[s.name] = None
+            elif isinstance(s, SAssign):
+                check_expr(s.expr, declared, assigned)
+                if s.target not in declared:
+                    err(f"undeclared variable {s.target!r}", s.pos)
+                assigned[s.target] = None
+            elif isinstance(s, SFieldAssign):
+                check_var_use(s.obj, s.pos, declared, assigned)
+                check_var_use(s.source, s.pos, declared, assigned)
+                if s.fieldname not in fields:
+                    err(f"unknown field {s.fieldname!r}", s.pos)
+            elif isinstance(s, SReturn):
+                check_var_use(s.name, s.pos, declared, assigned)
+            elif isinstance(s, SIf):
+                check_expr(s.cond, declared, assigned)
+                then_declared, then_assigned = arm(s.then, declared, assigned, ever_declared)
+                else_declared, else_assigned = arm(s.els, declared, assigned, ever_declared)
+                declared.update((x, None) for x in then_declared if x in else_declared)
+                assigned.update((x, None) for x in then_assigned if x in else_assigned)
+            elif isinstance(s, SWhile):
+                check_expr(s.cond, declared, assigned)
+                arm(s.body, declared, assigned, ever_declared)
+
+    def arm(block, declared, assigned, ever_declared):
+        # Walk in place, then take back (and return) what the block added.
+        before = set(declared), set(assigned)
+        walk(block, declared, assigned, ever_declared)
+        added = [{x: None for x in names if x not in old} for names, old in zip((declared, assigned), before)]
+        for names, new in zip((declared, assigned), added):
+            for x in new:
+                del names[x]
+        return added
+
+    for proc in p.procs:
+        walk(proc.body, {proc.param: None}, {proc.param: None}, {proc.param})
+    walk(p.main, {}, {}, set())
+    return out
+
+
+# Every surface error, inside if and while arms and nested call arguments.
+SURFACE_ERRORS_SRC = """field f;
+proc p(a) {
+    var b;
+    if (a == null) {
+        b := p(q(p(u.g && v)));
+    } else {
+        while (b != null) {
+            var a;
+            b := new {f, h, k};
+            w.f := b;
+        }
+        b := p(p(b || c.f.g));
+    }
+    return b;
+}
+main {
+    var x;
+    while (x.f == null) {
+        var y;
+        if (p(y) != null) { y := null; } else { y.g := zz; }
+        var y;
+        if (r(x) == null) { while (p(p(x && t)) != null) { var x; x := y; } } else { x := s(x); }
+    }
+    z := x;
+    return x;
+}
+"""
+
+
+def _drop_statement(rng, texts):
+    """The tokens without one seeded run from a statement boundary through the next `;`."""
+    i = rng.choice([k + 1 for k, t in enumerate(texts) if t in (";", "{", "}")])
+    j = next((k + 1 for k in range(i, len(texts)) if texts[k] == ";"), i)
+    return " ".join(texts[:i] + texts[j:])
+
+
+def _surface_inputs():
+    """Programs that parse: the corpus, the sized workloads, generated programs and mutants of them."""
+    corpus = [path.read_text() for path in corpus_paths()]
+    generated = [render_program(gen_program(GenConfig(seed=seed, annotation_density=(0.0, 0.5, 1.0)[seed % 3])))
+                 for seed in range(160)]
+    sources = corpus + generated + [workload_source(name, 1) for name in ("chain", "wide", "alloc")]
+    sources += [SURFACE_ERRORS_SRC, NESTED_SCOPES_SRC, *_nested_sources(MAX_NESTING)]
+    # The front-end fuzz oracle's token-level mutants of the corpus, for three seeds.
+    tokens = [_lex(src)[0][:-1] for src in corpus]
+    for seed in range(3):
+        rng = random.Random(f"frontend-fuzz-{seed}")
+        sources += [_token_mutant(rng, texts, tokens) for texts in tokens for _ in range(10)]
+    # Dropping a statement mostly leaves a program that parses but uses a name it no longer declares or assigns.
+    rng = random.Random("drop-statement")
+    sources += [_drop_statement(rng, _lex(src)[0][:-1]) for src in corpus + generated for _ in range(2)]
+    programs = []
+    for src in sources:
+        try:
+            programs.append(parse(src))
+        except ParseError:
+            pass
+    return programs
+
+
+def test_check_surface_agrees_with_the_reference():
+    programs = _surface_inputs()
+    results = [check_surface(p) for p in programs]
+    assert results == [reference_check_surface(p) for p in programs]
+    assert len(programs) >= 400 and sum(map(bool, results)) >= 100  # programs with at least one diagnostic
+    kinds = {re.sub(r"'.*'", "'x'", d.message) for d in check_surface(parse(SURFACE_ERRORS_SRC))}
+    assert kinds == {
+        "undeclared variable 'x'",
+        "variable 'x' may be read before initialization",
+        "unknown field 'x'",
+        "unknown procedure 'x'",
+        "redeclaration of variable 'x'",
+    }
+
+
+class _Odd:
+    """A node of no AST type."""
+
+    pos = (1, 1)
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [_Odd(), SAssign("x", _Odd()), SAssign("x", EAnd(EVar("x"), ECall("p", _Odd()))), SIf("==", _Odd(), (), ())],
+    ids=["statement", "expression", "nested expression", "condition"],
+)
+def test_a_node_of_unknown_type_is_an_assertion_error(stmt):
+    p = Program((), (), (SDecl("x"), SAssign("x", ENull()), stmt, SReturn("x")))
+    with pytest.raises(AssertionError):
+        check_surface(p)
+    with pytest.raises(AssertionError):
+        lower(p)
 
 
 def test_check_surface_time_per_vertex_does_not_grow_on_wide_programs():
