@@ -8,7 +8,7 @@ The package is organized by pipeline stage:
 - ``analysis``: the transfer function, fixpoint engine, warnings and check sites
 - ``runtime``: small-step machine, plain and checked (gradual) execution
 - ``cli``: the ``graduator`` command
-- ``record``: the record classes' constructor, equality, hash and repr
+- ``record``: ``Record``, the base of the record classes: constructor, equality, hash and repr
 - ``testkit``: seeded program generator and self-check oracles
 """
 

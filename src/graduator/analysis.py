@@ -79,7 +79,7 @@ from .lattice import (
     lifted_join,
     lifted_leq,
 )
-from .record import field, record
+from .record import Record, field
 
 BaseState = dict[str, Abst]
 GradState = dict[str, GradAbst]
@@ -283,7 +283,7 @@ def constrained_vars(ins: Instr) -> tuple[str, ...]:
 
 def site_category(ins: Instr) -> str:
     """Check category: dereferences get CHECK, procedure boundaries BOUNDARY."""
-    if isinstance(ins, (IFieldRead, IFieldWrite)):
+    if type(ins) is IFieldRead or type(ins) is IFieldWrite:
         return WARN_CHECK
     return WARN_BOUNDARY
 
@@ -296,8 +296,7 @@ def site_category(ins: Instr) -> str:
 Mode = Literal["static", "gradual"]
 
 
-@record
-class AnalysisResult:
+class AnalysisResult(Record):
     """One byte-coded state per vertex, over its procedure's variables numbered in sorted order.
 
     pi (base facts in static mode, gradual ones otherwise) and grad_pi are
@@ -352,9 +351,10 @@ def kildall(
     """
     if mode == "static":
         for vertex in cfg.vertices:
-            if isinstance(vertex.instr, ICall):
+            kind = type(vertex.instr)
+            if kind is ICall:
                 _exact_ann(vertex.instr.ret_ann)
-            elif isinstance(vertex.instr, IProc):
+            elif kind is IProc:
                 _exact_ann(vertex.instr.param_ann)
 
     numbering = {proc: {x: i for i, x in enumerate(sorted(u))} for proc, u in cfg.universe.items()}
@@ -401,8 +401,7 @@ def kildall(
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class Finding:
+class Finding(Record, frozen=True):
     """A reportable position: static warning or run-time check placement."""
 
     category: str

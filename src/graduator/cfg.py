@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Union
 
 from .lattice import GradAbst
-from .record import field, record
+from .record import Record, field
 from .syntax import (
     EAnd,
     ECall,
@@ -48,19 +48,16 @@ MAIN = "main"
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class ICopy:
+class ICopy(Record, frozen=True):
     target: str
     source: str
 
 
-@record(frozen=True)
-class IConstNull:
+class IConstNull(Record, frozen=True):
     target: str
 
 
-@record(frozen=True)
-class ICall:
+class ICall(Record, frozen=True):
     target: str
     proc: str
     ret_ann: GradAbst
@@ -68,68 +65,57 @@ class ICall:
     arg_ann: GradAbst
 
 
-@record(frozen=True)
-class INew:
+class INew(Record, frozen=True):
     target: str
     fields: tuple[str, ...]
 
 
-@record(frozen=True)
-class IAnd:
+class IAnd(Record, frozen=True):
     target: str
     left: str
     right: str
 
 
-@record(frozen=True)
-class IOr:
+class IOr(Record, frozen=True):
     target: str
     left: str
     right: str
 
 
-@record(frozen=True)
-class IFieldRead:
+class IFieldRead(Record, frozen=True):
     target: str
     obj: str
     fieldname: str
 
 
-@record(frozen=True)
-class IFieldWrite:
+class IFieldWrite(Record, frozen=True):
     obj: str
     fieldname: str
     source: str
 
 
-@record(frozen=True)
-class IBranch:
+class IBranch(Record, frozen=True):
     var: str
 
 
-@record(frozen=True)
-class IIf:
+class IIf(Record, frozen=True):
     var: str
 
 
-@record(frozen=True)
-class IElse:
+class IElse(Record, frozen=True):
     var: str
 
 
-@record(frozen=True)
-class IReturn:
+class IReturn(Record, frozen=True):
     var: str
     ann: GradAbst
 
 
-@record(frozen=True)
-class IMain:
+class IMain(Record, frozen=True):
     pass
 
 
-@record(frozen=True)
-class IProc:
+class IProc(Record, frozen=True):
     name: str
     ret_ann: GradAbst
     param: str
@@ -159,47 +145,46 @@ def _ann_text(ann: GradAbst) -> str:
 
 
 def render_instr(ins: Instr) -> str:
-    if isinstance(ins, ICopy):
+    kind = type(ins)
+    if kind is ICopy:
         return f"{ins.target} := {ins.source}"
-    if isinstance(ins, IConstNull):
+    if kind is IConstNull:
         return f"{ins.target} := null"
-    if isinstance(ins, ICall):
+    if kind is ICall:
         return f"{ins.target} := {ins.proc}{_ann_text(ins.ret_ann)}({ins.arg}{_ann_text(ins.arg_ann)})"
-    if isinstance(ins, INew):
+    if kind is INew:
         return f"{ins.target} := new {{{', '.join(ins.fields)}}}"
-    if isinstance(ins, IAnd):
+    if kind is IAnd:
         return f"{ins.target} := {ins.left} && {ins.right}"
-    if isinstance(ins, IOr):
+    if kind is IOr:
         return f"{ins.target} := {ins.left} || {ins.right}"
-    if isinstance(ins, IFieldRead):
+    if kind is IFieldRead:
         return f"{ins.target} := {ins.obj}.{ins.fieldname}"
-    if isinstance(ins, IFieldWrite):
+    if kind is IFieldWrite:
         return f"{ins.obj}.{ins.fieldname} := {ins.source}"
-    if isinstance(ins, IBranch):
+    if kind is IBranch:
         return f"branch({ins.var})"
-    if isinstance(ins, IIf):
+    if kind is IIf:
         return f"if({ins.var})"
-    if isinstance(ins, IElse):
+    if kind is IElse:
         return f"else({ins.var})"
-    if isinstance(ins, IReturn):
+    if kind is IReturn:
         return f"return {ins.var}{_ann_text(ins.ann)}"
-    if isinstance(ins, IMain):
+    if kind is IMain:
         return "main"
-    if isinstance(ins, IProc):
+    if kind is IProc:
         return f"proc {ins.name}{_ann_text(ins.ret_ann)}({ins.param}{_ann_text(ins.param_ann)})"
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
-@record(frozen=True)
-class Vertex:
+class Vertex(Record, frozen=True):
     id: int
     instr: Instr
     proc: str  # procedure name, or "main"
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
-@record
-class ProgramCfg:
+class ProgramCfg(Record):
     vertices: list[Vertex]
     succ: list[tuple[int, ...]]
     entry: int

@@ -42,13 +42,13 @@ from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, lower, render_in
 from .lattice import GradAbst
 from .runtime import DEFAULT_FUEL, run
 from .syntax import (
+    Diagnostic,
     ParseError,
     Program,
     check_surface,
     erase_annotations,
     fill_annotations,
     is_fully_annotated,
-    lint_allocation_fields,
     parse,
 )
 
@@ -69,18 +69,19 @@ def _read(path: Path) -> str:
         raise _Fail(2, f"{path}: {exc}")
 
 
-def _front_end(path: Path, transform=None) -> tuple[Program, ProgramCfg]:
-    """The file's program (rewritten by transform, if given) and its validated graph."""
+def _front_end(path: Path, transform=None) -> tuple[Program, ProgramCfg, list[Diagnostic]]:
+    """The file's program (rewritten by transform, if given), its validated graph and its surface notes."""
     try:
         prog = parse(_read(path))
     except ParseError as exc:
         raise _Fail(2, f"{path}:{exc.line}:{exc.col}: error: {exc.message}")
-    errors = check_surface(prog)
+    diagnostics = check_surface(prog)
+    errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
-        raise _Fail(2, "\n".join(f"{path}:{d.line}:{d.col}: error: {d.message}" for d in errors))
+        raise _Fail(2, "\n".join(f"{path}:{d}" for d in errors))
     if transform is not None:
         prog = transform(prog)
-    return prog, _lower(path, prog)
+    return prog, _lower(path, prog), diagnostics  # notes only, as there are no errors
 
 
 def _lower(path: Path, prog: Program) -> ProgramCfg:
@@ -93,7 +94,7 @@ def _lower(path: Path, prog: Program) -> ProgramCfg:
 
 def _deref_stats(cfg: ProgramCfg, checks) -> tuple[int, int, int]:
     """(dereference sites, checks among them, eliminated)."""
-    derefs = sum(1 for v in cfg.vertices if isinstance(v.instr, (IFieldRead, IFieldWrite)))
+    derefs = sum(1 for v in cfg.vertices if type(v.instr) is IFieldRead or type(v.instr) is IFieldWrite)
     checked = sum(1 for c in checks if c.category == WARN_CHECK)
     return derefs, checked, derefs - checked
 
@@ -130,7 +131,7 @@ def _build_report(source: str, mode: str, cfg: ProgramCfg, warnings, checks) -> 
 
 def cmd_check(args) -> int:
     path = Path(args.path)
-    prog, cfg = _front_end(path)
+    prog, cfg, notes = _front_end(path)
     if args.mode == "static" and not is_fully_annotated(prog):
         raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
     _, warnings, checks = analyze(cfg, args.mode)
@@ -138,7 +139,7 @@ def cmd_check(args) -> int:
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
-        for note in lint_allocation_fields(prog):
+        for note in notes:
             print(f"{path}:{note}", file=sys.stderr)
         s = report["summary"]
         print(f"{path}: mode={args.mode}")
@@ -170,7 +171,7 @@ def _fuel(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.path)
-    _, cfg = _front_end(path)
+    _, cfg, _ = _front_end(path)
     result = run(cfg, mode=args.mode, max_steps=_fuel(args), collect_trace=args.trace)
     for line in result.trace:
         print(line)
@@ -191,7 +192,7 @@ def cmd_run(args) -> int:
 
 def cmd_cfg(args) -> int:
     path = Path(args.path)
-    _, cfg = _front_end(path)
+    _, cfg, _ = _front_end(path)
     if args.dot:
         sys.stdout.write(emit_dot(cfg))
         return 0
@@ -206,7 +207,7 @@ def cmd_stats(args) -> int:
     rows = []
     for raw in args.paths:
         path = Path(raw)
-        _, cfg = _front_end(path, erase_annotations if args.ignore_annotations else None)
+        _, cfg, _ = _front_end(path, erase_annotations if args.ignore_annotations else None)
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))
@@ -224,7 +225,7 @@ def cmd_stats(args) -> int:
 
 def cmd_compare(args) -> int:
     path = Path(args.path)
-    prog, cfg = _front_end(path)
+    prog, cfg, _ = _front_end(path)
     print(f"{'policy':<18}  warnings  checks")
     policies = (("gradual", None), ("nonnull-default", GradAbst.NONNULL), ("nullable-default", GradAbst.NULLABLE))
     for name, default in policies:

@@ -1,18 +1,31 @@
 """Record classes: the part of `dataclasses` that graduator uses, at a fraction of its launch cost.
 
-`record` turns a class of annotated fields into a record that keeps its
+A class that derives from `Record` is a record: it keeps its annotated
 fields in slots, with no `__dict__`, and has an `__init__` (the fields in
 declaration order, with their defaults), a `__repr__` (`EVar(name='x')`),
 an `__eq__` (only between instances of the same class, over the compared
 fields) and a `__hash__`, as `dataclass` with the same options and
-`slots=True` would.  `frozen=True` makes assigning to or deleting an
-attribute raise `AttributeError` and hashes the compared fields; a record
-that is not frozen is unhashable.  `copy`, `deepcopy` and `pickle` rebuild a
-frozen record through its constructor.  `field(default=..., init=...,
-compare=..., repr=...)` declares a field that is left out of the
-constructor, the comparison or the repr.  A field with `init=False` and no
-default is set by the class's `__post_init__`, which `__init__` calls last.
-`replace(obj, **changes)` copies a record through its constructor.
+`slots=True` would.  `class EVar(Record, frozen=True):` makes assigning to
+or deleting an attribute raise `AttributeError` and hashes the compared
+fields; a record that is not frozen is unhashable.  `copy`, `deepcopy` and
+`pickle` make their copy of a frozen record through its constructor.
+`field(default=..., init=..., compare=..., repr=...)` declares a field that
+is left out of the constructor, the comparison or the repr.  A field with
+`init=False` and no default is set by the class's `__post_init__`, which
+`__init__` calls last.  `replace(obj, **changes)` copies a record through
+its constructor.
+
+Why a metaclass: a class's slots are fixed by the `__slots__` of the
+namespace it is created from, so a class decorator, which sees the class
+only once it exists, would have to create a second class with slots and
+discard the first, which then lingers as cyclic garbage until a collector
+pass.  `_RecordType` reads the annotations and puts `__slots__` into the
+namespace before `type.__new__`, so each record class is created once.  The
+price is that `isinstance(x, C)` with a record class C takes the slow path
+whenever x is not exactly a C: the metaclass's `__instancecheck__` is looked
+up and called: on the host named below, about 110 ns against 45 ns for a
+plain class (timeit, best of five).  Code that tests every vertex or node therefore compares `type(x)`
+with `is`, as the front end, the analysis and the interpreter already do.
 
 Why not `dataclasses`: a launch of the `graduator` command is mostly
 imports, and the records were the largest share of them.  On Python 3.11
@@ -85,61 +98,59 @@ def _frozen_delattr(self, name):
 
 
 def _reduce(self):
-    # copy, deepcopy and pickle rebuild a frozen record through its
+    # copy, deepcopy and pickle make a frozen record through its
     # constructor, since their default, setattr on each slot, raises.
     return self.__class__, tuple(map(self.__getattribute__, self._init_fields))
 
 
-def record(cls=None, /, *, frozen=False):
-    """Class decorator: `@record`, or `@record(frozen=True)`."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
+class _RecordType(type):
+    """The metaclass of Record: makes each record class, with its slots, in one `type.__new__`."""
+
+    def __new__(mcls, name, bases, ns, frozen=False):
+        fields = {}  # name -> _Field, in declaration order
+        for fname in ns.get("__annotations__", {}):
+            # A default left as a class attribute would clash with the slot.
+            spec = ns.pop(fname, _MISSING)
+            fields[fname] = spec if isinstance(spec, _Field) else _Field(default=spec)
+        compared = [fname for fname, spec in fields.items() if spec.compare]
+        ns.update(
+            __slots__=tuple(fields),
+            __repr__=_repr,
+            __eq__=_eq,  # which sets __hash__ to None unless frozen sets it below
+            _key=staticmethod(attrgetter(*compared) if compared else _no_fields),
+            _shown=tuple(fname for fname, spec in fields.items() if spec.repr),
+            _init_fields=tuple(fname for fname, spec in fields.items() if spec.init),
+        )
+        if frozen:
+            ns.update(__hash__=_hash, __setattr__=_frozen_setattr, __delattr__=_frozen_delattr, __reduce__=_reduce)
+        cls = super().__new__(mcls, name, bases, ns)
+
+        env = {}
+        params, sets = ["self"], []
+        for fname, spec in fields.items():
+            if spec.default is not _MISSING:
+                env[f"_d_{fname}"] = spec.default
+            if spec.init:
+                params.append(fname if spec.default is _MISSING else f"{fname}=_d_{fname}")
+                value = fname
+            elif spec.default is not _MISSING:
+                value = f"_d_{fname}"
+            else:
+                continue
+            # Store through the slot's own descriptor: a frozen record's
+            # __setattr__ raises, and this is the cheapest store that passes it.
+            env[f"_s_{fname}"] = cls.__dict__[fname].__set__
+            sets.append(f"_s_{fname}(self, {value})")
+        if hasattr(cls, "__post_init__"):
+            sets.append("self.__post_init__()")
+        exec(f"def __init__({', '.join(params)}):\n {'; '.join(sets) or 'pass'}\n", env)
+        env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = env["__init__"]
+        return cls
 
 
-def _build(cls, frozen):
-    fields = {}  # name -> _Field, in declaration order
-    for name in cls.__dict__.get("__annotations__", {}):
-        spec = cls.__dict__.get(name, _MISSING)
-        if not isinstance(spec, _Field):
-            spec = _Field(default=spec)
-        fields[name] = spec
-    # The same class, rebuilt with a slot per field and without the defaults
-    # as class attributes, which would clash with the slots.
-    body = {k: v for k, v in cls.__dict__.items() if k not in fields and k not in ("__dict__", "__weakref__")}
-    cls = type(cls)(cls.__name__, cls.__bases__, dict(body, __slots__=tuple(fields)))
-
-    env = {}
-    params, sets = ["self"], []
-    for name, spec in fields.items():
-        if spec.default is not _MISSING:
-            env[f"_d_{name}"] = spec.default
-        if spec.init:
-            params.append(name if spec.default is _MISSING else f"{name}=_d_{name}")
-            value = name
-        elif spec.default is not _MISSING:
-            value = f"_d_{name}"
-        else:
-            continue
-        # Store through the slot's own descriptor: a frozen record's
-        # __setattr__ raises, and this is the cheapest store that passes it.
-        env[f"_s_{name}"] = cls.__dict__[name].__set__
-        sets.append(f"_s_{name}(self, {value})")
-    if hasattr(cls, "__post_init__"):
-        sets.append("self.__post_init__()")
-    exec(f"def __init__({', '.join(params)}):\n {'; '.join(sets) or 'pass'}\n", env)
-    env["__init__"].__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__, cls.__repr__, cls.__eq__ = env["__init__"], _repr, _eq
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _frozen_setattr, _frozen_delattr
-        cls.__reduce__ = _reduce
-    else:
-        cls.__hash__ = None
-    compared = [name for name, spec in fields.items() if spec.compare]
-    cls._key = staticmethod(attrgetter(*compared) if compared else _no_fields)
-    cls._shown = tuple(name for name, spec in fields.items() if spec.repr)
-    cls._init_fields = tuple(name for name, spec in fields.items() if spec.init)
-    return cls
+class Record(metaclass=_RecordType):
+    """The base of every record class: `class EVar(Record, frozen=True):`."""
 
 
 def replace(obj, **changes):

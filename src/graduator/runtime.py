@@ -51,7 +51,7 @@ from .cfg import (
     render_instr,
 )
 from .lattice import Abst, GradAbst, ceil, grad_conc_contains
-from .record import field, record
+from .record import Record, field
 
 Env = dict[str, int]
 Heap = dict[int, dict[str, int]]
@@ -64,8 +64,7 @@ class Frame(NamedTuple):
     vertex: int
 
 
-@record
-class MachineState:
+class MachineState(Record):
     """Stack of (env, vertex) frames, top last, over a heap; steps update it in place.
 
     next_loc is the next free location: one past the largest location in
@@ -103,25 +102,21 @@ def lifted_desc(env: Env, sigma: GradState) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class Stepped:
+class Stepped(Record, frozen=True):
     state: MachineState
 
 
-@record(frozen=True)
-class Final:
+class Final(Record, frozen=True):
     state: MachineState
 
 
-@record(frozen=True)
-class Stuck:
+class Stuck(Record, frozen=True):
     state: MachineState
     vertex: int
     reason: str
 
 
-@record(frozen=True)
-class Errored:
+class Errored(Record, frozen=True):
     """A checked-execution stop: the next step's safety bound is violated."""
 
     state: MachineState
@@ -368,8 +363,7 @@ def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
-@record
-class RunResult:
+class RunResult(Record):
     outcome: str  # "final" | "stuck" | "error" | "fuel"
     state: MachineState
     steps: int

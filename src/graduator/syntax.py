@@ -56,10 +56,10 @@ first level too many, so no later pass recurses past that depth.
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
 from .lattice import GradAbst, precision_leq
-from .record import field, record, replace
+from .record import Record, field, replace
 
 KEYWORDS = frozenset(
     {
@@ -97,8 +97,7 @@ class ParseError(Exception):
         self.col = col
 
 
-@record(frozen=True)
-class Diagnostic:
+class Diagnostic(Record, frozen=True):
     """A surface-check finding.  severity is 'error' or 'note'."""
 
     severity: str
@@ -121,46 +120,39 @@ def _pos_field() -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-@record(frozen=True)
-class ENull:
+class ENull(Record, frozen=True):
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class EVar:
+class EVar(Record, frozen=True):
     name: str
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class EAnd:
+class EAnd(Record, frozen=True):
     left: "Expr"
     right: "Expr"
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class EOr:
+class EOr(Record, frozen=True):
     left: "Expr"
     right: "Expr"
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class EField:
+class EField(Record, frozen=True):
     obj: "Expr"
     fieldname: str
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class ENew:
+class ENew(Record, frozen=True):
     fields: tuple[str, ...]
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class ECall:
+class ECall(Record, frozen=True):
     proc: str
     arg: "Expr"
     pos: tuple[int, int] = _pos_field()
@@ -169,34 +161,29 @@ class ECall:
 Expr = Union[ENull, EVar, EAnd, EOr, EField, ENew, ECall]
 
 
-@record(frozen=True)
-class SSkip:
+class SSkip(Record, frozen=True):
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class SDecl:
+class SDecl(Record, frozen=True):
     name: str
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class SAssign:
+class SAssign(Record, frozen=True):
     target: str
     expr: Expr
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class SFieldAssign:
+class SFieldAssign(Record, frozen=True):
     obj: str
     fieldname: str
     source: str
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class SIf:
+class SIf(Record, frozen=True):
     op: str  # "==" or "!="
     cond: Expr
     then: tuple["Stmt", ...]
@@ -204,16 +191,14 @@ class SIf:
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class SWhile:
+class SWhile(Record, frozen=True):
     op: str
     cond: Expr
     body: tuple["Stmt", ...]
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class SReturn:
+class SReturn(Record, frozen=True):
     name: str
     pos: tuple[int, int] = _pos_field()
 
@@ -222,8 +207,7 @@ Stmt = Union[SSkip, SDecl, SAssign, SFieldAssign, SIf, SWhile, SReturn]
 Block = tuple[Stmt, ...]
 
 
-@record(frozen=True)
-class ProcDecl:
+class ProcDecl(Record, frozen=True):
     name: str
     ret_ann: GradAbst
     param: str
@@ -232,14 +216,12 @@ class ProcDecl:
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class FieldDecl:
+class FieldDecl(Record, frozen=True):
     name: str
     pos: tuple[int, int] = _pos_field()
 
 
-@record(frozen=True)
-class Program:
+class Program(Record, frozen=True):
     fields: tuple[FieldDecl, ...]
     procs: tuple[ProcDecl, ...]
     main: Block
@@ -581,21 +563,6 @@ def parse(source: str) -> Program:
 # ---------------------------------------------------------------------------
 
 
-def _walk_exprs(e: Expr) -> Iterator[Expr]:
-    """Every subexpression in preorder, with an explicit stack (chains run deep)."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (EAnd, EOr)):
-            stack.append(node.right)
-            stack.append(node.left)
-        elif isinstance(node, EField):
-            stack.append(node.obj)
-        elif isinstance(node, ECall):
-            stack.append(node.arg)
-
-
 # An ordered set of variable names, oldest first, so that what a block adds
 # is the tail and can be taken back with popitem.
 Names = dict[str, None]
@@ -615,41 +582,45 @@ def _keep_common(names: Names, ours: Names, theirs: Names) -> None:
         names.update((x, None) for x in ours if x in theirs)
 
 
-def check_surface(p: Program) -> list[Diagnostic]:
-    """Name and initialization checks.
+class _SurfaceWalk:
+    """check_surface's one walk over a program: its errors, allocations and accessed field names.
 
-    Empty iff every variable is declared before use and assigned before it
-    is read along every syntactic path, every called procedure exists, and
-    every mentioned field is declared.  Each statement and expression is
-    judged by its exact type, most frequent kind first; a node of any other
-    type is an AssertionError.
+    Methods on an object, not nested functions: a closure that walks nested
+    blocks refers to itself, and that reference cycle would keep everything
+    the walk collects alive until a collector pass.
     """
-    out: list[Diagnostic] = []
-    fields = p.field_names
-    procs = set(p.proc_map)
 
-    def err(message: str, pos: tuple[int, int]) -> None:
-        out.append(Diagnostic("error", message, pos[0], pos[1]))
+    __slots__ = ("fields", "procs", "errors", "allocs", "accessed")
 
-    def check_expr(e: Expr, declared: Names, assigned: Names) -> None:
+    def __init__(self, p: Program):
+        self.fields = p.field_names
+        self.procs = set(p.proc_map)
+        self.errors: list[Diagnostic] = []
+        self.allocs: list[ENew] = []  # in walk order
+        self.accessed: set[str] = set()  # field names read or written
+
+    def err(self, message: str, pos: tuple[int, int]) -> None:
+        self.errors.append(Diagnostic("error", message, pos[0], pos[1]))
+
+    def expr(self, e: Expr, declared: Names, assigned: Names) -> None:
         # Every subexpression in preorder, with an explicit stack (chains run deep).
         stack = [e]
         while stack:
             node = stack.pop()
             kind = type(node)
             if kind is EVar:
-                check_var_use(node.name, node.pos, declared, assigned)
+                self.var_use(node.name, node.pos, declared, assigned)
             elif kind is ENew:
+                self.allocs.append(node)
                 for f in node.fields:
-                    if f not in fields:
-                        err(f"unknown field {f!r}", node.pos)
+                    if f not in self.fields:
+                        self.err(f"unknown field {f!r}", node.pos)
             elif kind is ECall:
-                if node.proc not in procs:
-                    err(f"unknown procedure {node.proc!r}", node.pos)
+                if node.proc not in self.procs:
+                    self.err(f"unknown procedure {node.proc!r}", node.pos)
                 stack.append(node.arg)
             elif kind is EField:
-                if node.fieldname not in fields:
-                    err(f"unknown field {node.fieldname!r}", node.pos)
+                self.field_use(node.fieldname, node.pos)
                 stack.append(node.obj)
             elif kind is EAnd or kind is EOr:
                 stack.append(node.right)
@@ -657,93 +628,79 @@ def check_surface(p: Program) -> list[Diagnostic]:
             elif kind is not ENull:
                 raise AssertionError(f"unknown expression {node!r}")
 
-    def check_var_use(name: str, pos: tuple[int, int], declared: Names, assigned: Names) -> None:
+    def var_use(self, name: str, pos: tuple[int, int], declared: Names, assigned: Names) -> None:
         if name not in declared:
-            err(f"undeclared variable {name!r}", pos)
+            self.err(f"undeclared variable {name!r}", pos)
         elif name not in assigned:
-            err(f"variable {name!r} may be read before initialization", pos)
+            self.err(f"variable {name!r} may be read before initialization", pos)
 
-    def walk(block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> None:
+    def field_use(self, name: str, pos: tuple[int, int]) -> None:
+        self.accessed.add(name)
+        if name not in self.fields:
+            self.err(f"unknown field {name!r}", pos)
+
+    def stmts(self, block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> None:
         for s in block:
             kind = type(s)
             if kind is SAssign:
-                check_expr(s.expr, declared, assigned)
+                self.expr(s.expr, declared, assigned)
                 if s.target not in declared:
-                    err(f"undeclared variable {s.target!r}", s.pos)
+                    self.err(f"undeclared variable {s.target!r}", s.pos)
                 assigned[s.target] = None
             elif kind is SDecl:
                 if s.name in ever_declared:
-                    err(f"redeclaration of variable {s.name!r}", s.pos)
+                    self.err(f"redeclaration of variable {s.name!r}", s.pos)
                 ever_declared.add(s.name)
                 declared[s.name] = None
             elif kind is SIf:
-                check_expr(s.cond, declared, assigned)
-                then_declared, then_assigned = arm(s.then, declared, assigned, ever_declared)
-                else_declared, else_assigned = arm(s.els, declared, assigned, ever_declared)
+                self.expr(s.cond, declared, assigned)
+                then_declared, then_assigned = self.arm(s.then, declared, assigned, ever_declared)
+                else_declared, else_assigned = self.arm(s.els, declared, assigned, ever_declared)
                 # What both arms add survives the if.
                 _keep_common(declared, then_declared, else_declared)
                 _keep_common(assigned, then_assigned, else_assigned)
             elif kind is SReturn:
-                check_var_use(s.name, s.pos, declared, assigned)
+                self.var_use(s.name, s.pos, declared, assigned)
             elif kind is SFieldAssign:
-                check_var_use(s.obj, s.pos, declared, assigned)
-                check_var_use(s.source, s.pos, declared, assigned)
-                if s.fieldname not in fields:
-                    err(f"unknown field {s.fieldname!r}", s.pos)
+                self.var_use(s.obj, s.pos, declared, assigned)
+                self.var_use(s.source, s.pos, declared, assigned)
+                self.field_use(s.fieldname, s.pos)
             elif kind is SWhile:
-                check_expr(s.cond, declared, assigned)
+                self.expr(s.cond, declared, assigned)
                 # The body may run zero times: its effects do not survive it.
-                arm(s.body, declared, assigned, ever_declared)
+                self.arm(s.body, declared, assigned, ever_declared)
             elif kind is not SSkip:
                 raise AssertionError(f"unknown statement {s!r}")
 
-    def arm(block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> tuple[Names, Names]:
+    def arm(self, block: Block, declared: Names, assigned: Names, ever_declared: set[str]) -> tuple[Names, Names]:
         """Walk a block in place, then take back and return what it declared and assigned."""
         marks = len(declared), len(assigned)
-        walk(block, declared, assigned, ever_declared)
+        self.stmts(block, declared, assigned, ever_declared)
         return _undo(declared, marks[0]), _undo(assigned, marks[1])
 
-    for proc in p.procs:
-        walk(proc.body, {proc.param: None}, {proc.param: None}, {proc.param})
-    walk(p.main, {}, {}, set())
-    return out
 
+def check_surface(p: Program) -> list[Diagnostic]:
+    """Name and initialization checks, then the allocation notes, in one walk.
 
-def lint_allocation_fields(p: Program) -> list[Diagnostic]:
-    """Warn when an allocation omits a field the program reads or writes.
-
-    Such an object, should it reach that access, is stuck at run time even
-    though the receiver is non-null.  Advisory only; never blocks analysis.
+    The errors come first, in walk order.  There are none iff every variable
+    is declared before use and assigned before it is read along every
+    syntactic path, every called procedure exists, and every mentioned field
+    is declared.  Then comes a note for each field that an allocation omits
+    and the program reads or writes somewhere: such an object, should it
+    reach that access, is stuck at run time even though the receiver is
+    non-null.  Notes are advisory and never block analysis; they follow the
+    allocations in walk order, and each allocation's fields in sorted order.
+    Each statement and expression is judged by its exact type, most frequent
+    kind first; a node of any other type is an AssertionError.
     """
-    exprs: list[Expr] = []  # every expression node, conditions included, in walk order
-    accessed: set[str] = set()
-    # Statements still to visit, the next one last: an explicit stack, not a
-    # recursive closure, which would be a reference cycle holding exprs.
-    todo: list[Stmt] = [s for block in (p.main, *(proc.body for proc in reversed(p.procs))) for s in reversed(block)]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, SAssign):
-            exprs.extend(_walk_exprs(s.expr))
-        elif isinstance(s, SFieldAssign):
-            accessed.add(s.fieldname)
-        elif isinstance(s, SIf):
-            exprs.extend(_walk_exprs(s.cond))
-            todo.extend(reversed(s.els))
-            todo.extend(reversed(s.then))
-        elif isinstance(s, SWhile):
-            exprs.extend(_walk_exprs(s.cond))
-            todo.extend(reversed(s.body))
-    accessed.update(e.fieldname for e in exprs if isinstance(e, EField))
-    return [
-        Diagnostic(
-            "note",
-            f"allocation omits field {f!r}, which the program dereferences elsewhere",
-            e.pos[0],
-            e.pos[1],
-        )
-        for e in exprs
-        if isinstance(e, ENew)
-        for f in sorted(accessed - set(e.fields))
+    walk = _SurfaceWalk(p)
+    for proc in p.procs:
+        walk.stmts(proc.body, {proc.param: None}, {proc.param: None}, {proc.param})
+    walk.stmts(p.main, {}, {}, set())
+    return walk.errors + [
+        Diagnostic("note", f"allocation omits field {f!r}, which the program dereferences elsewhere", *e.pos)
+        for e in walk.allocs
+        for f in sorted(walk.accessed.difference(e.fields))
     ]
 
 

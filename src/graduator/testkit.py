@@ -91,7 +91,7 @@ from .runtime import (
     lifted_desc,
     step,
 )
-from .record import record, replace
+from .record import Record, replace
 from .syntax import (
     MAX_NESTING,
     EAnd,
@@ -149,8 +149,7 @@ STMT_WEIGHTS: tuple[tuple[str, float], ...] = (
 )
 
 
-@record(frozen=True)
-class GenConfig:
+class GenConfig(Record, frozen=True):
     seed: int = 0
     annotation_density: float = 0.5
 
@@ -386,8 +385,8 @@ class _Gen:
 def gen_program(config: GenConfig) -> Program:
     """Deterministic program generation; always surface- and CFG-valid."""
     p = _Gen(config).gen()
-    surface = check_surface(p)
-    assert not surface, f"generator produced surface errors: {surface[:3]}"
+    errors = [d for d in check_surface(p) if d.severity == "error"]
+    assert not errors, f"generator produced surface errors: {errors[:3]}"
     bad = validate(lower(p))
     assert not bad, f"generator produced a malformed graph: {bad[:3]}"
     return p
@@ -424,8 +423,7 @@ def corpus_paths() -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-@record
-class OracleReport:
+class OracleReport(Record):
     name: str
     passed: bool
     checks: int

@@ -158,6 +158,48 @@ def test_check_surface_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+NOTES_SRC = """field f;
+field g;
+proc mk(a) {
+    var b;
+    b := new {f};
+    return b;
+}
+main {
+    var x;
+    var y;
+    x := mk(null);
+    y := new {g};
+    y.f := x;
+    x := x.g;
+    return x;
+}
+"""
+
+
+def test_text_check_prints_allocation_notes_to_stderr_in_walk_order(tmp_path, capsys):
+    path = picl(tmp_path, NOTES_SRC)
+    assert main(["check", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{path}:5:10: note: allocation omits field 'g', which the program dereferences elsewhere\n"
+        f"{path}:12:10: note: allocation omits field 'f', which the program dereferences elsewhere\n"
+    )
+    assert captured.out.startswith(f"{path}: mode=gradual\n")
+    assert main(["check", path, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and json.loads(captured.out)["source"] == path
+
+
+def test_a_surface_error_suppresses_the_notes(tmp_path, capsys):
+    path = picl(tmp_path, NOTES_SRC.replace("var y;", "var y; var y;"))
+    for argv in (["check", path], ["check", path, "--format", "json"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:10:12: error: redeclaration of variable 'y'\n"
+
+
 AND_CHAIN = " && ".join(["y"] * 2000)
 FIELD_CHAIN = "y" + ".f" * 2000
 

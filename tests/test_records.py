@@ -306,3 +306,17 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_import_leaves_no_cyclic_garbage():
+    # Each record class is created once: a class made and then discarded
+    # would linger as cyclic garbage until the first collector pass.
+    code = (
+        "import gc, sys\n"
+        "gc.disable()\n"
+        f"sys.path[:0] = [{str(SRC)!r}]\n"
+        "import graduator.cli, graduator.testkit\n"
+        "print(gc.collect())\n"
+    )
+    out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "0\n"

@@ -32,13 +32,11 @@ from graduator.syntax import (
     SSkip,
     SWhile,
     _lex,
-    _walk_exprs,
     annotation_sites,
     check_surface,
     erase_annotations,
     fill_annotations,
     is_fully_annotated,
-    lint_allocation_fields,
     parse,
     precision_leq_prog,
     render_program,
@@ -311,6 +309,59 @@ def reference_check_surface(p):
     return out
 
 
+def _walk_exprs(e):
+    """Every subexpression in preorder, with an explicit stack (chains run deep)."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (EAnd, EOr)):
+            stack.append(node.right)
+            stack.append(node.left)
+        elif isinstance(node, EField):
+            stack.append(node.obj)
+        elif isinstance(node, ECall):
+            stack.append(node.arg)
+
+
+def reference_lint(p):
+    """Warn when an allocation omits a field the program reads or writes: the reference, a walk of its own.
+
+    Such an object, should it reach that access, is stuck at run time even
+    though the receiver is non-null.  Advisory only; never blocks analysis.
+    """
+    exprs = []  # every expression node, conditions included, in walk order
+    accessed = set()
+    # Statements still to visit, the next one last: an explicit stack, not a
+    # recursive closure, which would be a reference cycle holding exprs.
+    todo = [s for block in (p.main, *(proc.body for proc in reversed(p.procs))) for s in reversed(block)]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, SAssign):
+            exprs.extend(_walk_exprs(s.expr))
+        elif isinstance(s, SFieldAssign):
+            accessed.add(s.fieldname)
+        elif isinstance(s, SIf):
+            exprs.extend(_walk_exprs(s.cond))
+            todo.extend(reversed(s.els))
+            todo.extend(reversed(s.then))
+        elif isinstance(s, SWhile):
+            exprs.extend(_walk_exprs(s.cond))
+            todo.extend(reversed(s.body))
+    accessed.update(e.fieldname for e in exprs if isinstance(e, EField))
+    return [
+        Diagnostic(
+            "note",
+            f"allocation omits field {f!r}, which the program dereferences elsewhere",
+            e.pos[0],
+            e.pos[1],
+        )
+        for e in exprs
+        if isinstance(e, ENew)
+        for f in sorted(accessed - set(e.fields))
+    ]
+
+
 # Every surface error, inside if and while arms and nested call arguments.
 SURFACE_ERRORS_SRC = """field f;
 proc p(a) {
@@ -341,11 +392,55 @@ main {
 """
 
 
+# Allocations that omit accessed fields: in a procedure and in main, in if
+# and while conditions and arms, inside call arguments and field reads, with
+# a field that only a field write accesses.
+LINT_NOTES_SRC = """field f;
+field g;
+field h;
+proc mk(a) {
+    var b;
+    b := new {f};
+    if (new {g} == null) { b := new {h}; } else { b := a; }
+    return b;
+}
+main {
+    var x;
+    var y;
+    x := mk(new {f, g});
+    while (new {h}.f != null) { y := new {g}; x.h := y; }
+    if (x.g == null) { skip; } else { y := new {f, g, h}; }
+    return x;
+}
+"""
+
+# Errors and notes together: the notes name undeclared fields too.
+LINT_AND_ERRORS_SRC = """field f;
+main {
+    var x;
+    x := new {g};
+    y := x.f;
+    x.k := z;
+    return x;
+}
+"""
+
+
 def _drop_statement(rng, texts):
     """The tokens without one seeded run from a statement boundary through the next `;`."""
     i = rng.choice([k + 1 for k, t in enumerate(texts) if t in (";", "{", "}")])
     j = next((k + 1 for k in range(i, len(texts)) if texts[k] == ";"), i)
     return " ".join(texts[:i] + texts[j:])
+
+
+def _narrow_allocation(rng, texts):
+    """The tokens with one seeded `new {...}` cut down to one declared field, or None without either."""
+    news = [k for k, t in enumerate(texts) if t == "new"]
+    declared = [texts[k + 1] for k, t in enumerate(texts) if t == "field"]
+    if not news or not declared:
+        return None
+    i = rng.choice(news) + 2  # the first field name, after "{"
+    return " ".join(texts[:i] + [rng.choice(declared)] + texts[texts.index("}", i) :])
 
 
 def _surface_inputs():
@@ -354,7 +449,8 @@ def _surface_inputs():
     generated = [render_program(gen_program(GenConfig(seed=seed, annotation_density=(0.0, 0.5, 1.0)[seed % 3])))
                  for seed in range(160)]
     sources = corpus + generated + [workload_source(name, 1) for name in ("chain", "wide", "alloc")]
-    sources += [SURFACE_ERRORS_SRC, NESTED_SCOPES_SRC, *_nested_sources(MAX_NESTING)]
+    sources += [SURFACE_ERRORS_SRC, NESTED_SCOPES_SRC, LINT_NOTES_SRC, LINT_AND_ERRORS_SRC]
+    sources += _nested_sources(MAX_NESTING)
     # The front-end fuzz oracle's token-level mutants of the corpus, for three seeds.
     tokens = [_lex(src)[0][:-1] for src in corpus]
     for seed in range(3):
@@ -363,6 +459,9 @@ def _surface_inputs():
     # Dropping a statement mostly leaves a program that parses but uses a name it no longer declares or assigns.
     rng = random.Random("drop-statement")
     sources += [_drop_statement(rng, _lex(src)[0][:-1]) for src in corpus + generated for _ in range(2)]
+    # Allocations with fewer fields give the notes something to report.
+    rng = random.Random("narrow-allocation")
+    sources += filter(None, (_narrow_allocation(rng, _lex(src)[0][:-1]) for src in corpus + generated))
     programs = []
     for src in sources:
         try:
@@ -375,8 +474,13 @@ def _surface_inputs():
 def test_check_surface_agrees_with_the_reference():
     programs = _surface_inputs()
     results = [check_surface(p) for p in programs]
-    assert results == [reference_check_surface(p) for p in programs]
+    assert results == [reference_check_surface(p) + reference_lint(p) for p in programs]
     assert len(programs) >= 400 and sum(map(bool, results)) >= 100  # programs with at least one diagnostic
+    # The errors come first ("error" < "note"); some programs have notes, some of them errors as well.
+    severities = [[d.severity for d in diagnostics] for diagnostics in results]
+    assert all(kinds == sorted(kinds) for kinds in severities)
+    noted = [kinds for kinds in severities if "note" in kinds]
+    assert len(noted) >= 50 and sum("error" in kinds for kinds in noted) >= 2
     kinds = {re.sub(r"'.*'", "'x'", d.message) for d in check_surface(parse(SURFACE_ERRORS_SRC))}
     assert kinds == {
         "undeclared variable 'x'",
@@ -384,7 +488,28 @@ def test_check_surface_agrees_with_the_reference():
         "unknown field 'x'",
         "unknown procedure 'x'",
         "redeclaration of variable 'x'",
+        "allocation omits field 'x', which the program dereferences elsewhere",
     }
+
+
+def test_notes_follow_the_errors_in_walk_order():
+    notes = [(d.line, d.col, d.message.split("'")[1]) for d in check_surface(parse(LINT_NOTES_SRC))]
+    assert notes == [
+        (6, 10, "g"), (6, 10, "h"),  # the procedure's body
+        (7, 9, "f"), (7, 9, "h"),  # its if condition
+        (7, 33, "f"), (7, 33, "g"),  # and then-arm
+        (13, 13, "h"),  # main, in a call argument
+        (14, 12, "f"), (14, 12, "g"),  # a while condition, under a field read
+        (14, 38, "f"), (14, 38, "h"),  # and its body
+    ]
+    assert [(d.severity, d.message) for d in check_surface(parse(LINT_AND_ERRORS_SRC))] == [
+        ("error", "unknown field 'g'"),
+        ("error", "undeclared variable 'y'"),
+        ("error", "undeclared variable 'z'"),
+        ("error", "unknown field 'k'"),
+        ("note", "allocation omits field 'f', which the program dereferences elsewhere"),
+        ("note", "allocation omits field 'k', which the program dereferences elsewhere"),
+    ]
 
 
 class _Odd:
@@ -433,7 +558,7 @@ def test_redeclaration_unknown_proc_unknown_field():
 def test_allocation_field_lint_is_a_note():
     p = parse("field a; field b; main { var x; var y; x := new {a}; y := x.b; return y; }")
     assert errs(p) == []
-    notes = lint_allocation_fields(p)
+    notes = [d for d in check_surface(p) if d.severity == "note"]
     assert len(notes) == 1 and notes[0].severity == "note"
 
 
@@ -443,7 +568,7 @@ def test_allocation_field_lint_sees_field_reads_in_conditions():
         " if (x.f == null) { skip; } else { skip; } return x; }"
     )
     assert errs(p) == []
-    notes = [(n.line, n.col, n.message.split("'")[1]) for n in lint_allocation_fields(p)]
+    notes = [(n.line, n.col, n.message.split("'")[1]) for n in check_surface(p) if n.severity == "note"]
     # new {g} omits f, which only the condition reads; new {f} omits g
     assert notes == [(1, 45, "f"), (1, 59, "g")]
 
