@@ -358,9 +358,12 @@ def lower(p: Program) -> ProgramCfg:
         head = IProc(proc.name, proc.ret_ann, proc.param, proc.param_ann)
         proc_entry[proc.name] = lw.lower_region(proc.name, head, proc.pos, {proc.param}, proc.body, proc.ret_ann)
     main_entry = lw.lower_region(MAIN, IMain(), p.main_pos, set(), p.main, GradAbst.NULLABLE)
+    succ = lw.succ
+    for v, succs in enumerate(succ):
+        succ[v] = tuple(succs)  # in place: no second list of successors alongside the first
     return ProgramCfg(
         vertices=lw.vertices,
-        succ=[tuple(s) for s in lw.succ],
+        succ=succ,
         entry=main_entry,
         proc_entry=proc_entry,
         universe=lw.universe,
@@ -387,22 +390,50 @@ def validate(cfg: ProgramCfg) -> list[str]:
        order: the interpreter reads the arms from it), both on the branch's
        variable; a return has none; every other vertex has exactly one,
        which is not an if or else vertex.
+
+    Messages come rule by rule.  Rules 2 and 3 report region by region, main
+    first and then the procedures in vertex order, and within a region in
+    vertex order; rule 2's unreachable vertices come last, in vertex order.
+    The predecessors are freed before the regions are built, and a region is
+    a sorted list, so no per-vertex container outlives the pass that needs it.
     """
     out: list[str] = []
     instrs = [v.instr for v in cfg.vertices]
     kinds = list(map(type, instrs))
     succ = cfg.succ
-    preds: list[list[int]] = [[] for _ in instrs]
-    for v, succs in enumerate(succ):
-        for u in succs:
-            preds[u].append(v)
-
     mains = [v for v, kind in enumerate(kinds) if kind is IMain]
     if len(mains) != 1:
         out.append(f"expected exactly one main vertex, found {len(mains)}")
+
+    # Each vertex's predecessors: None, the one predecessor, or a list of
+    # two or more, so that the many vertices with one hold no list.
+    preds: list[Union[None, int, list[int]]] = [None] * len(instrs)
+    for v, succs in enumerate(succ):
+        for u in succs:
+            p = preds[u]
+            if p is None:
+                preds[u] = v
+            elif type(p) is int:
+                preds[u] = [p, v]
+            else:
+                p.append(v)
     for m in mains:
-        if preds[m]:
-            out.append(f"main vertex v{m} has predecessors {sorted(preds[m])}")
+        p = preds[m]
+        if p is not None:
+            out.append(f"main vertex v{m} has predecessors {sorted([p] if type(p) is int else p)}")
+    # Rule 3's first half: a vertex reaches a return iff it is
+    # backward-reachable from one.
+    stack = [v for v, kind in enumerate(kinds) if kind is IReturn]
+    reaches = [False] * len(instrs)
+    for v in stack:
+        reaches[v] = True
+    while stack:
+        p = preds[stack.pop()]
+        for u in (p,) if type(p) is int else p or ():
+            if not reaches[u]:
+                reaches[u] = True
+                stack.append(u)
+    del preds
 
     entries: list[tuple[str, int]] = []
     if len(mains) == 1:
@@ -416,35 +447,42 @@ def validate(cfg: ProgramCfg) -> list[str]:
             proc_ret[ins.name] = ins.ret_ann
             proc_param[ins.name] = ins.param_ann
 
-    regions: dict[str, set[int]] = {name: cfg.descend(root) for name, root in entries}
+    # One region per entry name (a name that enters twice keeps its first
+    # place and its last root).  mark[v] is the last region whose walk
+    # reached v, covered[v] the first.
+    regions: list[tuple[str, list[int]]] = []
+    mark = [-1] * len(instrs)
     covered: list[Optional[str]] = [None] * len(instrs)
-    for name, region in regions.items():
+    for k, (name, root) in enumerate(dict(entries).items()):
+        mark[root] = k
+        region, stack = [root], [root]
+        while stack:
+            for u in succ[stack.pop()]:
+                if mark[u] != k:
+                    mark[u] = k
+                    region.append(u)
+                    stack.append(u)
+        region.sort()
         for vid in region:
             if covered[vid] is not None:
                 out.append(f"vertex v{vid} reachable from both {covered[vid]!r} and {name!r}")
             else:
                 covered[vid] = name
+        regions.append((name, region))
+    del mark
     for v, owner in enumerate(covered):
         if owner is None:
             out.append(f"vertex v{v} unreachable from every entry")
+    del covered
 
-    # A vertex reaches a return iff it is backward-reachable from one.
-    stack = [v for v, kind in enumerate(kinds) if kind is IReturn]
-    reaches = [False] * len(instrs)
-    for v in stack:
-        reaches[v] = True
-    while stack:
-        for u in preds[stack.pop()]:
-            if not reaches[u]:
-                reaches[u] = True
-                stack.append(u)
-    for name, region in regions.items():
+    for name, region in regions:
         want = proc_ret.get(name, GradAbst.NULLABLE)
-        for vid in sorted(region):
+        for vid in region:
             if not reaches[vid]:
                 out.append(f"vertex v{vid} cannot reach a return")
             if kinds[vid] is IReturn and instrs[vid].ann is not want:
                 out.append(f"return at v{vid} annotated @{instrs[vid].ann}, region {name!r} declares @{want}")
+    del regions, reaches
 
     for v, kind in enumerate(kinds):
         if kind is ICall:

@@ -18,13 +18,19 @@ The environment variable GRADUATOR_MAX_STEPS overrides the default fuel;
 an explicit --max-steps beats both.  Fuel is a count of steps: 0 or more,
 and a negative value exits 2.
 
+Every command but compare frees the program's tree as soon as it is
+lowered, so that validate, the analysis and the interpreter never hold memory
+beside it: nothing after lowering reads the tree, and check's static mode
+tests the annotations before lowering.  compare keeps the tree, because each
+default policy refills its annotations and lowers it again.
+
 While one command runs, the cyclic collector's first threshold is raised to
-200,000 allocations, as mypy does.  A command's AST, graph and states hold no
-reference cycles and live until it returns, so a collector pass over them
-frees nothing.  main restores the caller's thresholds when it returns, and
-selftest runs at the caller's thresholds: its front-end fuzz oracle calls
-main hundreds of times, and each call leaves its argparse tree as cyclic
-garbage.
+200,000 allocations, as mypy does.  A command's tree, graph and states hold
+no reference cycles, so reference counting frees each once its last
+reference goes, and a collector pass over them frees nothing.  main restores
+the caller's thresholds when it returns, and selftest runs at the caller's
+thresholds: its front-end fuzz oracle calls main hundreds of times, and each
+call leaves its argparse tree as cyclic garbage.
 """
 
 from __future__ import annotations
@@ -69,8 +75,8 @@ def _read(path: Path) -> str:
         raise _Fail(2, f"{path}: {exc}")
 
 
-def _front_end(path: Path, transform=None) -> tuple[Program, ProgramCfg, list[Diagnostic]]:
-    """The file's program (rewritten by transform, if given), its validated graph and its surface notes."""
+def _program(path: Path, transform=None) -> tuple[Program, list[Diagnostic]]:
+    """The file's surface-checked program, rewritten by transform if given, and its surface notes."""
     try:
         prog = parse(_read(path))
     except ParseError as exc:
@@ -81,11 +87,20 @@ def _front_end(path: Path, transform=None) -> tuple[Program, ProgramCfg, list[Di
         raise _Fail(2, "\n".join(f"{path}:{d}" for d in errors))
     if transform is not None:
         prog = transform(prog)
-    return prog, _lower(path, prog), diagnostics  # notes only, as there are no errors
+    return prog, diagnostics  # notes only, as there are no errors
 
 
-def _lower(path: Path, prog: Program) -> ProgramCfg:
+def _front_end(path: Path, transform=None, static: bool = False) -> tuple[ProgramCfg, list[Diagnostic]]:
+    """The file's validated graph and its surface notes; static requires a fully annotated program."""
+    prog, notes = _program(path, transform)
+    if static and not is_fully_annotated(prog):
+        raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
     cfg = lower(prog)
+    del prog  # nothing after lowering reads the tree: free it before validate, analyze and run
+    return _validated(path, cfg), notes
+
+
+def _validated(path: Path, cfg: ProgramCfg) -> ProgramCfg:
     bad = validate(cfg)
     if bad:
         raise _Fail(2, "\n".join(f"{path}: malformed control flow: {b}" for b in bad))
@@ -131,9 +146,7 @@ def _build_report(source: str, mode: str, cfg: ProgramCfg, warnings, checks) -> 
 
 def cmd_check(args) -> int:
     path = Path(args.path)
-    prog, cfg, notes = _front_end(path)
-    if args.mode == "static" and not is_fully_annotated(prog):
-        raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
+    cfg, notes = _front_end(path, static=args.mode == "static")
     _, warnings, checks = analyze(cfg, args.mode)
     report = _build_report(str(path), args.mode, cfg, warnings, checks)
     if args.format == "json":
@@ -171,7 +184,7 @@ def _fuel(args) -> int:
 
 def cmd_run(args) -> int:
     path = Path(args.path)
-    _, cfg, _ = _front_end(path)
+    cfg, _ = _front_end(path)
     result = run(cfg, mode=args.mode, max_steps=_fuel(args), collect_trace=args.trace)
     for line in result.trace:
         print(line)
@@ -192,7 +205,7 @@ def cmd_run(args) -> int:
 
 def cmd_cfg(args) -> int:
     path = Path(args.path)
-    _, cfg, _ = _front_end(path)
+    cfg, _ = _front_end(path)
     if args.dot:
         sys.stdout.write(emit_dot(cfg))
         return 0
@@ -207,7 +220,7 @@ def cmd_stats(args) -> int:
     rows = []
     for raw in args.paths:
         path = Path(raw)
-        _, cfg, _ = _front_end(path, erase_annotations if args.ignore_annotations else None)
+        cfg, _ = _front_end(path, erase_annotations if args.ignore_annotations else None)
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))
@@ -225,11 +238,12 @@ def cmd_stats(args) -> int:
 
 def cmd_compare(args) -> int:
     path = Path(args.path)
-    prog, cfg, _ = _front_end(path)
+    prog, _ = _program(path)  # kept: each default policy refills its annotations
+    cfg = _validated(path, lower(prog))
     print(f"{'policy':<18}  warnings  checks")
     policies = (("gradual", None), ("nonnull-default", GradAbst.NONNULL), ("nullable-default", GradAbst.NULLABLE))
     for name, default in policies:
-        vcfg = cfg if default is None else _lower(path, fill_annotations(prog, default))
+        vcfg = cfg if default is None else _validated(path, lower(fill_annotations(prog, default)))
         _, warnings, checks = analyze(vcfg, "gradual")
         print(f"{name:<18}  {len(warnings):8d}  {len(checks):6d}")
     return 0

@@ -25,7 +25,8 @@ price is that `isinstance(x, C)` with a record class C takes the slow path
 whenever x is not exactly a C: the metaclass's `__instancecheck__` is looked
 up and called: on the host named below, about 110 ns against 45 ns for a
 plain class (timeit, best of five).  Code that tests every vertex or node therefore compares `type(x)`
-with `is`, as the front end, the analysis and the interpreter already do.
+with `is`, as the front end, the renderer, the analysis, the interpreter and
+the oracles do.
 
 Why not `dataclasses`: a launch of the `graduator` command is mostly
 imports, and the records were the largest share of them.  On Python 3.11

@@ -40,12 +40,14 @@ has parsed without a syntax error.
 The lexer scans the source one line at a time, up to each "\n", with one
 compiled regex: one match per token, with the blanks before it.  A column
 counts the code points before the token on its line, plus one.  The lexer
-gives the token texts and their (line, col) tuples as two parallel lists,
-ending with end of input, whose text is "".  A token's kind follows from its
-text: KEYWORDS, PUNCTUATION, or else an identifier.  The parser reads the
-lists by index, and every node's `pos` is the tuple the lexer made for the
-node's first token (for `&&`, `||` and field access, the operator; for a
-procedure, `proc`).
+gives the token texts, their lines and their columns as three parallel
+lists, ending with end of input, whose text is "".  Each distinct text is
+one string object per lex, so the tree and the graph lowered from it share
+one string per name.  A token's kind follows from its text: KEYWORDS,
+PUNCTUATION, or else an identifier.  The parser reads the lists by index and
+builds a (line, col) tuple only where a node or an error takes one: every
+node's `pos` is that of its first token (for `&&`, `||` and field access,
+the operator; for a procedure, `proc`).
 
 Blocks and call arguments nest at most MAX_NESTING levels deep, counted
 together: a body is one level, each block inside it and each call argument
@@ -242,24 +244,30 @@ class Program(Record, frozen=True):
 
 PUNCTUATION = frozenset({":=", "==", "!=", "&&", "||", *".;,{}()@?"})
 
-# One match per token, with the blanks before it: punctuation (two characters
-# before one) or a word that starts with an ASCII letter or `_`, any other
-# word, a comment, or any other character, which is an error.  `\w` is exactly
-# `str.isalnum()` or `_`, and a word must start with `str.isalpha()` or `_`
-# (not `1`, `²` or `½`), which only the second kind of word needs checked.
-# Blanks that end a line match on their own, with every group empty, which
-# is tried only where a token match fails; without that alternative every
-# position in them would start a match that fails, quadratic in their length.
-_TOKEN_RE = re.compile(r"([ \t\r]*)(?:(:=|==|!=|&&|\|\||[.;,{}()@?]|[A-Za-z_]\w*)|(\w+)|(//.*)|([^ \t\r]))|[ \t\r]+$")
+# One match per token, with the blanks before it.  The second group holds the
+# common tokens: punctuation (two characters before one) or a word that starts
+# with an ASCII letter or `_`.  The third holds the rare ones, told apart after
+# the match: any other word, a comment, or any other character, which is an
+# error.  `\w` is exactly `str.isalnum()` or `_`, and a word must start with
+# `str.isalpha()` or `_` (not `1`, `²` or `½`), which only the rare words need
+# checked; no character outside `\w` passes `str.isalpha()`.  Blanks that end
+# a line match on their own, with every group empty, which is tried only where
+# a token match fails; without that alternative every position in them would
+# start a match that fails, quadratic in their length.  Three groups, not one
+# per kind, keep the tuple that `findall` builds per token small.
+_TOKEN_RE = re.compile(r"([ \t\r]*)(?:(:=|==|!=|&&|\|\||[.;,{}()@?]|[A-Za-z_]\w*)|(\w+|//.*|[^ \t\r]))|[ \t\r]+$")
 
 Pos = tuple[int, int]
 
 
-def _lex(src: str) -> tuple[list[str], list[Pos]]:
-    """Token texts and their (line, col), in parallel lists ending at end of input, text ""."""
+def _lex(src: str) -> tuple[list[str], list[int], list[int]]:
+    """Token texts, lines and columns, in parallel lists ending at end of input, text ""."""
     texts: list[str] = []
-    positions: list[Pos] = []
-    add_text, add_pos = texts.append, positions.append
+    lines: list[int] = []
+    cols: list[int] = []
+    add_text, add_line, add_col = texts.append, lines.append, cols.append
+    # A regex match makes a new string per token; keep the first of each text.
+    intern = {}.setdefault
     find, findall = src.find, _TOKEN_RE.findall
     lineno, start, size = 0, 0, len(src)
     # Each line is scanned where it lies in src: slicing the lines out would
@@ -270,26 +278,28 @@ def _lex(src: str) -> tuple[list[str], list[Pos]]:
         if stop < 0:
             stop = size
         col, end = 1, stop - start + 1
-        for blanks, text, word, comment, bad in findall(src, start, stop):
+        for blanks, text, rare in findall(src, start, stop):
             col += len(blanks)
             if not text:
-                if comment:
+                if not rare:
+                    break  # blanks that end the line
+                if rare.startswith("//"):
                     # A comment's characters advance no column: end of input
                     # after a trailing comment sits where the comment starts.
                     end = col
                     break
-                if not (word or bad):
-                    break  # blanks that end the line
-                if bad or not word[0].isalpha():
-                    raise ParseError(f"unexpected character {(bad or word)[0]!r}", lineno, col)
-                text = word
-            add_text(text)
-            add_pos((lineno, col))
+                if not rare[0].isalpha():
+                    raise ParseError(f"unexpected character {rare[0]!r}", lineno, col)
+                text = rare
+            add_text(intern(text, text))
+            add_line(lineno)
+            add_col(col)
             col += len(text)
         start = stop + 1
     add_text("")
-    add_pos((lineno, end))
-    return texts, positions
+    add_line(lineno)
+    add_col(end)
+    return texts, lines, cols
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +318,10 @@ class _Parser:
     input only in a condition, where it then fails at once.
     """
 
-    def __init__(self, texts: list[str], positions: list[Pos]):
+    def __init__(self, texts: list[str], lines: list[int], cols: list[int]):
         self.texts = texts
-        self.positions = positions
+        self.lines = lines
+        self.cols = cols
         self.i = 0
         # Return placement, judged as the statements are parsed: where the
         # first statement is that follows one after which every path has
@@ -321,26 +332,30 @@ class _Parser:
         self.first_return: Optional[SReturn] = None
         self.depth = 0  # blocks and call arguments open around the next token
 
-    def nest(self, opening: Pos) -> None:
+    def at(self, i: int) -> Pos:
+        return self.lines[i], self.cols[i]
+
+    def nest(self, opening: int) -> None:
+        """Open one more level at the token with index opening."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"blocks and call arguments nest deeper than {MAX_NESTING} levels", *opening)
+            raise self.fail(f"blocks and call arguments nest deeper than {MAX_NESTING} levels", self.at(opening))
 
     def fail(self, message: str, pos: Optional[Pos] = None) -> ParseError:
-        return ParseError(message, *(pos or self.positions[self.i]))
+        return ParseError(message, *(pos or self.at(self.i)))
 
     def expected(self, what: str) -> ParseError:
         text = self.texts[self.i]
         return self.fail(f"expected {what}, found {text!r}" if text else f"expected {what}")
 
     # A fixed token (punctuation or keyword) is known by its text alone: no
-    # identifier spells a keyword or punctuation.
-    def expect(self, text: str) -> Pos:
+    # identifier spells a keyword or punctuation.  Returns the token's index.
+    def expect(self, text: str) -> int:
         i = self.i
         if self.texts[i] != text:
             raise self.expected(repr(text))
         self.i = i + 1
-        return self.positions[i]
+        return i
 
     def expect_ident(self, what: str) -> str:
         i = self.i
@@ -360,37 +375,37 @@ class _Parser:
         seen_procs: set[str] = set()
         while texts[self.i] in ("field", "proc"):
             if texts[self.i] == "field":
-                pos = self.expect("field")
-                name_pos = self.positions[self.i]
+                pos = self.at(self.expect("field"))
+                name_at = self.i
                 name = self.expect_ident("field name")
                 self.expect(";")
                 if name in seen_fields:
-                    raise self.fail(f"duplicate field name {name!r}", name_pos)
+                    raise self.fail(f"duplicate field name {name!r}", self.at(name_at))
                 seen_fields.add(name)
                 fields.append(FieldDecl(name, pos))
             else:
                 decl = self.procdecl()
                 if decl.name in seen_procs:
-                    raise self.fail(f"duplicate procedure name {decl.name!r}", self.positions[self.i - 1])
+                    raise self.fail(f"duplicate procedure name {decl.name!r}", self.at(self.i - 1))
                 seen_procs.add(decl.name)
                 procs.append(decl)
         if texts[self.i] != "main":
             raise self.fail("expected 'field', 'proc', or 'main'")
-        main_pos = self.expect("main")
+        main_pos = self.at(self.expect("main"))
         self.first_return = None
         main, _ = self.block()
         if texts[self.i]:
             raise self.expected("end of input")
         # main returns exactly once, as its literal last top-level statement.
-        if not main or not isinstance(main[-1], SReturn):
+        if not main or type(main[-1]) is not SReturn:
             raise self.fail("main must end with 'return x;'", main_pos)
         if self.first_return is not main[-1]:
             raise self.fail("'return' must be the final statement of main", self.first_return.pos)
         return Program(tuple(fields), tuple(procs), main, main_pos)
 
     def procdecl(self) -> ProcDecl:
-        pos = self.expect("proc")
-        name_pos = self.positions[self.i]
+        pos = self.at(self.expect("proc"))
+        name_at = self.i
         name = self.expect_ident("procedure name")
         ret_ann = self.annotation_opt()
         self.expect("(")
@@ -402,7 +417,7 @@ class _Parser:
             raise self.fail("unreachable statement: every path above already returned", self.unreachable)
         if not returns:
             raise self.fail(
-                f"procedure {name!r}: some path through the body falls off the end without 'return'", name_pos
+                f"procedure {name!r}: some path through the body falls off the end without 'return'", self.at(name_at)
             )
         return ProcDecl(name, ret_ann, param, param_ann, body, pos)
 
@@ -428,7 +443,7 @@ class _Parser:
             if not text:
                 raise self.fail("unexpected end of input inside block")
             if returns and self.unreachable is None:
-                self.unreachable = self.positions[self.i]
+                self.unreachable = self.at(self.i)
             s, returns = self.stmt()
             stmts.append(s)
         self.i += 1
@@ -439,7 +454,7 @@ class _Parser:
         """A statement, and whether every path through it returns."""
         texts = self.texts
         i = self.i
-        text, pos = texts[i], self.positions[i]
+        text, pos = texts[i], (self.lines[i], self.cols[i])
         if text not in _NOT_IDENT:
             after = texts[i + 1]
             if after == ":=":
@@ -454,7 +469,7 @@ class _Parser:
                 source = self.expect_ident("variable name")
                 self.expect(";")
                 return SFieldAssign(text, fieldname, source, pos), False
-            raise self.fail("expected ':=' or '.' after variable name", self.positions[i + 1])
+            raise self.fail("expected ':=' or '.' after variable name", self.at(i + 1))
         if text == "if":
             self.i = i + 1
             op, cond = self.cond()
@@ -490,7 +505,7 @@ class _Parser:
         op = self.texts[i]
         self.i = i + 1
         if op != "==" and op != "!=":
-            raise self.fail("expected '==' or '!=' in condition", self.positions[i])
+            raise self.fail("expected '==' or '!=' in condition", self.at(i))
         self.expect("null")
         self.expect(")")
         return op, e
@@ -500,34 +515,31 @@ class _Parser:
     def expr(self) -> Expr:
         e = self.and_expr()
         texts = self.texts
-        while texts[self.i] == "||":
-            pos = self.positions[self.i]
-            self.i += 1
-            e = EOr(e, self.and_expr(), pos)
+        while texts[i := self.i] == "||":
+            self.i = i + 1
+            e = EOr(e, self.and_expr(), (self.lines[i], self.cols[i]))
         return e
 
     def and_expr(self) -> Expr:
         e = self.postfix_expr()
         texts = self.texts
-        while texts[self.i] == "&&":
-            pos = self.positions[self.i]
-            self.i += 1
-            e = EAnd(e, self.postfix_expr(), pos)
+        while texts[i := self.i] == "&&":
+            self.i = i + 1
+            e = EAnd(e, self.postfix_expr(), (self.lines[i], self.cols[i]))
         return e
 
     def postfix_expr(self) -> Expr:
         e = self.primary_expr()
         texts = self.texts
-        while texts[self.i] == ".":
-            pos = self.positions[self.i]
-            self.i += 1
-            e = EField(e, self.expect_ident("field name"), pos)
+        while texts[i := self.i] == ".":
+            self.i = i + 1
+            e = EField(e, self.expect_ident("field name"), (self.lines[i], self.cols[i]))
         return e
 
     def primary_expr(self) -> Expr:
         texts = self.texts
         i = self.i
-        text, pos = texts[i], self.positions[i]
+        text, pos = texts[i], (self.lines[i], self.cols[i])
         if text not in _NOT_IDENT:
             if texts[i + 1] == "(":
                 self.i = i + 1
@@ -779,29 +791,30 @@ def _render_expr(e: Expr, prec: int = _PREC_OR) -> str:
     # left operands and receivers is walked with a loop (chains run deep),
     # in the order the recursion on them would take.
     spine: list[Expr] = []
-    while isinstance(e, (EAnd, EOr, EField)):
+    while (kind := type(e)) is EAnd or kind is EOr or kind is EField:
         spine.append(e)
-        if isinstance(e, EField):
+        if kind is EField:
             e, prec = e.obj, _PREC_POSTFIX
             continue
-        op_prec = _PREC_AND if isinstance(e, EAnd) else _PREC_OR
+        op_prec = _PREC_AND if kind is EAnd else _PREC_OR
         if prec > op_prec:
             raise ValueError("expression nesting not expressible in the surface grammar")
         e, prec = e.left, op_prec
-    if isinstance(e, ENull):
+    if kind is ENull:
         text = "null"
-    elif isinstance(e, EVar):
+    elif kind is EVar:
         text = e.name
-    elif isinstance(e, ENew):
+    elif kind is ENew:
         text = "new {" + ", ".join(e.fields) + "}"
-    elif isinstance(e, ECall):
+    elif kind is ECall:
         text = f"{e.proc}({_render_expr(e.arg, _PREC_OR)})"
     else:
         raise AssertionError(f"unknown expression {e!r}")
     for node in reversed(spine):
-        if isinstance(node, EField):
+        kind = type(node)
+        if kind is EField:
             text += f".{node.fieldname}"
-        elif isinstance(node, EAnd):
+        elif kind is EAnd:
             text += f" && {_render_expr(node.right, _PREC_POSTFIX)}"
         else:
             text += f" || {_render_expr(node.right, _PREC_AND)}"
@@ -818,23 +831,24 @@ def _render_block(block: Block, indent: int) -> list[str]:
     pad = "    " * indent
     lines: list[str] = []
     for s in block:
-        if isinstance(s, SSkip):
+        kind = type(s)
+        if kind is SSkip:
             lines.append(f"{pad}skip;")
-        elif isinstance(s, SDecl):
+        elif kind is SDecl:
             lines.append(f"{pad}var {s.name};")
-        elif isinstance(s, SAssign):
+        elif kind is SAssign:
             lines.append(f"{pad}{s.target} := {_render_expr(s.expr)};")
-        elif isinstance(s, SFieldAssign):
+        elif kind is SFieldAssign:
             lines.append(f"{pad}{s.obj}.{s.fieldname} := {s.source};")
-        elif isinstance(s, SReturn):
+        elif kind is SReturn:
             lines.append(f"{pad}return {s.name};")
-        elif isinstance(s, SIf):
+        elif kind is SIf:
             lines.append(f"{pad}if ({_render_expr(s.cond)} {s.op} null) {{")
             lines.extend(_render_block(s.then, indent + 1))
             lines.append(f"{pad}}} else {{")
             lines.extend(_render_block(s.els, indent + 1))
             lines.append(f"{pad}}}")
-        elif isinstance(s, SWhile):
+        elif kind is SWhile:
             lines.append(f"{pad}while ({_render_expr(s.cond)} {s.op} null) {{")
             lines.extend(_render_block(s.body, indent + 1))
             lines.append(f"{pad}}}")

@@ -632,7 +632,7 @@ _FIELDS = ("f", "g")
 
 def _single_cfg(ins) -> ProgramCfg:
     universe = frozenset(_VARS)
-    if isinstance(ins, IBranch):
+    if type(ins) is IBranch:
         vertices = [
             Vertex(0, ins, MAIN),
             Vertex(1, IIf(ins.var), MAIN),
@@ -750,15 +750,15 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             ins = _random_instr(rng)
             cfg = _single_cfg(ins)
             env = _random_env(rng, _VARS)
-            if isinstance(ins, IIf) and env[ins.var] == 0:
+            if type(ins) is IIf and env[ins.var] == 0:
                 env[ins.var] = rng.randint(1, 3)
-            if isinstance(ins, IElse):
+            if type(ins) is IElse:
                 env[ins.var] = 0
             state = MachineState([(dict(env), 0)], _random_heap(rng))
             sigma = _describing_sigma(rng, env, _VARS)
             assert lifted_desc(env, sigma)
             out = step(cfg, state)
-            if not isinstance(out, Stepped):
+            if type(out) is not Stepped:
                 continue
             ck.check(
                 lifted_desc(out.state.top.env, lifted_flow(ins, sigma, cfg.universe[MAIN])),
@@ -771,7 +771,7 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             state = MachineState([(caller_env, 1), ({}, 3)], _random_heap(rng))
             sigma = _describing_sigma(rng, {}, ("w", "r"))
             out = step(cfg, state)
-            if not isinstance(out, Stepped):
+            if type(out) is not Stepped:
                 continue  # argument violated the annotation: no step to judge
             ck.check(
                 lifted_desc(out.state.top.env, lifted_flow(proc, sigma, cfg.universe["q"])),
@@ -786,7 +786,7 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             sigma = _describing_sigma(rng, caller_env, ("x", "y"))
             assert lifted_desc(caller_env, sigma)
             out = step(cfg, state)
-            if not isinstance(out, Stepped):
+            if type(out) is not Stepped:
                 continue  # return value violated the annotation
             ck.check(
                 lifted_desc(out.state.top.env, lifted_flow(call, sigma, cfg.universe[MAIN])),
@@ -809,11 +809,12 @@ def lockstep_modes(cfg: ProgramCfg, fuel: int) -> Optional[str]:
         o2 = grad_step(cfg, s_grad)
         if type(o1) is not type(o2):
             return f"step {k}: plain {type(o1).__name__} vs checked {type(o2).__name__}"
-        if isinstance(o1, Final):
+        kind = type(o1)
+        if kind is Final:
             return None if o1.state == o2.state else f"step {k}: final states differ"
-        if isinstance(o1, (Stuck, Errored)):
-            return f"step {k}: unexpected {type(o1).__name__}"
-        assert isinstance(o1, Stepped) and isinstance(o2, Stepped)
+        if kind is Stuck or kind is Errored:
+            return f"step {k}: unexpected {kind.__name__}"
+        assert kind is Stepped
         if o1.state != o2.state:
             return f"step {k}: states diverge at v{o1.state.top.vertex}/v{o2.state.top.vertex}"
     return None
@@ -829,18 +830,19 @@ def lockstep_precision(cfg1: ProgramCfg, cfg2: ProgramCfg, fuel: int) -> Optiona
     s2 = initial_state(cfg2)
     for k in range(fuel):
         o1 = grad_step(cfg1, s1)
-        if isinstance(o1, Errored):
+        kind = type(o1)
+        if kind is Errored:
             return None
         o2 = grad_step(cfg2, s2)
-        if isinstance(o1, Final):
-            if isinstance(o2, Final) and o1.state == o2.state:
+        if kind is Final:
+            if type(o2) is Final and o1.state == o2.state:
                 return None
             return f"step {k}: precise program final, erased program {type(o2).__name__}"
-        if isinstance(o1, Stuck):
+        if kind is Stuck:
             return f"step {k}: precise program stuck ({o1.reason})"
-        if not isinstance(o2, Stepped):
+        if type(o2) is not Stepped:
             return f"step {k}: erased program stopped early with {type(o2).__name__}"
-        assert isinstance(o1, Stepped)
+        assert kind is Stepped
         if o1.state != o2.state:
             return f"step {k}: states diverge at v{o1.state.top.vertex}/v{o2.state.top.vertex}"
     return None
@@ -918,12 +920,13 @@ def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool
                     failures.append(f"frame at v{v} not described by fixpoint")
                     return failures
         out = grad_step(cfg, state)
-        if isinstance(out, Final):
+        kind = type(out)
+        if kind is Final:
             return failures
-        if isinstance(out, Stuck):
+        if kind is Stuck:
             failures.append(f"stuck at v{out.vertex}: {out.reason}")
             return failures
-        if isinstance(out, Errored):
+        if kind is Errored:
             if (out.vertex, out.variable) not in sites:
                 failures.append(
                     f"error at v{out.vertex} on {out.variable!r} is not a declared check site"

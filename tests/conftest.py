@@ -22,6 +22,7 @@ import gc
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -62,6 +63,21 @@ def best_cpu(fn, *args, reps=3):
     finally:
         gc.unfreeze()
     return best
+
+
+def peak_bytes(fn, *args):
+    """The `tracemalloc` peak of one call fn(*args), in bytes above a collected heap.
+
+    The collector runs first, so that garbage left by earlier calls neither
+    counts nor gets freed inside the measured call.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def growth_per_vertex(fn, small, large):

@@ -717,11 +717,11 @@ def test_render_round_trips_long_chains():
 
 def _lexed(src):
     try:
-        texts, positions = _lex(src)
+        texts, lines, cols = _lex(src)
     except ParseError as e:
         return str(e)
     kinds = ("eof" if not t else "punct" if t in PUNCTUATION else "keyword" if t in KEYWORDS else "ident" for t in texts)
-    return [(kind, text, line, col) for kind, text, (line, col) in zip(kinds, texts, positions)]
+    return list(zip(kinds, texts, lines, cols, strict=True))
 
 
 def _targeted_code_points():
