@@ -394,8 +394,8 @@ def validate(cfg: ProgramCfg) -> list[str]:
     Messages come rule by rule.  Rules 2 and 3 report region by region, main
     first and then the procedures in vertex order, and within a region in
     vertex order; rule 2's unreachable vertices come last, in vertex order.
-    The predecessors are freed before the regions are built, and a region is
-    a sorted list, so no per-vertex container outlives the pass that needs it.
+    The predecessors, the largest per-vertex structure, are freed before the
+    regions are built, and a region is a sorted list, not a set.
     """
     out: list[str] = []
     instrs = [v.instr for v in cfg.vertices]
@@ -469,11 +469,9 @@ def validate(cfg: ProgramCfg) -> list[str]:
             else:
                 covered[vid] = name
         regions.append((name, region))
-    del mark
     for v, owner in enumerate(covered):
         if owner is None:
             out.append(f"vertex v{v} unreachable from every entry")
-    del covered
 
     for name, region in regions:
         want = proc_ret.get(name, GradAbst.NULLABLE)
@@ -482,7 +480,6 @@ def validate(cfg: ProgramCfg) -> list[str]:
                 out.append(f"vertex v{vid} cannot reach a return")
             if kinds[vid] is IReturn and instrs[vid].ann is not want:
                 out.append(f"return at v{vid} annotated @{instrs[vid].ann}, region {name!r} declares @{want}")
-    del regions, reaches
 
     for v, kind in enumerate(kinds):
         if kind is ICall:
