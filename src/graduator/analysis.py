@@ -17,10 +17,9 @@ parameter to its annotation.
 
 The only rules where gradualization needs more than "run the same rule on
 gradual inputs" are the boolean operators: their case analysis branches on
-exact base facts, so the gradual version enumerates the denotations of both
-operand facts, pushes each pair through the base rule, and abstracts the
-result set back.  Those results, and the join's, are tabulated once per
-pair of fact bytes.
+exact base facts, so the gradual version is ``lattice.lift`` of the base
+rule, as the gradual join is of the base join.  Those results, and the
+join's, are tabulated once per pair of fact bytes.
 
 Rules are built once per vertex by dispatch on the instruction's type; the
 tables of the constants Null, NonNull and Nullable are resolved at import.
@@ -70,12 +69,11 @@ from .lattice import (
     ALL_GRAD,
     Abst,
     GradAbst,
-    alpha,
     as_exact,
     base_leq,
     ceil,
     exact,
-    gamma,
+    lift,
     lifted_join,
     lifted_leq,
 )
@@ -119,10 +117,6 @@ def _or_case(a: Abst, b: Abst) -> Abst:
     return Abst.NULL
 
 
-def _lift_case(rule: Callable[[Abst, Abst], Abst], g1: GradAbst, g2: GradAbst) -> GradAbst:
-    return alpha(rule(a, b) for a in gamma(g1) for b in gamma(g2))
-
-
 # ---------------------------------------------------------------------------
 # Byte-coded states
 # ---------------------------------------------------------------------------
@@ -146,7 +140,7 @@ def _table(rule: Callable[[Optional[GradAbst], Optional[GradAbst]], Optional[Gra
 _JOIN = _table(lambda f, g: g if f is None else f if g is None else lifted_join(f, g))
 # && and ||: an undefined operand leaves the target undefined.
 _AND, _OR = (
-    _table(lambda f, g: None if f is None or g is None else _lift_case(rule, f, g)) for rule in (_and_case, _or_case)
+    _table(lambda f, g: None if f is None or g is None else lift(rule, f, g)) for rule in (_and_case, _or_case)
 )
 _COPY = _table(lambda f, g: g)
 _CONST = {c: _table(lambda f, g, c=c: c) for c in _FACT}

@@ -22,15 +22,16 @@ Every command but compare frees the program's tree as soon as it is
 lowered, so that validate, the analysis and the interpreter never hold memory
 beside it: nothing after lowering reads the tree, and check's static mode
 tests the annotations before lowering.  compare keeps the tree, because each
-default policy refills its annotations and lowers it again.
+default policy refills its annotations and lowers it again, but it frees each
+policy's graph and facts before it lowers the next.
 
-While one command runs, the cyclic collector's first threshold is raised to
+While any command runs, the cyclic collector's first threshold is raised to
 200,000 allocations, as mypy does.  A command's tree, graph and states hold
 no reference cycles, so reference counting frees each once its last
 reference goes, and a collector pass over them frees nothing.  main restores
-the caller's thresholds when it returns, and selftest runs at the caller's
-thresholds: its front-end fuzz oracle calls main hundreds of times, and each
-call leaves its argparse tree as cyclic garbage.
+the caller's thresholds when it returns.  Each call leaves its argparse tree
+as cyclic garbage, so selftest's front-end fuzz oracle, which calls main
+hundreds of times, collects the youngest generation before each case.
 """
 
 from __future__ import annotations
@@ -239,12 +240,12 @@ def cmd_stats(args) -> int:
 def cmd_compare(args) -> int:
     path = Path(args.path)
     prog, _ = _program(path)  # kept: each default policy refills its annotations
-    cfg = _validated(path, lower(prog))
     print(f"{'policy':<18}  warnings  checks")
     policies = (("gradual", None), ("nonnull-default", GradAbst.NONNULL), ("nullable-default", GradAbst.NULLABLE))
     for name, default in policies:
-        vcfg = cfg if default is None else _validated(path, lower(fill_annotations(prog, default)))
-        _, warnings, checks = analyze(vcfg, "gradual")
+        tree = prog if default is None else fill_annotations(prog, default)
+        # Only the findings outlive this line: the graph and facts go before the next policy lowers.
+        warnings, checks = analyze(_validated(path, lower(tree)), "gradual")[1:]
         print(f"{name:<18}  {len(warnings):8d}  {len(checks):6d}")
     return 0
 
@@ -314,15 +315,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# Allocations between gen-0 passes while a command other than selftest runs.
+# Allocations between gen-0 passes while a command runs.
 _GEN0_THRESHOLD = 200_000
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     thresholds = gc.get_threshold()
-    if args.fn is not cmd_selftest:
-        gc.set_threshold(_GEN0_THRESHOLD, *thresholds[1:])
+    gc.set_threshold(_GEN0_THRESHOLD, *thresholds[1:])
     try:
         return args.fn(args)
     except _Fail as exc:

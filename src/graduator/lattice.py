@@ -12,8 +12,10 @@ back to the most precise gradual element whose denotation covers it.
 denotes, so it is identified with ``Nullable`` at construction and the
 gradual domain has six canonical elements.
 
-The gradual join is *defined* by enumeration through gamma/alpha rather than
-by a case table; the closed-form table is kept in the test suite as an
+``lift`` is the one lifting of a binary base operator, by enumeration
+through gamma/alpha: the gradual join is *defined* as the lifting of the base
+join rather than by a case table, and the analysis lifts its boolean rules
+the same way.  The closed-form join table is kept in the test suite as an
 independent oracle.  The same goes for alpha itself.  A four-element lifting
 that drops ?Null/?NonNull loses associativity of the join; the regression
 for that lives in the testkit.
@@ -22,7 +24,7 @@ for that lives in the testkit.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class Abst(enum.Enum):
@@ -155,14 +157,13 @@ def alpha(baseset: Iterable[Abst]) -> GradAbst:
     raise AssertionError(f"alpha({set(need)}) fell outside gamma's image")
 
 
-def _enumerated_join(g1: GradAbst, g2: GradAbst) -> GradAbst:
-    return alpha(
-        base_join(a, b) for a in _GAMMA[g1] for b in _GAMMA[g2]
-    )
+def lift(rule: Callable[[Abst, Abst], Abst], g1: GradAbst, g2: GradAbst) -> GradAbst:
+    """The gradual lifting of a binary base operator: alpha of rule over every denoted pair."""
+    return alpha(rule(a, b) for a in _GAMMA[g1] for b in _GAMMA[g2])
 
 
 _JOIN_TABLE: dict[tuple[GradAbst, GradAbst], GradAbst] = {
-    (g1, g2): _enumerated_join(g1, g2) for g1 in ALL_GRAD for g2 in ALL_GRAD
+    (g1, g2): lift(base_join, g1, g2) for g1 in ALL_GRAD for g2 in ALL_GRAD
 }
 
 

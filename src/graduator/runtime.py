@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Union
 
-from .analysis import GradState, _safety_bounds, site_category
+from .analysis import GradState, _finding, _safety_bounds, site_category
 from .cfg import (
     IAnd,
     IBranch,
@@ -50,7 +50,7 @@ from .cfg import (
     ProgramCfg,
     render_instr,
 )
-from .lattice import Abst, GradAbst, ceil, grad_conc_contains
+from .lattice import Abst, GradAbst, ceil, exact, grad_conc_contains
 from .record import Record, field
 
 Env = dict[str, int]
@@ -126,18 +126,11 @@ class Errored(Record, frozen=True):
     value: int
 
     def to_json(self, cfg: ProgramCfg) -> dict:
+        """The check site's finding, found as the value's exact fact, plus the value."""
         v = cfg.vertices[self.vertex]
-        return {
-            "category": site_category(v.instr),
-            "proc": v.proc,
-            "vertex": self.vertex,
-            "line": v.pos[0],
-            "col": v.pos[1],
-            "variable": self.variable,
-            "required": str(self.required),
-            "found": str(Abst.NULL if self.value == 0 else Abst.NONNULL),
-            "value": self.value,
-        }
+        found = GradAbst.NULL if self.value == 0 else GradAbst.NONNULL
+        finding = _finding(site_category(v.instr), v, self.variable, found, exact(self.required))
+        return finding.to_json() | {"value": self.value}
 
 
 Outcome = Union[Stepped, Final, Stuck, Errored]
@@ -234,7 +227,7 @@ def _enter(site: _Site, m: MachineState, env: Env) -> Optional[Stuck]:
         return Stuck(m, v, "procedure entry without a caller")
     caller_env, caller_v = frames[-2]
     call = vertices[caller_v].instr
-    if not isinstance(call, ICall) or call.proc != name:
+    if type(call) is not ICall or call.proc != name:
         return Stuck(m, v, "caller frame is not at a matching call")
     arg = caller_env[call.arg]
     if not admits[arg != 0]:
@@ -252,7 +245,7 @@ def _return(site: _Site, m: MachineState, env: Env) -> Union[Final, Stuck, None]
         return Final(m)
     caller_env, caller_v = frames[-2]
     call = vertices[caller_v].instr
-    if not isinstance(call, ICall):
+    if type(call) is not ICall:
         return Stuck(m, v, "caller frame is not at a call")
     retval = env[var]
     if not admits[retval != 0]:
@@ -398,8 +391,8 @@ def run(
     stop, steps = _execute(cfg, state, mode == "gradual", max_steps, trace if collect_trace else None)
     if stop is None:
         return RunResult("fuel", state, steps, trace)
-    if isinstance(stop, Final):
+    if type(stop) is Final:
         return RunResult("final", state, steps, trace, final_var=cfg.vertices[state.top.vertex].instr.var)
-    if isinstance(stop, Stuck):
+    if type(stop) is Stuck:
         return RunResult("stuck", state, steps, trace, stuck_reason=stop.reason)
     return RunResult("error", state, steps, trace, error=stop)

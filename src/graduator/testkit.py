@@ -32,6 +32,7 @@ paths they judge:
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import random
 import tempfile
@@ -1042,6 +1043,7 @@ def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
 
     with tempfile.TemporaryDirectory() as tmp:
         for name, src, must_parse in cases:
+            gc.collect(0)  # the last case's argparse trees: main defers the collector
             path = Path(tmp) / f"{name}.picl"
             path.write_text(src, encoding="utf-8")
             first = check(path)

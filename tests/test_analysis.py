@@ -42,7 +42,19 @@ from graduator.cfg import (
     lower,
 )
 from graduator.cli import main
-from graduator.lattice import ALL_GRAD, Abst, GradAbst, base_join, base_leq, ceil, exact, lifted_join, lifted_leq
+from graduator.lattice import (
+    ALL_GRAD,
+    Abst,
+    GradAbst,
+    alpha,
+    base_join,
+    base_leq,
+    ceil,
+    exact,
+    gamma,
+    lifted_join,
+    lifted_leq,
+)
 from graduator.syntax import is_fully_annotated, parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
@@ -271,7 +283,7 @@ def test_byte_tables_agree_with_the_fact_rules():
             join = g if f is None else f if g is None else lifted_join(f, g)
             assert analysis._FACT[analysis._JOIN[7 * a + b]] is join
             for table, rule in ((analysis._AND, analysis._and_case), (analysis._OR, analysis._or_case)):
-                case = None if f is None or g is None else analysis._lift_case(rule, f, g)
+                case = None if f is None or g is None else alpha(rule(x, y) for x in gamma(f) for y in gamma(g))
                 assert analysis._FACT[table[7 * a + b]] is case
             # a copy takes its second operand; a constant write ignores both
             assert analysis._FACT[analysis._COPY[7 * a + b]] is g

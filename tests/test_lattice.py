@@ -1,7 +1,10 @@
 """Base and lifted lattice: frozen tables plus the exhaustive oracle."""
 
+import itertools
+
 import pytest
 
+from graduator.analysis import _and_case, _or_case
 from graduator.lattice import (
     ALL_ABST,
     ALL_GRAD,
@@ -17,6 +20,7 @@ from graduator.lattice import (
     exact,
     gamma,
     grad_conc_contains,
+    lift,
     lifted_join,
     lifted_leq,
     precision_leq,
@@ -100,6 +104,18 @@ def test_lifted_join_equals_closed_form_everywhere():
     for a in ALL_GRAD:
         for b in ALL_GRAD:
             assert lifted_join(a, b) is closed_form_join(a, b), (a, b)
+
+
+@pytest.mark.parametrize("rule", [base_join, _and_case, _or_case])
+def test_lift_covers_the_base_rule_and_is_monotone_in_precision(rule):
+    for g1, g2 in itertools.product(ALL_GRAD, repeat=2):
+        results = {rule(a, b) for a in gamma(g1) for b in gamma(g2)}
+        assert results <= gamma(lift(rule, g1, g2))
+        if len(gamma(g1)) == len(gamma(g2)) == 1:
+            assert lift(rule, g1, g2) is exact(*results)
+    for g1, h1, g2, h2 in itertools.product(ALL_GRAD, repeat=4):
+        if precision_leq(g1, h1) and precision_leq(g2, h2):
+            assert precision_leq(lift(rule, g1, g2), lift(rule, h1, h2))
 
 
 def test_consistent_order_is_not_antisymmetric():

@@ -6,7 +6,9 @@ the repr text, equality and hashing over the declared fields only (never a
 position, never across types), and which types are frozen.
 """
 
+import ast
 import copy
+import importlib
 import pickle
 import subprocess
 import sys
@@ -35,6 +37,7 @@ from graduator.cfg import (
     Vertex,
 )
 from graduator.lattice import Abst, GradAbst
+from graduator.record import Record
 from graduator.runtime import Errored, Final, MachineState, RunResult, Stepped, Stuck
 from graduator.syntax import (
     Diagnostic,
@@ -320,3 +323,18 @@ def test_import_leaves_no_cyclic_garbage():
     )
     out = subprocess.run([sys.executable, "-I", "-B", "-c", code], capture_output=True, text=True, check=True).stdout
     assert out == "0\n"
+
+
+def test_no_isinstance_against_a_record_class():
+    # isinstance with a record class takes the metaclass's slow path (see the
+    # record docstring), so the package compares type(x) with `is` instead.
+    uses = []
+    for path in sorted((SRC / "graduator").glob("*.py")):
+        module = vars(importlib.import_module("graduator" if path.stem == "__init__" else f"graduator.{path.stem}"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if type(node) is ast.Call and type(node.func) is ast.Name and node.func.id == "isinstance":
+                classes = eval(compile(ast.Expression(node.args[1]), str(path), "eval"), module)
+                for cls in classes if type(classes) is tuple else (classes,):
+                    uses.append((path.name, cls.__name__))
+                    assert not issubclass(cls, Record), f"{path.name}:{node.lineno}: isinstance against {cls.__name__}"
+    assert ("record.py", "_Field") in uses, uses  # the scan sees the calls
