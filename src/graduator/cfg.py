@@ -11,12 +11,13 @@ inserted and the branch tests the variable directly.
 
 There are no interprocedural edges: calls and returns meet only through
 annotations, which lowering copies from the callee signature onto the call
-instruction.
+instruction.  Since a signature reaches no other vertex, `reannotate` gives
+the graph of a program with other annotations by rebuilding just those.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .lattice import GradAbst
 from .record import Record, field
@@ -368,6 +369,30 @@ def lower(p: Program) -> ProgramCfg:
         proc_entry=proc_entry,
         universe=lw.universe,
     )
+
+
+def reannotate(cfg: ProgramCfg, rewrite: Callable[[GradAbst], GradAbst]) -> ProgramCfg:
+    """The graph that lowering gives once every signature annotation a becomes rewrite(a).
+
+    Signatures reach the graph only at calls, procedure entries and the
+    returns of procedures (main's return is Nullable whatever they say), so
+    only those vertices whose annotation changes are rebuilt; the successors,
+    entries and universes are cfg's own.
+    """
+    vertices = list(cfg.vertices)
+    for v in vertices:
+        ins, kind = v.instr, type(v.instr)
+        if kind is ICall:
+            new = ICall(ins.target, ins.proc, rewrite(ins.ret_ann), ins.arg, rewrite(ins.arg_ann))
+        elif kind is IProc:
+            new = IProc(ins.name, rewrite(ins.ret_ann), ins.param, rewrite(ins.param_ann))
+        elif kind is IReturn and v.proc != MAIN:
+            new = IReturn(ins.var, rewrite(ins.ann))
+        else:
+            continue
+        if new != ins:
+            vertices[v.id] = Vertex(v.id, new, v.proc, v.pos)
+    return ProgramCfg(vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ The environment variable GRADUATOR_MAX_STEPS overrides the default fuel;
 an explicit --max-steps beats both.  Fuel is a count of steps: 0 or more,
 and a negative value exits 2.
 
-Every command but compare frees the program's tree as soon as it is
-lowered, so that validate, the analysis and the interpreter never hold memory
-beside it: nothing after lowering reads the tree, and check's static mode
-tests the annotations before lowering.  compare keeps the tree, because each
-default policy refills its annotations and lowers it again, but it frees each
-policy's graph and facts before it lowers the next.
+Every command frees the program's tree as soon as it is lowered, so that
+validate, the analysis and the interpreter never hold memory beside it:
+nothing after lowering reads the tree, and check's static mode tests the
+annotations before lowering.  compare and stats --ignore-annotations apply
+their annotation policies to the validated graph with cfg.reannotate, and
+compare frees each policy's graph and facts before it builds the next.
 
 While any command runs, the cyclic collector's first threshold is raised to
 200,000 allocations, as mypy does.  A command's tree, graph and states hold
@@ -45,19 +45,10 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import WARN_CHECK, analyze
-from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, lower, render_instr, validate
+from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, lower, reannotate, render_instr, validate
 from .lattice import GradAbst
 from .runtime import DEFAULT_FUEL, run
-from .syntax import (
-    Diagnostic,
-    ParseError,
-    Program,
-    check_surface,
-    erase_annotations,
-    fill_annotations,
-    is_fully_annotated,
-    parse,
-)
+from .syntax import Diagnostic, ParseError, check_surface, is_fully_annotated, parse
 
 
 class _Fail(Exception):
@@ -76,8 +67,8 @@ def _read(path: Path) -> str:
         raise _Fail(2, f"{path}: {exc}")
 
 
-def _program(path: Path, transform=None) -> tuple[Program, list[Diagnostic]]:
-    """The file's surface-checked program, rewritten by transform if given, and its surface notes."""
+def _front_end(path: Path, static: bool = False) -> tuple[ProgramCfg, list[Diagnostic]]:
+    """The file's validated graph and its surface notes; static requires a fully annotated program."""
     try:
         prog = parse(_read(path))
     except ParseError as exc:
@@ -86,26 +77,14 @@ def _program(path: Path, transform=None) -> tuple[Program, list[Diagnostic]]:
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise _Fail(2, "\n".join(f"{path}:{d}" for d in errors))
-    if transform is not None:
-        prog = transform(prog)
-    return prog, diagnostics  # notes only, as there are no errors
-
-
-def _front_end(path: Path, transform=None, static: bool = False) -> tuple[ProgramCfg, list[Diagnostic]]:
-    """The file's validated graph and its surface notes; static requires a fully annotated program."""
-    prog, notes = _program(path, transform)
     if static and not is_fully_annotated(prog):
         raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
     cfg = lower(prog)
     del prog  # nothing after lowering reads the tree: free it before validate, analyze and run
-    return _validated(path, cfg), notes
-
-
-def _validated(path: Path, cfg: ProgramCfg) -> ProgramCfg:
     bad = validate(cfg)
     if bad:
         raise _Fail(2, "\n".join(f"{path}: malformed control flow: {b}" for b in bad))
-    return cfg
+    return cfg, diagnostics  # notes only, as there are no errors
 
 
 def _deref_stats(cfg: ProgramCfg, checks) -> tuple[int, int, int]:
@@ -221,7 +200,9 @@ def cmd_stats(args) -> int:
     rows = []
     for raw in args.paths:
         path = Path(raw)
-        cfg, _ = _front_end(path, erase_annotations if args.ignore_annotations else None)
+        cfg, _ = _front_end(path)
+        if args.ignore_annotations:
+            cfg = reannotate(cfg, lambda ann: GradAbst.UNKNOWN)
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))
@@ -239,13 +220,14 @@ def cmd_stats(args) -> int:
 
 def cmd_compare(args) -> int:
     path = Path(args.path)
-    prog, _ = _program(path)  # kept: each default policy refills its annotations
+    cfg, _ = _front_end(path)
     print(f"{'policy':<18}  warnings  checks")
     policies = (("gradual", None), ("nonnull-default", GradAbst.NONNULL), ("nullable-default", GradAbst.NULLABLE))
     for name, default in policies:
-        tree = prog if default is None else fill_annotations(prog, default)
-        # Only the findings outlive this line: the graph and facts go before the next policy lowers.
-        warnings, checks = analyze(_validated(path, lower(tree)), "gradual")[1:]
+        # A default fills every '?' alike, so each policy's graph is as valid as cfg.  Only the findings
+        # outlive analyze: the policy's graph and facts go before the next policy's graph is built.
+        fill = None if default is None else (lambda ann: default if ann is GradAbst.UNKNOWN else ann)
+        warnings, checks = analyze(cfg if fill is None else reannotate(cfg, fill), "gradual")[1:]
         print(f"{name:<18}  {len(warnings):8d}  {len(checks):6d}")
     return 0
 

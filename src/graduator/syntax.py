@@ -756,13 +756,6 @@ def erase_annotations(p: Program, sites: Optional[set[str]] = None) -> Program:
     return _rewrite_annotations(p, lambda key, ann: GradAbst.UNKNOWN if sites is None or key in sites else ann)
 
 
-def fill_annotations(p: Program, default: GradAbst) -> Program:
-    """Replace every ? annotation with a concrete default (NonNull/Nullable)."""
-    if default not in (GradAbst.NONNULL, GradAbst.NULLABLE):
-        raise ValueError("default annotation must be NonNull or Nullable")
-    return _rewrite_annotations(p, lambda key, ann: default if ann is GradAbst.UNKNOWN else ann)
-
-
 def is_fully_annotated(p: Program) -> bool:
     return all(ann is not GradAbst.UNKNOWN for _, ann in annotation_sites(p))
 

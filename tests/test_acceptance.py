@@ -16,14 +16,13 @@ import conftest
 from conftest import LOOP_SRC, SCENARIO_DEREF_VERTEX, scenario_src
 
 from graduator.analysis import analyze, kildall, static_warnings
-from graduator.cfg import IFieldRead, IFieldWrite, lower
+from graduator.cfg import IFieldRead, IFieldWrite, lower, reannotate
 from graduator.cli import main as cli_main
 from graduator.lattice import GradAbst
 from graduator.runtime import run
 from graduator.syntax import (
     annotation_sites,
     erase_annotations,
-    fill_annotations,
     is_fully_annotated,
     parse,
 )
@@ -158,8 +157,8 @@ def test_criterion_4_scenario_matrix():
         assert w4[0].vertex == SCENARIO_DEREF_VERTEX and c4 == []
 
         # (v) a NonNull default guesses wrong where gradual stays quiet
-        filled = fill_annotations(parse(scenario_src()), GradAbst.NONNULL)
-        _, w5, _ = analyze(lower(filled))
+        filled = reannotate(lower(parse(scenario_src())), lambda a: GradAbst.NONNULL if a is GradAbst.UNKNOWN else a)
+        _, w5, _ = analyze(filled)
         assert len(w5) >= 1
 
         elapsed = time.perf_counter() - t0

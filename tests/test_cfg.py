@@ -5,7 +5,7 @@ import re
 from collections import Counter
 from typing import Optional
 
-from conftest import LOOP_SRC, growth_per_vertex, peak_bytes, wide_src, workload_source
+from conftest import LOOP_SRC, growth_per_vertex, peak_bytes, scenario_src, wide_src, workload_source
 from graduator.cfg import (
     MAIN,
     IBranch,
@@ -24,12 +24,13 @@ from graduator.cfg import (
     Vertex,
     emit_dot,
     lower,
+    reannotate,
     render_instr,
     validate,
 )
 from graduator.lattice import GradAbst
 from graduator.record import replace
-from graduator.syntax import parse
+from graduator.syntax import _rewrite_annotations, is_fully_annotated, parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 
@@ -464,6 +465,62 @@ def test_every_edge_to_an_earlier_vertex_is_a_loop_back_edge():
         for u, succs in enumerate(cfg.succ):
             for v in succs:
                 assert v > u or u in cfg.descend(v), (u, v)
+
+
+def _fill(default):
+    return lambda ann: default if ann is GradAbst.UNKNOWN else ann
+
+
+# The annotation policies of compare and stats --ignore-annotations.
+POLICIES = {
+    "erase": lambda ann: GradAbst.UNKNOWN,
+    "fill NonNull": _fill(GradAbst.NONNULL),
+    "fill Nullable": _fill(GradAbst.NULLABLE),
+}
+
+
+def _graph_value(cfg):
+    # Vertex equality leaves out pos, so the positions are compared too.
+    vertices = [(v.id, v.instr, v.proc, v.pos) for v in cfg.vertices]
+    return vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe
+
+
+def test_reannotate_equals_lowering_the_rewritten_tree():
+    programs = [parse(path.read_text()) for path in corpus_paths()]
+    programs += [parse(workload_source(name, 1)) for name in ("chain", "wide", "alloc")]
+    programs += [gen_program(GenConfig(seed=seed, annotation_density=(0.0, 0.5, 1.0)[seed % 3])) for seed in range(150)]
+    rebuilt = 0
+    for p in programs:
+        cfg = lower(p)
+        for name, rewrite in POLICIES.items():
+            edited = reannotate(cfg, rewrite)
+            want = lower(_rewrite_annotations(p, lambda key, ann: rewrite(ann)))
+            assert _graph_value(edited) == _graph_value(want), name
+            assert edited.succ is cfg.succ and edited.proc_entry is cfg.proc_entry and edited.universe is cfg.universe
+            # A vertex is rebuilt exactly when its instruction changes.
+            for old, new in zip(cfg.vertices, edited.vertices, strict=True):
+                assert (new is old) is (new.instr == old.instr)
+                rebuilt += new is not old
+    assert rebuilt > 1000
+
+
+def test_reannotate_leaves_mains_return_and_a_fully_annotated_fill_alone():
+    cfg = lowered(scenario_src())
+    erased = reannotate(cfg, POLICIES["erase"])
+    returns = [v.instr.ann for v in erased.vertices if type(v.instr) is IReturn]
+    main_returns = [v.instr.ann for v in erased.vertices if type(v.instr) is IReturn and v.proc == MAIN]
+    assert GradAbst.UNKNOWN in returns
+    assert main_returns == [GradAbst.NULLABLE]
+    assert validate(erased) == []
+
+    programs = [parse(workload_source("chain", 1))]
+    programs += [gen_program(GenConfig(seed=seed, annotation_density=1.0)) for seed in range(30)]
+    for p in programs:
+        assert is_fully_annotated(p)
+        cfg = lower(p)
+        for name in ("fill NonNull", "fill Nullable"):
+            filled = reannotate(cfg, POLICIES[name])
+            assert all(new is old for new, old in zip(filled.vertices, cfg.vertices, strict=True)), name
 
 
 def test_dot_output_shape_and_determinism():

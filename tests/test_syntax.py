@@ -35,8 +35,6 @@ from graduator.syntax import (
     annotation_sites,
     check_surface,
     erase_annotations,
-    fill_annotations,
-    is_fully_annotated,
     parse,
     precision_leq_prog,
     render_program,
@@ -588,16 +586,6 @@ def test_annotation_sites_and_erasure():
     assert all(g is GradAbst.UNKNOWN for _, g in annotation_sites(bare))
     with pytest.raises(ValueError):
         erase_annotations(p, {"foo.nonsense"})
-
-
-def test_fill_annotations_both_policies():
-    p = parse(scenario_src())
-    filled = fill_annotations(p, GradAbst.NONNULL)
-    assert filled.proc_map["reverse"].ret_ann is GradAbst.NONNULL
-    assert is_fully_annotated(filled)
-    assert not is_fully_annotated(p)
-    with pytest.raises(ValueError):
-        fill_annotations(p, GradAbst.UNKNOWN)
 
 
 def test_precision_relation_on_programs():
