@@ -3,8 +3,8 @@
 The package is organized by pipeline stage:
 
 - ``lattice``: base and gradual nullness domains
-- ``syntax``: PICL lexer/parser, surface checks, annotation erasure
-- ``cfg``: lowering to one-instruction-per-vertex control-flow graphs
+- ``syntax``: PICL lexer/parser, surface checks, rendering
+- ``cfg``: lowering to one-instruction-per-vertex control-flow graphs; annotation sites, edits and erasure
 - ``analysis``: the transfer function, fixpoint engine, warnings and check sites
 - ``runtime``: small-step machine, plain and checked (gradual) execution
 - ``cli``: the ``graduator`` command

@@ -11,15 +11,16 @@ inserted and the branch tests the variable directly.
 
 There are no interprocedural edges: calls and returns meet only through
 annotations, which lowering copies from the callee signature onto the call
-instruction.  Since a signature reaches no other vertex, `reannotate` gives
-the graph of a program with other annotations by rebuilding just those.
+instruction.  Since a signature reaches no other vertex, the annotation
+sites are read and edited here, on the graph: `reannotate` gives the graph
+of a program with other annotations by rebuilding just those vertices.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Union
 
-from .lattice import GradAbst
+from .lattice import GradAbst, precision_leq
 from .record import Record, field
 from .syntax import (
     EAnd,
@@ -371,28 +372,61 @@ def lower(p: Program) -> ProgramCfg:
     )
 
 
-def reannotate(cfg: ProgramCfg, rewrite: Callable[[GradAbst], GradAbst]) -> ProgramCfg:
-    """The graph that lowering gives once every signature annotation a becomes rewrite(a).
+def reannotate(cfg: ProgramCfg, rewrite: Callable[[str, GradAbst], GradAbst]) -> ProgramCfg:
+    """The graph that lowering gives once each site's annotation a becomes rewrite(site key, a).
 
-    Signatures reach the graph only at calls, procedure entries and the
-    returns of procedures (main's return is Nullable whatever they say), so
-    only those vertices whose annotation changes are rebuilt; the successors,
-    entries and universes are cfg's own.
+    A procedure p has two sites, 'p.param' and 'p.return'.  Signatures reach
+    the graph only at calls (ICall.arg_ann and ret_ann), procedure entries
+    (IProc.param_ann and ret_ann) and the returns of procedures (main's return
+    is Nullable whatever they say), so only those vertices whose annotation
+    changes are rebuilt; the successors, entries and universes are cfg's own.
+    When no vertex changes, the result is cfg itself.
     """
     vertices = list(cfg.vertices)
     for v in vertices:
         ins, kind = v.instr, type(v.instr)
         if kind is ICall:
-            new = ICall(ins.target, ins.proc, rewrite(ins.ret_ann), ins.arg, rewrite(ins.arg_ann))
+            ret, arg = rewrite(f"{ins.proc}.return", ins.ret_ann), rewrite(f"{ins.proc}.param", ins.arg_ann)
+            new = ICall(ins.target, ins.proc, ret, ins.arg, arg)
         elif kind is IProc:
-            new = IProc(ins.name, rewrite(ins.ret_ann), ins.param, rewrite(ins.param_ann))
+            ret, param = rewrite(f"{ins.name}.return", ins.ret_ann), rewrite(f"{ins.name}.param", ins.param_ann)
+            new = IProc(ins.name, ret, ins.param, param)
         elif kind is IReturn and v.proc != MAIN:
-            new = IReturn(ins.var, rewrite(ins.ann))
+            new = IReturn(ins.var, rewrite(f"{v.proc}.return", ins.ann))
         else:
             continue
         if new != ins:
             vertices[v.id] = Vertex(v.id, new, v.proc, v.pos)
-    return ProgramCfg(vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe)
+    return cfg if vertices == cfg.vertices else ProgramCfg(vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe)
+
+
+def annotation_sites(cfg: ProgramCfg) -> list[tuple[str, GradAbst]]:
+    """Each site's key and annotation in declaration order; main's return is fixed Nullable, not a site."""
+    sites: list[tuple[str, GradAbst]] = []
+    for name, v in cfg.proc_entry.items():
+        ins = cfg.vertices[v].instr
+        sites += ((f"{name}.param", ins.param_ann), (f"{name}.return", ins.ret_ann))
+    return sites
+
+
+def erase_annotations(cfg: ProgramCfg, sites: Optional[set[str]] = None) -> ProgramCfg:
+    """cfg with ? at the given sites (all sites if None)."""
+    if sites is not None:
+        unknown = set(sites).difference(key for key, _ in annotation_sites(cfg))
+        if unknown:
+            raise ValueError(f"unknown annotation site(s): {sorted(unknown)}")
+    return reannotate(cfg, lambda key, ann: GradAbst.UNKNOWN if sites is None or key in sites else ann)
+
+
+def is_fully_annotated(cfg: ProgramCfg) -> bool:
+    return all(ann is not GradAbst.UNKNOWN for _, ann in annotation_sites(cfg))
+
+
+def precision_leq_cfg(cfg1: ProgramCfg, cfg2: ProgramCfg) -> bool:
+    """cfg1 is at least as annotated as cfg2 on an otherwise identical graph."""
+    if erase_annotations(cfg1) != erase_annotations(cfg2):
+        return False
+    return all(precision_leq(a1, a2) for (_, a1), (_, a2) in zip(annotation_sites(cfg1), annotation_sites(cfg2)))
 
 
 # ---------------------------------------------------------------------------

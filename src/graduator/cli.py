@@ -20,10 +20,11 @@ and a negative value exits 2.
 
 Every command frees the program's tree as soon as it is lowered, so that
 validate, the analysis and the interpreter never hold memory beside it:
-nothing after lowering reads the tree, and check's static mode tests the
-annotations before lowering.  compare and stats --ignore-annotations apply
-their annotation policies to the validated graph with cfg.reannotate, and
-compare frees each policy's graph and facts before it builds the next.
+nothing after lowering reads the tree.  check's static mode tests the
+validated graph's annotations, and compare and stats --ignore-annotations
+apply their policies to it with cfg.reannotate.  compare frees each policy's
+graph and facts before it builds the next, and reuses the gradual findings
+for a policy that changes no annotation, as on a fully annotated program.
 
 While any command runs, the cyclic collector's first threshold is raised to
 200,000 allocations, as mypy does.  A command's tree, graph and states hold
@@ -45,10 +46,11 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import WARN_CHECK, analyze
-from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, lower, reannotate, render_instr, validate
+from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, erase_annotations, is_fully_annotated, lower
+from .cfg import reannotate, render_instr, validate
 from .lattice import GradAbst
 from .runtime import DEFAULT_FUEL, run
-from .syntax import Diagnostic, ParseError, check_surface, is_fully_annotated, parse
+from .syntax import Diagnostic, ParseError, check_surface, parse
 
 
 class _Fail(Exception):
@@ -77,13 +79,13 @@ def _front_end(path: Path, static: bool = False) -> tuple[ProgramCfg, list[Diagn
     errors = [d for d in diagnostics if d.severity == "error"]
     if errors:
         raise _Fail(2, "\n".join(f"{path}:{d}" for d in errors))
-    if static and not is_fully_annotated(prog):
-        raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
     cfg = lower(prog)
     del prog  # nothing after lowering reads the tree: free it before validate, analyze and run
     bad = validate(cfg)
     if bad:
         raise _Fail(2, "\n".join(f"{path}: malformed control flow: {b}" for b in bad))
+    if static and not is_fully_annotated(cfg):
+        raise _Fail(2, f"{path}: static mode requires a fully annotated program ('?' present)")
     return cfg, diagnostics  # notes only, as there are no errors
 
 
@@ -202,7 +204,7 @@ def cmd_stats(args) -> int:
         path = Path(raw)
         cfg, _ = _front_end(path)
         if args.ignore_annotations:
-            cfg = reannotate(cfg, lambda ann: GradAbst.UNKNOWN)
+            cfg = erase_annotations(cfg)
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))
@@ -218,16 +220,22 @@ def cmd_stats(args) -> int:
     return 0
 
 
+def _filled_findings(cfg: ProgramCfg, default: GradAbst, gradual: tuple):
+    """The findings once every '?' of cfg reads default: gradual, cfg's own, if cfg has no '?'."""
+    filled = reannotate(cfg, lambda key, ann: default if ann is GradAbst.UNKNOWN else ann)
+    return gradual if filled is cfg else analyze(filled, "gradual")[1:]
+
+
 def cmd_compare(args) -> int:
     path = Path(args.path)
     cfg, _ = _front_end(path)
     print(f"{'policy':<18}  warnings  checks")
+    # A default fills every '?' alike, so each policy's graph is as valid as cfg.  Only the findings
+    # outlive a policy: its graph and facts go before the next policy's graph is built.
+    gradual = analyze(cfg, "gradual")[1:]
     policies = (("gradual", None), ("nonnull-default", GradAbst.NONNULL), ("nullable-default", GradAbst.NULLABLE))
     for name, default in policies:
-        # A default fills every '?' alike, so each policy's graph is as valid as cfg.  Only the findings
-        # outlive analyze: the policy's graph and facts go before the next policy's graph is built.
-        fill = None if default is None else (lambda ann: default if ann is GradAbst.UNKNOWN else ann)
-        warnings, checks = analyze(cfg if fill is None else reannotate(cfg, fill), "gradual")[1:]
+        warnings, checks = gradual if default is None else _filled_findings(cfg, default, gradual)
         print(f"{name:<18}  {len(warnings):8d}  {len(checks):6d}")
     return 0
 

@@ -58,10 +58,10 @@ first level too many, so no later pass recurses past that depth.
 from __future__ import annotations
 
 import re
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
-from .lattice import GradAbst, precision_leq
-from .record import Record, field, replace
+from .lattice import GradAbst
+from .record import Record, field
 
 KEYWORDS = frozenset(
     {
@@ -714,59 +714,6 @@ def check_surface(p: Program) -> list[Diagnostic]:
         for e in walk.allocs
         for f in sorted(walk.accessed.difference(e.fields))
     ]
-
-
-# ---------------------------------------------------------------------------
-# Annotation sites, erasure, precision
-# ---------------------------------------------------------------------------
-
-
-def annotation_sites(p: Program) -> list[tuple[str, GradAbst]]:
-    """Addressable annotation sites in declaration order.
-
-    Site keys are 'proc.param' and 'proc.return'.  main's return is fixed
-    Nullable and is not a site.
-    """
-    sites: list[tuple[str, GradAbst]] = []
-    for proc in p.procs:
-        sites.append((f"{proc.name}.param", proc.param_ann))
-        sites.append((f"{proc.name}.return", proc.ret_ann))
-    return sites
-
-
-def _rewrite_annotations(p: Program, rewrite: Callable[[str, GradAbst], GradAbst]) -> Program:
-    """p with each site's annotation replaced by rewrite(site key, annotation)."""
-    procs = tuple(
-        replace(
-            proc,
-            param_ann=rewrite(f"{proc.name}.param", proc.param_ann),
-            ret_ann=rewrite(f"{proc.name}.return", proc.ret_ann),
-        )
-        for proc in p.procs
-    )
-    return replace(p, procs=procs)
-
-
-def erase_annotations(p: Program, sites: Optional[set[str]] = None) -> Program:
-    """Replace annotations with ? at the given sites (all sites if None)."""
-    if sites is not None:
-        unknown = set(sites).difference(key for key, _ in annotation_sites(p))
-        if unknown:
-            raise ValueError(f"unknown annotation site(s): {sorted(unknown)}")
-    return _rewrite_annotations(p, lambda key, ann: GradAbst.UNKNOWN if sites is None or key in sites else ann)
-
-
-def is_fully_annotated(p: Program) -> bool:
-    return all(ann is not GradAbst.UNKNOWN for _, ann in annotation_sites(p))
-
-
-def precision_leq_prog(p1: Program, p2: Program) -> bool:
-    """p1 is at least as annotated as p2 on an otherwise identical program."""
-    if erase_annotations(p1) != erase_annotations(p2):
-        return False
-    sites1 = annotation_sites(p1)
-    sites2 = annotation_sites(p2)
-    return all(precision_leq(a1, a2) for (_, a1), (_, a2) in zip(sites1, sites2))
 
 
 # ---------------------------------------------------------------------------

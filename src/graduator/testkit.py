@@ -59,7 +59,10 @@ from .cfg import (
     IReturn,
     ProgramCfg,
     Vertex,
+    annotation_sites,
+    erase_annotations,
     lower,
+    precision_leq_cfg,
     validate,
 )
 from .lattice import (
@@ -116,11 +119,8 @@ from .syntax import (
     ParseError,
     Stmt,
     _lex,
-    annotation_sites,
     check_surface,
-    erase_annotations,
     parse,
-    precision_leq_prog,
     render_program,
 )
 
@@ -879,11 +879,10 @@ def check_erasure_guarantees(p: Program, subsets: list[set[str]], fuel: int = 20
     if static_warnings(r1):
         return ["precondition violated: program is not statically valid"]
     for subset in subsets:
-        p2 = erase_annotations(p, subset)
-        if not precision_leq_prog(p, p2):
+        cfg2 = erase_annotations(cfg1, subset)
+        if not precision_leq_cfg(cfg1, cfg2):
             failures.append(f"erasure {sorted(subset)} not precision-related")
             continue
-        cfg2 = lower(p2)
         r2 = kildall(cfg2, "gradual")
         w2 = static_warnings(r2)
         if w2:
@@ -948,7 +947,7 @@ def oracle_propositions(programs: int = 40, seed: int = 0, fuel: int = 1500) -> 
     rng = random.Random(f"erasure-{seed}")
     valid = gen_valid_programs(GenConfig(seed=seed + 100_000, annotation_density=0.6), programs)
     for p in valid:
-        sites = [k for k, _ in annotation_sites(p)]
+        sites = [k for k, _ in annotation_sites(lower(p))]
         subsets = [
             {s for s in sites if rng.random() < 0.5},
             set(sites),

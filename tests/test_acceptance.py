@@ -16,16 +16,19 @@ import conftest
 from conftest import LOOP_SRC, SCENARIO_DEREF_VERTEX, scenario_src
 
 from graduator.analysis import analyze, kildall, static_warnings
-from graduator.cfg import IFieldRead, IFieldWrite, lower, reannotate
-from graduator.cli import main as cli_main
-from graduator.lattice import GradAbst
-from graduator.runtime import run
-from graduator.syntax import (
+from graduator.cfg import (
+    IFieldRead,
+    IFieldWrite,
     annotation_sites,
     erase_annotations,
     is_fully_annotated,
-    parse,
+    lower,
+    reannotate,
 )
+from graduator.cli import main as cli_main
+from graduator.lattice import GradAbst
+from graduator.runtime import run
+from graduator.syntax import parse
 from graduator.testkit import (
     GenConfig,
     check_conservative_extension,
@@ -157,7 +160,8 @@ def test_criterion_4_scenario_matrix():
         assert w4[0].vertex == SCENARIO_DEREF_VERTEX and c4 == []
 
         # (v) a NonNull default guesses wrong where gradual stays quiet
-        filled = reannotate(lower(parse(scenario_src())), lambda a: GradAbst.NONNULL if a is GradAbst.UNKNOWN else a)
+        fill = lambda key, a: GradAbst.NONNULL if a is GradAbst.UNKNOWN else a
+        filled = reannotate(lower(parse(scenario_src())), fill)
         _, w5, _ = analyze(filled)
         assert len(w5) >= 1
 
@@ -176,10 +180,10 @@ def test_criterion_5_annotated_programs_gain_nothing_and_lose_nothing():
         programs = gen_programs(GenConfig(seed=0, annotation_density=1.0), 200)
         lockstepped = 0
         for i, p in enumerate(programs):
-            assert is_fully_annotated(p)
+            cfg = lower(p)
+            assert is_fully_annotated(cfg)
             failures = check_conservative_extension(p)
             assert failures == [], f"program {i}: {failures}"
-            cfg = lower(p)
             static = kildall(cfg, "static")
             gradual = kildall(cfg, "gradual")
             as_bytes = lambda result: json.dumps(
@@ -210,7 +214,7 @@ def test_criterion_6_erasure_only_coarsens():
         assert len(programs) == 200
         erasures = 0
         for i, p in enumerate(programs):
-            sites = [k for k, _ in annotation_sites(p)]
+            sites = [k for k, _ in annotation_sites(lower(p))]
             subsets = [{s for s in sites if rng.random() < 0.5} for _ in range(3)]
             failures = check_erasure_guarantees(p, subsets)
             assert failures == [], f"program {i}: {failures}"
@@ -249,8 +253,7 @@ def test_criterion_8_corpus_check_elimination():
         per_file = {}
         total_derefs = total_eliminated = 0
         for path in corpus_paths():
-            prog = erase_annotations(parse(path.read_text()))
-            cfg = lower(prog)
+            cfg = erase_annotations(lower(parse(path.read_text())))
             _, _, checks = analyze(cfg)
             derefs = sum(1 for v in cfg.vertices if isinstance(v.instr, (IFieldRead, IFieldWrite)))
             checked = sum(1 for c in checks if c.category == "GRADUAL_CHECK")

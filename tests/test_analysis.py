@@ -39,6 +39,7 @@ from graduator.cfg import (
     IOr,
     IProc,
     IReturn,
+    is_fully_annotated,
     lower,
 )
 from graduator.cli import main
@@ -55,7 +56,7 @@ from graduator.lattice import (
     lifted_join,
     lifted_leq,
 )
-from graduator.syntax import is_fully_annotated, parse
+from graduator.syntax import parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 U = frozenset({"x", "y", "z"})
@@ -430,7 +431,7 @@ def test_findings_match_their_definitions():
     counts = {"static": 0, "warnings": 0, "checks": 0}
     for p in programs:
         cfg = lower(p)
-        for mode in ("gradual", "static") if is_fully_annotated(p) else ("gradual",):
+        for mode in ("gradual", "static") if is_fully_annotated(cfg) else ("gradual",):
             result, warnings, checks = analyze(cfg, mode)
             assert (warnings, checks) == findings_by_definition(result), mode
             assert (static_warnings(result), check_sites(result)) == (warnings, checks)

@@ -1,10 +1,11 @@
-"""Lowering shapes, structural validation, and DOT output."""
+"""Lowering shapes, annotation sites and edits, structural validation, and DOT output."""
 
 import random
 import re
 from collections import Counter
 from typing import Optional
 
+import pytest
 from conftest import LOOP_SRC, growth_per_vertex, peak_bytes, scenario_src, wide_src, workload_source
 from graduator.cfg import (
     MAIN,
@@ -22,15 +23,19 @@ from graduator.cfg import (
     IReturn,
     ProgramCfg,
     Vertex,
+    annotation_sites,
     emit_dot,
+    erase_annotations,
+    is_fully_annotated,
     lower,
+    precision_leq_cfg,
     reannotate,
     render_instr,
     validate,
 )
 from graduator.lattice import GradAbst
 from graduator.record import replace
-from graduator.syntax import _rewrite_annotations, is_fully_annotated, parse
+from graduator.syntax import parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
 
@@ -468,12 +473,12 @@ def test_every_edge_to_an_earlier_vertex_is_a_loop_back_edge():
 
 
 def _fill(default):
-    return lambda ann: default if ann is GradAbst.UNKNOWN else ann
+    return lambda key, ann: default if ann is GradAbst.UNKNOWN else ann
 
 
 # The annotation policies of compare and stats --ignore-annotations.
 POLICIES = {
-    "erase": lambda ann: GradAbst.UNKNOWN,
+    "erase": lambda key, ann: GradAbst.UNKNOWN,
     "fill NonNull": _fill(GradAbst.NONNULL),
     "fill Nullable": _fill(GradAbst.NULLABLE),
 }
@@ -485,16 +490,35 @@ def _graph_value(cfg):
     return vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe
 
 
+def _tree_sites(p):
+    return [site for q in p.procs for site in ((f"{q.name}.param", q.param_ann), (f"{q.name}.return", q.ret_ann))]
+
+
+def _rewrite_tree(p, rewrite):
+    """The reference for reannotate: p with each signature annotation rewritten by its site key."""
+    procs = tuple(
+        replace(q, param_ann=rewrite(f"{q.name}.param", q.param_ann), ret_ann=rewrite(f"{q.name}.return", q.ret_ann))
+        for q in p.procs
+    )
+    return replace(p, procs=procs)
+
+
 def test_reannotate_equals_lowering_the_rewritten_tree():
     programs = [parse(path.read_text()) for path in corpus_paths()]
     programs += [parse(workload_source(name, 1)) for name in ("chain", "wide", "alloc")]
     programs += [gen_program(GenConfig(seed=seed, annotation_density=(0.0, 0.5, 1.0)[seed % 3])) for seed in range(150)]
+    rng = random.Random("reannotate")
     rebuilt = 0
     for p in programs:
         cfg = lower(p)
-        for name, rewrite in POLICIES.items():
-            edited = reannotate(cfg, rewrite)
-            want = lower(_rewrite_annotations(p, lambda key, ann: rewrite(ann)))
+        assert annotation_sites(cfg) == _tree_sites(p)
+        assert reannotate(cfg, lambda key, ann: ann) is cfg
+        # A seeded subset of the sites, erased on the graph and on the tree.
+        subset = {key for key, _ in annotation_sites(cfg) if rng.random() < 0.5}
+        erase_some = lambda key, ann: GradAbst.UNKNOWN if key in subset else ann
+        for name, rewrite in (*POLICIES.items(), ("erase a subset", erase_some)):
+            edited = erase_annotations(cfg, subset) if rewrite is erase_some else reannotate(cfg, rewrite)
+            want = lower(_rewrite_tree(p, rewrite))
             assert _graph_value(edited) == _graph_value(want), name
             assert edited.succ is cfg.succ and edited.proc_entry is cfg.proc_entry and edited.universe is cfg.universe
             # A vertex is rebuilt exactly when its instruction changes.
@@ -516,11 +540,39 @@ def test_reannotate_leaves_mains_return_and_a_fully_annotated_fill_alone():
     programs = [parse(workload_source("chain", 1))]
     programs += [gen_program(GenConfig(seed=seed, annotation_density=1.0)) for seed in range(30)]
     for p in programs:
-        assert is_fully_annotated(p)
         cfg = lower(p)
+        assert is_fully_annotated(cfg)
         for name in ("fill NonNull", "fill Nullable"):
             filled = reannotate(cfg, POLICIES[name])
             assert all(new is old for new, old in zip(filled.vertices, cfg.vertices, strict=True)), name
+
+
+def test_annotation_sites_and_erasure():
+    cfg = lowered(LOOP_SRC)
+    sites = dict(annotation_sites(cfg))
+    assert set(sites) == {"bar.param", "bar.return", "foo.param", "foo.return"}
+    assert sites["foo.return"] is GradAbst.NONNULL
+
+    erased = erase_annotations(cfg, {"foo.return"})
+    foo = erased.vertices[erased.proc_entry["foo"]].instr
+    assert foo.ret_ann is GradAbst.UNKNOWN
+    assert foo.param_ann is GradAbst.NULLABLE
+    assert region(erased, "bar") == region(cfg, "bar")
+
+    bare = erase_annotations(cfg)
+    assert all(g is GradAbst.UNKNOWN for _, g in annotation_sites(bare))
+    with pytest.raises(ValueError):
+        erase_annotations(cfg, {"foo.nonsense"})
+
+
+def test_precision_relation_on_programs():
+    cfg = lowered(LOOP_SRC)
+    assert precision_leq_cfg(cfg, cfg)
+    e = erase_annotations(cfg, {"foo.return"})
+    assert precision_leq_cfg(cfg, e)
+    assert not precision_leq_cfg(e, cfg)
+    other = lowered(scenario_src())
+    assert not precision_leq_cfg(cfg, other)
 
 
 def test_dot_output_shape_and_determinism():

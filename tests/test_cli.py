@@ -134,6 +134,11 @@ def test_check_static_mode_needs_full_annotations(tmp_path, capsys):
     assert "static mode requires a fully annotated program" in capsys.readouterr().err
     path2 = picl(tmp_path, LOOP_LINES, name="full.picl")
     assert main(["check", path2, "--mode", "static"]) == 0
+    # The only '?' is the return of a procedure that nobody calls: no call or
+    # parameter reads it, yet static mode refuses the program.
+    path3 = picl(tmp_path, "proc idle(x @NonNull) { return x; } main { var r; r := null; return r; }", name="idle.picl")
+    assert main(["check", path3, "--mode", "static"]) == 2
+    assert capsys.readouterr().err == f"{path3}: static mode requires a fully annotated program ('?' present)\n"
 
 
 def test_check_missing_file(tmp_path, capsys):
@@ -417,6 +422,19 @@ def test_compare_policies(capsys):
     assert table["nullable-default"] == (2, 0)
 
 
+def test_compare_analyses_each_distinct_graph_once(tmp_path, capsys, monkeypatch):
+    # A fill that changes no annotation leaves the graph as it is, and reuses
+    # the gradual findings: chain is fully annotated, arg_check is not.
+    calls = []
+    analyze = graduator.cli.analyze
+    monkeypatch.setattr(graduator.cli, "analyze", lambda cfg, mode: calls.append(mode) or analyze(cfg, mode))
+    for path, analyses in ((picl(tmp_path, workload_source("chain", 1)), 1), (corpus("arg_check.picl"), 3)):
+        calls.clear()
+        assert main(["compare", path]) == 0
+        assert calls == ["gradual"] * analyses, path
+    capsys.readouterr()
+
+
 def test_compare_prints_nothing_before_a_front_end_failure(capsys, monkeypatch):
     # The table's header comes only once the graph that every policy edits
     # has validated, so a failing front end leaves stdout empty.
@@ -449,9 +467,12 @@ def test_selftest(capsys, monkeypatch, caller_thresholds):
     monkeypatch.setattr(testkit, "oracle_frontend_fuzz", fuzz)
     assert main(["selftest", "--trials", "300", "--programs", "6", "--seed", "0"]) == 0
     assert seen == [(200_000, 11, 12)] and gc.get_threshold() == caller_thresholds
-    out = capsys.readouterr().out
-    for name in ("lattice", "local-soundness", "propositions", "frontend-fuzz"):
-        assert re.search(rf"PASS  {name}  \(\d+ checks\)", out)
+    assert capsys.readouterr().out == (
+        "PASS  lattice  (394 checks)\n"
+        "PASS  local-soundness  (271 checks)\n"
+        "PASS  propositions  (18 checks)\n"
+        "PASS  frontend-fuzz  (616 checks)\n"
+    )
 
 
 def test_frontend_fuzz_leaves_little_garbage_at_mains_threshold(caller_thresholds):

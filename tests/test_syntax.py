@@ -1,4 +1,4 @@
-"""Parser, surface checks, annotation edits, and the renderer round trip."""
+"""Parser, surface checks, and the renderer round trip."""
 
 import itertools
 import random
@@ -32,11 +32,8 @@ from graduator.syntax import (
     SSkip,
     SWhile,
     _lex,
-    annotation_sites,
     check_surface,
-    erase_annotations,
     parse,
-    precision_leq_prog,
     render_program,
 )
 from graduator.testkit import GenConfig, _nested_sources, _token_mutant, corpus_paths, gen_program
@@ -569,33 +566,6 @@ def test_allocation_field_lint_sees_field_reads_in_conditions():
     notes = [(n.line, n.col, n.message.split("'")[1]) for n in check_surface(p) if n.severity == "note"]
     # new {g} omits f, which only the condition reads; new {f} omits g
     assert notes == [(1, 45, "f"), (1, 59, "g")]
-
-
-def test_annotation_sites_and_erasure():
-    p = parse(LOOP_SRC)
-    sites = dict(annotation_sites(p))
-    assert set(sites) == {"bar.param", "bar.return", "foo.param", "foo.return"}
-    assert sites["foo.return"] is GradAbst.NONNULL
-
-    erased = erase_annotations(p, {"foo.return"})
-    assert erased.proc_map["foo"].ret_ann is GradAbst.UNKNOWN
-    assert erased.proc_map["foo"].param_ann is GradAbst.NULLABLE
-    assert erased.proc_map["bar"] == p.proc_map["bar"]
-
-    bare = erase_annotations(p)
-    assert all(g is GradAbst.UNKNOWN for _, g in annotation_sites(bare))
-    with pytest.raises(ValueError):
-        erase_annotations(p, {"foo.nonsense"})
-
-
-def test_precision_relation_on_programs():
-    p = parse(LOOP_SRC)
-    assert precision_leq_prog(p, p)
-    e = erase_annotations(p, {"foo.return"})
-    assert precision_leq_prog(p, e)
-    assert not precision_leq_prog(e, p)
-    other = parse(scenario_src())
-    assert not precision_leq_prog(p, other)
 
 
 # The token a node's position points at: a fixed text, or one of its names.

@@ -11,16 +11,10 @@ from conftest import LOOP_SRC, scenario_src
 
 from graduator import testkit
 from graduator.analysis import analyze, static_warnings, kildall
-from graduator.cfg import IIf, Instr, lower, validate
+from graduator.cfg import IIf, Instr, annotation_sites, is_fully_annotated, lower, validate
 from graduator.lattice import GradAbst
 from graduator.runtime import run
-from graduator.syntax import (
-    annotation_sites,
-    check_surface,
-    is_fully_annotated,
-    parse,
-    render_program,
-)
+from graduator.syntax import check_surface, parse, render_program
 from graduator.testkit import (
     GenConfig,
     check_conservative_extension,
@@ -57,12 +51,12 @@ def test_generated_programs_are_well_formed():
 
 def test_density_one_annotates_everything():
     for p in gen_programs(GenConfig(seed=11, annotation_density=1.0), 30):
-        assert is_fully_annotated(p)
+        assert is_fully_annotated(lower(p))
 
 
 def test_density_zero_annotates_nothing():
     for p in gen_programs(GenConfig(seed=11, annotation_density=0.0), 30):
-        assert all(v is GradAbst.UNKNOWN for _, v in annotation_sites(p))
+        assert all(v is GradAbst.UNKNOWN for _, v in annotation_sites(lower(p)))
 
 
 def test_valid_generator_filters_out_warnings():
@@ -74,7 +68,7 @@ def test_valid_generator_filters_out_warnings():
 
 def test_valid_generator_can_demand_full_annotations():
     for p in gen_valid_programs(GenConfig(seed=3, annotation_density=1.0), 8):
-        assert is_fully_annotated(p)
+        assert is_fully_annotated(lower(p))
         assert static_warnings(kildall(lower(p))) == []
 
 
@@ -164,7 +158,7 @@ def test_conservative_extension_on_fixtures():
 
 def test_erasure_guarantees_on_fixtures():
     p = parse(LOOP_SRC)
-    sites = [k for k, _ in annotation_sites(p)]
+    sites = [k for k, _ in annotation_sites(lower(p))]
     assert check_erasure_guarantees(p, [set(), {sites[0]}, set(sites)]) == []
 
 
