@@ -194,8 +194,8 @@ class ProgramCfg(Record):
     universe: dict[str, frozenset[str]]  # per procedure (and "main")
     # The interpreter's decoded site of each vertex, None until the vertex's
     # first step (runtime._execute); not part of the graph's value.  A site
-    # may hold `vertices` and `succ` but never the graph, or the two would
-    # form a reference cycle.
+    # holds an opcode and operands read from the graph, never the graph, or
+    # the two would form a reference cycle.
     _run_sites: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     def descend(self, root: int) -> set[int]:

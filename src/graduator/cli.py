@@ -168,8 +168,8 @@ def cmd_run(args) -> int:
     path = Path(args.path)
     cfg, _ = _front_end(path)
     result = run(cfg, mode=args.mode, max_steps=_fuel(args), collect_trace=args.trace)
-    for line in result.trace:
-        print(line)
+    if result.trace:
+        sys.stdout.write("\n".join(result.trace) + "\n")
     if result.outcome == "final":
         print(f"final: returned {result.returned} in {result.steps} step(s)")
         return 0

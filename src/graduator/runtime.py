@@ -14,22 +14,25 @@ blocks), while checked (gradual) execution consults the safety bounds
 *before* every step and reports a structured error at the offending vertex
 instead of running into the violation.
 
-One executor, `_execute`, runs every step.  On its first step a vertex is
-decoded into a site, kept on the graph: a flat tuple of the handler for its
-instruction type and the operands it reads, with annotations and safety
-bounds resolved to whether they admit null and non-null.  It updates a
-`MachineState` in place: the frames are a list, the heap a dict, and the
-state keeps its next free location, so a step costs the same whatever the
-heap size and stack depth.  Every stuck, annotation and safety-bound check
-runs before the first write, so a state that stops is exactly the state it
-stopped in.  `run` drives one state to its end; `step` and `grad_step`
-advance the state they are given by one step and return it inside the
-outcome, so a caller that needs an earlier state copies it first.
+One executor, `_execute`, runs every step in one loop.  On its first step a
+vertex is decoded into a site, kept on the graph: a flat tuple of a small-int
+opcode for its instruction type and the operands its rule reads, with
+annotations and safety bounds resolved to whether they admit null and
+non-null.  The loop tests the opcode inline and keeps the top frame's
+environment and vertex in locals, writing them back to the state when a call
+pushes a frame and when the loop ends.  It updates a `MachineState` in place:
+the frames are a list, the heap a dict, and the state keeps its next free
+location, so a step costs the same whatever the heap size and stack depth.
+Every stuck, annotation and safety-bound check runs before the first write,
+so a state that stops is exactly the state it stopped in.  `run` drives one
+state to its end; `step` and `grad_step` advance the state they are given by
+one step and return it inside the outcome, so a caller that needs an earlier
+state copies it first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .analysis import GradState, _finding, _safety_bounds, site_category
 from .cfg import (
@@ -142,13 +145,13 @@ Outcome = Union[Stepped, Final, Stuck, Errored]
 
 
 # A site is what one vertex's step needs from the graph, decoded once:
-#   (handler, guards, vertex, the sole successor or None, operands...)
-# where the handler is the function for the vertex's instruction type, the
-# operands are what it reads from the site, and guards are the (variable,
-# required, (admits 0, admits non-0)) triples of the safety bounds that can
-# fail.  A site holds parts of the graph (its vertex list and successor
-# lists), never the graph itself: the graph keeps the sites, and a site that
-# held it would make a reference cycle.
+#   (opcode, guards, next, operands...)
+# where the opcode names the instruction type's rule in `_execute`, guards are
+# the (variable, required, (admits 0, admits non-0)) triples of the safety
+# bounds that can fail, next is the first successor (a branch's `if` arm) or
+# None, and the operands are what the rule reads.  A site holds values taken
+# from the graph, never the graph itself: the graph keeps the sites, and a site
+# that held it would make a reference cycle.
 _Site = tuple
 
 # Whether a fact admits (null, non-null): membership depends only on that.
@@ -156,163 +159,74 @@ _ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in Grad
 # A bound's (required, admits) when some value fails it, else ().
 _GUARD = {g: () if all(_ADMITS[g]) else (ceil(g), _ADMITS[g]) for g in GradAbst}
 
-
-def _skip(site: _Site, m: MachineState, env: Env) -> None:
-    m.frames[-1] = (env, site[3])
-
-
-def _const_null(site: _Site, m: MachineState, env: Env) -> None:
-    env[site[4]] = 0
-    m.frames[-1] = (env, site[3])
-
-
-def _copy(site: _Site, m: MachineState, env: Env) -> None:
-    _, _, _, nxt, target, source = site
-    env[target] = env[source]
-    m.frames[-1] = (env, nxt)
-
-
-def _new(site: _Site, m: MachineState, env: Env) -> None:
-    _, _, _, nxt, target, blank = site
-    loc = m.next_loc
-    m.next_loc = loc + 1
-    m.heap[loc] = blank.copy()
-    env[target] = loc
-    m.frames[-1] = (env, nxt)
-
-
-def _and_or(site: _Site, m: MachineState, env: Env) -> None:
-    """`l && r` is r when l is non-null, else l; `l || r` is r when l is null, else l."""
-    _, _, _, nxt, target, left, right, is_and = site
-    n1, n2 = env[left], env[right]
-    env[target] = n2 if (n1 > 0) is is_and else n1
-    m.frames[-1] = (env, nxt)
-
-
-def _field(site: _Site, m: MachineState, env: Env) -> Optional[Stuck]:
-    """A field read (target set) or write (source set) through obj."""
-    _, _, v, nxt, obj, fieldname, target, source = site
-    r = env[obj]
-    if r == 0:
-        return Stuck(m, v, f"null dereference: {obj} is null")
-    fields = m.heap.get(r)
-    if fields is None or fieldname not in fields:
-        return Stuck(m, v, f"object at {r} has no field {fieldname!r}")
-    if target is None:
-        fields[fieldname] = env[source]
-    else:
-        env[target] = fields[fieldname]
-    m.frames[-1] = (env, nxt)
-    return None
-
-
-def _branch(site: _Site, m: MachineState, env: Env) -> None:
-    _, _, _, _, var, if_v, else_v = site
-    m.frames[-1] = (env, if_v if env[var] > 0 else else_v)
-
-
-def _main(site: _Site, m: MachineState, env: Env) -> None:
-    m.frames[-1] = (dict(site[4]), site[3])
-
-
-def _call(site: _Site, m: MachineState, env: Env) -> None:
-    # The caller frame stays at the call, for the matching return.
-    m.frames.append(({}, site[4]))
-
-
-def _enter(site: _Site, m: MachineState, env: Env) -> Optional[Stuck]:
-    _, _, v, nxt, name, param, admits, ann, entry_env, vertices = site
-    frames = m.frames
-    if len(frames) < 2:
-        return Stuck(m, v, "procedure entry without a caller")
-    caller_env, caller_v = frames[-2]
-    call = vertices[caller_v].instr
-    if type(call) is not ICall or call.proc != name:
-        return Stuck(m, v, "caller frame is not at a matching call")
-    arg = caller_env[call.arg]
-    if not admits[arg != 0]:
-        return Stuck(m, v, f"argument {call.arg} = {arg} violates parameter annotation @{ann}")
-    rho = dict(entry_env)
-    rho[param] = arg
-    frames[-1] = (rho, nxt)
-    return None
-
-
-def _return(site: _Site, m: MachineState, env: Env) -> Union[Final, Stuck, None]:
-    _, _, v, _, var, admits, ann, vertices, succ = site
-    frames = m.frames
-    if len(frames) == 1:
-        return Final(m)
-    caller_env, caller_v = frames[-2]
-    call = vertices[caller_v].instr
-    if type(call) is not ICall:
-        return Stuck(m, v, "caller frame is not at a call")
-    retval = env[var]
-    if not admits[retval != 0]:
-        return Stuck(m, v, f"return value {var} = {retval} violates return annotation @{ann}")
-    frames.pop()
-    caller_env[call.target] = retval
-    frames[-1] = (caller_env, succ[caller_v][0])
-    return None
-
-
-# Each instruction type's handler, and the operands it reads from
-# (cfg, vertex id, instruction).
-_DECODE: dict[type, tuple[Callable[..., Optional[Outcome]], Callable[..., tuple]]] = {
-    ICopy: (_copy, lambda cfg, v, ins: (ins.target, ins.source)),
-    IConstNull: (_const_null, lambda cfg, v, ins: (ins.target,)),
-    INew: (_new, lambda cfg, v, ins: (ins.target, dict.fromkeys(ins.fields, 0))),
-    IAnd: (_and_or, lambda cfg, v, ins: (ins.target, ins.left, ins.right, True)),
-    IOr: (_and_or, lambda cfg, v, ins: (ins.target, ins.left, ins.right, False)),
-    IFieldRead: (_field, lambda cfg, v, ins: (ins.obj, ins.fieldname, ins.target, None)),
-    IFieldWrite: (_field, lambda cfg, v, ins: (ins.obj, ins.fieldname, None, ins.source)),
-    IBranch: (_branch, lambda cfg, v, ins: (ins.var, *cfg.succ[v])),  # (if, else): see validate
-    IIf: (_skip, lambda cfg, v, ins: ()),
-    IElse: (_skip, lambda cfg, v, ins: ()),
-    IMain: (_main, lambda cfg, v, ins: (dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0),)),
-    ICall: (_call, lambda cfg, v, ins: (cfg.proc_entry[ins.proc],)),
-    IProc: (_enter, lambda cfg, v, ins: (
-        ins.name, ins.param, _ADMITS[ins.param_ann], ins.param_ann,
-        dict.fromkeys(sorted(cfg.universe[ins.name]), 0), cfg.vertices,
-    )),
-    IReturn: (_return, lambda cfg, v, ins: (ins.var, _ADMITS[ins.ann], ins.ann, cfg.vertices, cfg.succ)),
-}
+# The opcodes, numbered in the order `_execute` tests them: about how often
+# the alloc workload runs each kind.
+_READ, _BRANCH, _SKIP, _CALL, _ENTER, _RETURN, _NEW, _WRITE, _COPY, _NULL, _AND_OR, _MAIN = range(12)
 
 
 def _site(cfg: ProgramCfg, v: int) -> _Site:
     ins = cfg.vertices[v].instr
-    entry = _DECODE.get(type(ins))
-    if entry is None:
-        raise AssertionError(f"unknown instruction {ins!r}")
-    handler, decode = entry
+    kind = type(ins)
     guards: tuple = ()
     for x, bound in _safety_bounds(ins):
         if guard := _GUARD[bound]:
             guards += ((x, *guard),)
     succs = cfg.succ[v]
-    return (handler, guards, v, succs[0] if succs else None) + decode(cfg, v, ins)
+    nxt = succs[0] if succs else None
+    if kind is IFieldRead:
+        return (_READ, guards, nxt, ins.obj, ins.fieldname, ins.target)
+    if kind is IBranch:
+        return (_BRANCH, guards, nxt, ins.var, succs[1])  # (if, else): see validate
+    if kind is IIf or kind is IElse:
+        return (_SKIP, guards, nxt)
+    if kind is ICall:
+        return (_CALL, guards, nxt, cfg.proc_entry[ins.proc])
+    if kind is IProc:
+        entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
+        return (_ENTER, guards, nxt, ins.name, ins.param, _ADMITS[ins.param_ann], ins.param_ann, entry_env)
+    if kind is IReturn:
+        return (_RETURN, guards, nxt, ins.var, _ADMITS[ins.ann], ins.ann)
+    if kind is INew:
+        return (_NEW, guards, nxt, ins.target, dict.fromkeys(ins.fields, 0))
+    if kind is IFieldWrite:
+        return (_WRITE, guards, nxt, ins.obj, ins.fieldname, ins.source)
+    if kind is ICopy:
+        return (_COPY, guards, nxt, ins.target, ins.source)
+    if kind is IConstNull:
+        return (_NULL, guards, nxt, ins.target)
+    if kind is IAnd or kind is IOr:
+        return (_AND_OR, guards, nxt, ins.target, ins.left, ins.right, kind is IAnd)
+    if kind is IMain:
+        return (_MAIN, guards, nxt, dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0))
+    raise AssertionError(f"unknown instruction {ins!r}")
 
 
 def _execute(
-    cfg: ProgramCfg, m: MachineState, checked: bool, fuel: int, trace: Optional[list[str]] = None
+    cfg: ProgramCfg, m: MachineState, checked: bool, fuel: int, visited: Optional[list[int]] = None
 ) -> tuple[Optional[Outcome], int]:
     """Up to fuel steps of m in place: (the stop or None, the steps taken).
 
-    A vertex's site is built on its first step and kept on cfg.  A stop
-    returns its outcome around m, into which it has written nothing.  With a
-    trace, each step taken appends its line.
+    One loop runs every step.  It keeps the top frame's environment and
+    vertex in locals and writes them back to `m.frames[-1]` only when a call
+    pushes a frame and when it ends; the frames below the top are current
+    throughout.  A vertex's site is built on its first step and kept on cfg,
+    so a vertex that cannot be decoded stops the run only once it is reached.
+    A stop returns its outcome around m, into which it has written nothing.
+    With visited, each step appends its vertex once its guards pass: the
+    first `steps` of them are the vertices of the steps taken.
     """
     if cfg._run_sites is None:
         cfg._run_sites = [None] * len(cfg.vertices)
     sites = cfg._run_sites
-    frames = m.frames
-    for steps in range(fuel):
-        env, v = frames[-1]
-        try:
+    vertices, succ = cfg.vertices, cfg.succ
+    frames, heap = m.frames, m.heap
+    env, v = frames[-1]
+    try:
+        for steps in range(fuel):
             site = sites[v]
             if site is None:
                 site = sites[v] = _site(cfg, v)
-            if checked:
+            if checked and site[1]:
                 # Only the driving instruction's own operand carries a bound
                 # that can fail.
                 for x, required, admits in site[1]:
@@ -320,14 +234,90 @@ def _execute(
                         value = env[x]
                         if not admits[value != 0]:
                             return Errored(m, v, x, required, value), steps
-            stop = site[0](site, m, env)
-        except KeyError as missing:
-            return Stuck(m, v, f"undefined variable {missing}"), steps
-        if stop is not None:
-            return stop, steps
-        if trace is not None:
-            vtx = cfg.vertices[v]
-            trace.append(f"{steps}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
+            if visited is not None:
+                visited.append(v)
+            op = site[0]
+            if op == _READ:
+                _, _, nxt, obj, fieldname, target = site
+                r = env[obj]
+                if r == 0:
+                    return Stuck(m, v, f"null dereference: {obj} is null"), steps
+                fields = heap.get(r)
+                if fields is None or fieldname not in fields:
+                    return Stuck(m, v, f"object at {r} has no field {fieldname!r}"), steps
+                env[target] = fields[fieldname]
+                v = nxt
+            elif op == _BRANCH:
+                v = site[2] if env[site[3]] > 0 else site[4]
+            elif op == _SKIP:
+                v = site[2]
+            elif op == _CALL:
+                # The caller frame stays at the call, for the matching return.
+                frames[-1] = (env, v)
+                env, v = {}, site[3]
+                frames.append((env, v))
+            elif op == _ENTER:
+                _, _, nxt, name, param, admits, ann, entry_env = site
+                if len(frames) < 2:
+                    return Stuck(m, v, "procedure entry without a caller"), steps
+                caller_env, caller_v = frames[-2]
+                call = vertices[caller_v].instr
+                if type(call) is not ICall or call.proc != name:
+                    return Stuck(m, v, "caller frame is not at a matching call"), steps
+                arg = caller_env[call.arg]
+                if not admits[arg != 0]:
+                    return Stuck(m, v, f"argument {call.arg} = {arg} violates parameter annotation @{ann}"), steps
+                env = dict(entry_env)
+                env[param] = arg
+                v = nxt
+            elif op == _RETURN:
+                if len(frames) == 1:
+                    return Final(m), steps
+                _, _, _, var, admits, ann = site
+                caller_env, caller_v = frames[-2]
+                call = vertices[caller_v].instr
+                if type(call) is not ICall:
+                    return Stuck(m, v, "caller frame is not at a call"), steps
+                retval = env[var]
+                if not admits[retval != 0]:
+                    return Stuck(m, v, f"return value {var} = {retval} violates return annotation @{ann}"), steps
+                frames.pop()
+                caller_env[call.target] = retval
+                env, v = caller_env, succ[caller_v][0]
+            elif op == _NEW:
+                loc = m.next_loc
+                m.next_loc = loc + 1
+                heap[loc] = site[4].copy()
+                env[site[3]] = loc
+                v = site[2]
+            elif op == _WRITE:
+                _, _, nxt, obj, fieldname, source = site
+                r = env[obj]
+                if r == 0:
+                    return Stuck(m, v, f"null dereference: {obj} is null"), steps
+                fields = heap.get(r)
+                if fields is None or fieldname not in fields:
+                    return Stuck(m, v, f"object at {r} has no field {fieldname!r}"), steps
+                fields[fieldname] = env[source]
+                v = nxt
+            elif op == _COPY:
+                env[site[3]] = env[site[4]]
+                v = site[2]
+            elif op == _NULL:
+                env[site[3]] = 0
+                v = site[2]
+            elif op == _AND_OR:
+                # `l && r` is r when l is non-null, else l; `l || r` is r when l is null, else l.
+                _, _, nxt, target, left, right, is_and = site
+                n1, n2 = env[left], env[right]
+                env[target] = n2 if (n1 > 0) is is_and else n1
+                v = nxt
+            else:  # _MAIN
+                env, v = dict(site[3]), site[2]
+    except KeyError as missing:
+        return Stuck(m, v, f"undefined variable {missing}"), steps
+    finally:
+        frames[-1] = (env, v)
     return None, max(fuel, 0)  # a negative fuel takes no step
 
 
@@ -382,13 +372,21 @@ def run(
     """Drive the machine to Final/Stuck/Errored or until fuel runs out.
 
     mode "plain" uses the unchecked step; "gradual" checks safety bounds.
-    The trace holds one line per executed step: `k: proc/vN: instruction`.
+    The trace holds one line per executed step: `k: proc/vN: instruction`,
+    built after the run from one label per vertex visited.
     """
     if mode not in ("plain", "gradual"):
         raise ValueError(f"unknown mode {mode!r}")
     state = initial_state(cfg)
+    visited: Optional[list[int]] = [] if collect_trace else None
+    stop, steps = _execute(cfg, state, mode == "gradual", max_steps, visited)
     trace: list[str] = []
-    stop, steps = _execute(cfg, state, mode == "gradual", max_steps, trace if collect_trace else None)
+    if visited:
+        label = {}
+        for u in set(visited):
+            vtx = cfg.vertices[u]
+            label[u] = f"{vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}"
+        trace = [f"{k}: {label[u]}" for k, u in enumerate(visited[:steps])]
     if stop is None:
         return RunResult("fuel", state, steps, trace)
     if type(stop) is Final:

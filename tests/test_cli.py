@@ -287,15 +287,65 @@ def test_run_final(tmp_path, capsys):
     assert re.fullmatch(r"final: returned 1 in \d+ step\(s\)", out[0])
 
 
+# `run --trace` output, byte for byte: one line per step taken, then the
+# outcome line (or a checked stop's JSON).
+TRACE_LOOP = """\
+0: main/v9: main
+1: main/v10: $0 := null
+2: main/v11: r := foo@NonNull($0@Nullable)
+3: foo/v3: proc foo@NonNull(x@Nullable)
+4: foo/v4: branch(x)
+5: foo/v6: else(x)
+6: foo/v7: x := bar@NonNull(x@Nullable)
+"""
+TRACE_LOOP_END = """\
+7: bar/v0: proc bar@NonNull(y@Nullable)
+8: bar/v1: t := new {f}
+9: bar/v2: return t@NonNull
+10: foo/v4: branch(x)
+11: foo/v5: if(x)
+12: foo/v8: return x@NonNull
+final: returned 1 in 13 step(s)
+"""
+TRACE_ERROR = """\
+0: main/v7: main
+1: main/v8: $0 := null
+2: main/v9: reversed := reverse@?($0@?)
+3: reverse/v0: proc reverse@?(str@?)
+4: reverse/v1: branch(str)
+5: reverse/v3: else(str)
+6: reverse/v5: out := null
+7: reverse/v6: return out@?
+8: main/v10: tmp := new {chars}
+9: main/v11: frown := reverse@?(tmp@?)
+10: reverse/v0: proc reverse@?(str@?)
+11: reverse/v1: branch(str)
+12: reverse/v2: if(str)
+13: reverse/v4: out := new {chars}
+14: reverse/v6: return out@?
+{
+  "category": "GRADUAL_CHECK",
+  "proc": "main",
+  "vertex": 12,
+  "line": 22,
+  "col": 21,
+  "variable": "reversed",
+  "required": "NonNull",
+  "found": "Null",
+  "value": 0
+}
+"""
+
+
 def test_run_trace(tmp_path, capsys):
-    path = picl(tmp_path, LOOP_LINES)
-    assert main(["run", path, "--trace"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert re.fullmatch(r"final: returned 1 in (\d+) step\(s\)", lines[-1])
-    steps = int(re.search(r"in (\d+) step", lines[-1]).group(1))
-    assert len(lines) == steps + 1
-    assert lines[0] == "0: main/v9: main"
-    assert all(re.fullmatch(r"\d+: [\w$]+/v\d+: .+", ln) for ln in lines[:-1])
+    loop, error = picl(tmp_path, LOOP_LINES), picl(tmp_path, scenario_src(null_body=True), name="err.picl")
+    for argv, code, out in [
+        ([loop], 0, TRACE_LOOP + TRACE_LOOP_END),
+        ([loop, "--max-steps", "7"], 5, TRACE_LOOP + "fuel exhausted after 7 step(s)\n"),
+        ([error], 3, TRACE_ERROR),
+    ]:
+        assert main(["run", *argv, "--trace"]) == code, argv
+        assert capsys.readouterr() == (out, ""), argv
 
 
 def test_run_checked_error_exits_3(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Small-step machine: plain and checked execution."""
 
 import copy
+import re
 import typing
 
 import pytest
@@ -323,6 +324,27 @@ def test_run_agrees_with_stepping_one_state_at_a_time(mode, outcomes):
     assert outcomes <= seen, seen
 
 
+@pytest.mark.parametrize("mode", ["plain", "gradual"])
+def test_run_agrees_with_stepping_at_every_fuel_boundary(mode):
+    # run keeps the top frame out of the state while it steps; whatever step
+    # the fuel ends on, the state it leaves is the one stepping leaves.
+    for i, program in enumerate(DIFFERENTIAL_PROGRAMS):
+        cfg = lower(program)
+        for fuel in (0, 1, 2, 3, 5, 8, 13, 21, 300):
+            result = run(cfg, mode=mode, max_steps=fuel, collect_trace=True)
+            last, steps, trace = step_by_step(cfg, mode, fuel)
+            where = f"program {i}, fuel {fuel}"
+            assert (result.steps, result.trace) == (steps, trace), where
+            if isinstance(last, MachineState):
+                assert result.outcome == "fuel", where
+                state = last
+            else:
+                assert result.outcome == {Final: "final", Stuck: "stuck", Errored: "error"}[type(last)], where
+                state = last.state
+            got = result.state
+            assert (got.frames, got.heap, got.next_loc) == (state.frames, state.heap, state.next_loc), where
+
+
 DEREF_SRC = "field f; main { var a; var b; a := null; b := a.f; return b; }"
 PARAM_SRC = (
     "field f; proc mk@NonNull(x @NonNull) { var t; t := new {f}; return t; }"
@@ -487,11 +509,12 @@ EVERY_INSTR_SRC = (
     "field f;"
     " proc id@NonNull(x @NonNull) { return x; }"
     " main { var a; var b; var c; a := new {f}; b := a; c := null; c := a && b; c := a || b;"
-    " a.f := b; c := a.f; c := id(a); if (c != null) { skip; } else { skip; } return c; }"
+    " a.f := b; c := a.f; c := id(a); if (c != null) { skip; } else { skip; }"
+    " c := null; if (c != null) { skip; } else { skip; } return c; }"
 )
 
 
-def test_every_instruction_type_has_a_handler():
+def test_every_instruction_type_decodes_and_runs():
     cfg = lower(parse(EVERY_INSTR_SRC))
     first = {}
     for v in cfg.vertices:
@@ -500,7 +523,29 @@ def test_every_instruction_type_has_a_handler():
     assert set(first) == set(kinds)
     for kind in kinds:
         site = runtime._site(cfg, first[kind])
-        assert callable(site[0]) and site[2] == first[kind], kind.__name__
+        assert type(site[0]) is int and type(site[1]) is tuple, kind.__name__
+    for mode in ("plain", "gradual"):
+        result = run(cfg, mode=mode, collect_trace=True)
+        assert result.outcome == "final", mode
+        ran = {type(cfg.vertices[int(re.match(r"\d+: \w+/v(\d+): ", line)[1])].instr) for line in result.trace}
+        assert ran == set(kinds), mode
+
+
+def test_a_call_to_a_missing_procedure_sticks_only_when_reached():
+    # A hand-built graph whose call names no procedure entry: the call's site
+    # cannot be built, and that stops the run only at the call itself.
+    def without_entries(src):
+        g = lower(parse(src))
+        return cfg_module.ProgramCfg(g.vertices, g.succ, g.entry, {}, g.universe)
+
+    src = "field f; proc q(x) { return x; } main { var a; a := A; if (a != null) { a := q(a); } else { skip; } return a; }"
+    for mode in ("plain", "gradual"):
+        unreached = run(without_entries(src.replace("A", "null")), mode=mode)
+        assert unreached.outcome == "final" and unreached.returned == 0, mode
+        cfg = without_entries(src.replace("A", "new {f}"))
+        reached = run(cfg, mode=mode)
+        assert reached.outcome == "stuck" and reached.stuck_reason == "undefined variable 'q'", mode
+        assert type(cfg.vertices[reached.state.top.vertex].instr) is ICall, mode
 
 
 # The instruction rules as they were before sites were decoded: one
