@@ -21,7 +21,8 @@ exact base facts, so the gradual version is ``lattice.lift`` of the base
 rule, as the gradual join is of the base join.  Those results, and the
 join's, are tabulated once per pair of fact bytes.
 
-Rules are built once per vertex by dispatch on the instruction's type; the
+Rules are built once per vertex visit, by dispatch on the instruction's
+type, and not kept: the fixpoint holds its states and no list of rules.  The
 tables of the constants Null, NonNull and Nullable are resolved at import.
 
 Fixpoints come from a worklist iteration seeded with every vertex (initial
@@ -335,7 +336,9 @@ def kildall(
     Every vertex starts at bottom, all bytes 0 (one shared object per state
     width), and is processed at least once, first in seed_order (by default
     the vertex order; see lower); a successor re-enters the worklist
-    whenever its state grows.  The result does not depend on seed_order
+    whenever its state grows.  A vertex's rule is built each time the
+    worklist visits it and dropped after, so no list of every rule sits
+    beside the states.  The result does not depend on seed_order
     (that is a tested property, not a hope).
 
     Static mode is the same fixpoint, read through base facts.  A '?' enters
@@ -354,8 +357,8 @@ def kildall(
     numbering = {proc: {x: i for i, x in enumerate(sorted(u))} for proc, u in cfg.universe.items()}
     by_width: dict[int, bytes] = {}
     bottom = {proc: by_width.setdefault(len(index), bytes(len(index))) for proc, index in numbering.items()}
-    rules = [_rule(v.instr, numbering[v.proc], cfg.universe[v.proc]) for v in cfg.vertices]
-    bottoms = [bottom[v.proc] for v in cfg.vertices]
+    vertices, universe = cfg.vertices, cfg.universe
+    bottoms = [bottom[v.proc] for v in vertices]
     states = list(bottoms)
     if seed_order is None:
         order: Iterable[int] = range(len(states))
@@ -368,7 +371,9 @@ def kildall(
     while work:
         v = work.popleft()
         queued[v] = 0
-        out = _apply(rules[v], states[v])
+        vertex = vertices[v]
+        ins, proc = vertex.instr, vertex.proc
+        out = _apply(_RULES[type(ins)](ins, numbering[proc], universe[proc]), states[v])
         for u in succ[v]:
             old = states[u]
             if old is out:

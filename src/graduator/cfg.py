@@ -226,11 +226,10 @@ def _link(e: Expr) -> Expr:
 
 
 class _Lowerer:
-    def __init__(self, program: Program):
-        self.program = program
-        self.procs = program.proc_map
+    def __init__(self, signatures: dict[str, tuple[GradAbst, GradAbst]]):
+        self.signatures = signatures  # procedure name -> (return, parameter) annotation
         self.vertices: list[Vertex] = []
-        self.succ: list[list[int]] = []
+        self.succ: list[tuple[int, ...]] = []
         self.vars: set[str] = set()
         self.temp_count = 0
         self.prockey = MAIN
@@ -250,9 +249,9 @@ class _Lowerer:
     def emit(self, instr: Instr, pos: tuple[int, int], pending: list[int]) -> int:
         vid = len(self.vertices)
         self.vertices.append(Vertex(vid, instr, self.prockey, pos))
-        self.succ.append([])
+        self.succ.append(())
         for p in pending:
-            self.succ[p].append(vid)
+            self.succ[p] += (vid,)
         return vid
 
     def fresh_temp(self) -> str:
@@ -279,8 +278,8 @@ class _Lowerer:
             return [self.emit(INew(target, e.fields), e.pos, pending)]
         if kind is ECall:
             arg, pending = self.lower_operand(e.arg, pending)
-            callee = self.procs[e.proc]
-            ins = ICall(target, e.proc, callee.ret_ann, arg, callee.param_ann)
+            ret_ann, arg_ann = self.signatures[e.proc]
+            ins = ICall(target, e.proc, ret_ann, arg, arg_ann)
             return [self.emit(ins, e.pos, pending)]
         if kind in _LINKS:
             # Chains `a && b && ...` and `y.f.g...` nest down their left
@@ -336,7 +335,7 @@ class _Lowerer:
                 body_arm, exit_arm = (if_v, else_v) if s.op == "!=" else (else_v, if_v)
                 body_exits = self.lower_stmts(s.body, [body_arm], ret_ann)
                 for v in body_exits:
-                    self.succ[v].append(head)
+                    self.succ[v] += (head,)
                 pending = [exit_arm]
             elif kind is not SSkip:
                 raise AssertionError(f"unknown statement {s!r}")
@@ -353,19 +352,27 @@ def lower(p: Program) -> ProgramCfg:
     v <= u is a loop back edge (v reaches u): only a loop's body returns to
     an earlier vertex, its head.  kildall's default worklist order relies on
     this for speed, not for correctness.
+
+    Lowering keeps the signatures' annotations, drops its reference to p and
+    then takes the procedures one at a time, main last.  So when the caller
+    passes a tree that it holds no longer (on Python 3.11 and later, a call
+    moves its arguments into the callee), each procedure's subtree is freed
+    as soon as it is lowered; main's block lives until lowering ends.  A tree
+    that the caller still holds is left as it was.
     """
-    lw = _Lowerer(p)
+    lw = _Lowerer({proc.name: (proc.ret_ann, proc.param_ann) for proc in p.procs})
+    procs, main, main_pos = list(reversed(p.procs)), p.main, p.main_pos  # popped from the end, first first
+    del p
     proc_entry: dict[str, int] = {}
-    for proc in p.procs:
+    while procs:
+        proc = procs.pop()
         head = IProc(proc.name, proc.ret_ann, proc.param, proc.param_ann)
         proc_entry[proc.name] = lw.lower_region(proc.name, head, proc.pos, {proc.param}, proc.body, proc.ret_ann)
-    main_entry = lw.lower_region(MAIN, IMain(), p.main_pos, set(), p.main, GradAbst.NULLABLE)
-    succ = lw.succ
-    for v, succs in enumerate(succ):
-        succ[v] = tuple(succs)  # in place: no second list of successors alongside the first
+        del proc
+    main_entry = lw.lower_region(MAIN, IMain(), main_pos, set(), main, GradAbst.NULLABLE)
     return ProgramCfg(
         vertices=lw.vertices,
-        succ=succ,
+        succ=lw.succ,
         entry=main_entry,
         proc_entry=proc_entry,
         universe=lw.universe,
@@ -449,6 +456,8 @@ def validate(cfg: ProgramCfg) -> list[str]:
        order: the interpreter reads the arms from it), both on the branch's
        variable; a return has none; every other vertex has exactly one,
        which is not an if or else vertex.
+    6. entry is the main vertex, and proc_entry maps each procedure entry's
+       name to that vertex and holds no other name.
 
     Messages come rule by rule.  Rules 2 and 3 report region by region, main
     first and then the procedures in vertex order, and within a region in
@@ -561,6 +570,17 @@ def validate(cfg: ProgramCfg) -> list[str]:
             out.append(f"vertex v{v} has {len(succs)} successors, expected 1")
         elif kinds[succs[0]] is IIf or kinds[succs[0]] is IElse:
             out.append(f"vertex v{v} feeds an if/else arm without branching")
+
+    if len(mains) == 1 and cfg.entry != mains[0]:
+        out.append(f"entry is v{cfg.entry}, not the main vertex v{mains[0]}")
+    proc_entry = cfg.proc_entry
+    for name, v in entries:
+        if kinds[v] is IProc and proc_entry.get(name) != v:
+            got = f"v{proc_entry[name]}" if name in proc_entry else "nothing"
+            out.append(f"proc_entry maps {name!r} to {got}, not to its entry v{v}")
+    for name, v in proc_entry.items():
+        if name not in proc_ret:
+            out.append(f"proc_entry maps {name!r} to v{v}, which no procedure entry declares")
     return out
 
 

@@ -12,7 +12,10 @@ Subcommands:
 
 Exit codes.  check: 0 clean, 1 static warnings, 2 front-end failure.
 run: 0 final, 2 front-end failure, 3 checked-execution error, 4 stuck,
-5 fuel exhausted.  cfg/stats/compare: 0 or 2.  selftest: 0 or 1.
+5 fuel exhausted.  cfg/stats/compare: 0 or 2.  selftest: 0 or 1.  Any
+command whose standard output closes early (`graduator run p --trace |
+head`) stops there and exits 141, 128 + SIGPIPE as a shell reports a process
+that the signal ended, with nothing on standard error.
 
 The environment variable GRADUATOR_MAX_STEPS overrides the default fuel;
 an explicit --max-steps beats both.  Fuel is a count of steps: 0 or more,
@@ -20,11 +23,15 @@ and a negative value exits 2.
 
 Every command frees the program's tree as soon as it is lowered, so that
 validate, the analysis and the interpreter never hold memory beside it:
-nothing after lowering reads the tree.  check's static mode tests the
-validated graph's annotations, and compare and stats --ignore-annotations
-apply their policies to it with cfg.reannotate.  compare frees each policy's
-graph and facts before it builds the next, and reuses the gradual findings
-for a policy that changes no annotation, as on a fully annotated program.
+nothing after lowering reads the tree.  No name here holds the tree, and
+parse lets the source text go once it is lexed, so on Python 3.11 and later,
+where a call moves its arguments into the callee, lowering frees the tree
+procedure by procedure as it goes (see cfg.lower).  check's static mode
+tests the validated graph's annotations, and compare and stats
+--ignore-annotations apply their policies to it with cfg.reannotate.
+compare frees each policy's graph and facts before it builds the next, and
+reuses the gradual findings for a policy that changes no annotation, as on a
+fully annotated program.
 
 While any command runs, the cyclic collector's first threshold is raised to
 200,000 allocations, as mypy does.  A command's tree, graph and states hold
@@ -50,7 +57,7 @@ from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, erase_annotation
 from .cfg import reannotate, render_instr, validate
 from .lattice import GradAbst
 from .runtime import DEFAULT_FUEL, run
-from .syntax import Diagnostic, ParseError, check_surface, parse
+from .syntax import Diagnostic, ParseError, Program, check_surface, parse
 
 
 class _Fail(Exception):
@@ -69,18 +76,24 @@ def _read(path: Path) -> str:
         raise _Fail(2, f"{path}: {exc}")
 
 
-def _front_end(path: Path, static: bool = False) -> tuple[ProgramCfg, list[Diagnostic]]:
-    """The file's validated graph and its surface notes; static requires a fully annotated program."""
+def _checked_tree(path: Path, notes: list[Diagnostic]) -> Program:
+    """The file's tree once it passes the surface checks, whose notes go to notes."""
     try:
         prog = parse(_read(path))
     except ParseError as exc:
         raise _Fail(2, f"{path}:{exc.line}:{exc.col}: error: {exc.message}")
-    diagnostics = check_surface(prog)
-    errors = [d for d in diagnostics if d.severity == "error"]
+    notes += check_surface(prog)
+    errors = [d for d in notes if d.severity == "error"]
     if errors:
         raise _Fail(2, "\n".join(f"{path}:{d}" for d in errors))
-    cfg = lower(prog)
-    del prog  # nothing after lowering reads the tree: free it before validate, analyze and run
+    return prog
+
+
+def _front_end(path: Path, static: bool = False) -> tuple[ProgramCfg, list[Diagnostic]]:
+    """The file's validated graph and its surface notes; static requires a fully annotated program."""
+    diagnostics: list[Diagnostic] = []
+    # No name holds the tree: lower frees it procedure by procedure (see lower).
+    cfg = lower(_checked_tree(path, diagnostics))
     bad = validate(cfg)
     if bad:
         raise _Fail(2, "\n".join(f"{path}: malformed control flow: {b}" for b in bad))
@@ -308,16 +321,39 @@ def _build_parser() -> argparse.ArgumentParser:
 # Allocations between gen-0 passes while a command runs.
 _GEN0_THRESHOLD = 200_000
 
+# The exit status when standard output closes early: 128 + SIGPIPE.
+EXIT_CLOSED_PIPE = 141
+
+
+def _drop_stdout() -> None:
+    """Point standard output's file at devnull, so that interpreter shutdown flushes nothing into a closed pipe.
+
+    Only a stdout that is a real file is repointed: an in-process caller's
+    stream is its own, and shutdown does not flush it.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     thresholds = gc.get_threshold()
     gc.set_threshold(_GEN0_THRESHOLD, *thresholds[1:])
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter shutdown
+        return code
     except _Fail as exc:
         print(exc.message, file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_CLOSED_PIPE
     finally:
         gc.set_threshold(*thresholds)
 

@@ -566,8 +566,14 @@ class _Parser:
 
 
 def parse(source: str) -> Program:
-    """Parse PICL source text.  Raises ParseError with a 1-based position."""
-    return _Parser(*_lex(source)).program()
+    """Parse PICL source text.  Raises ParseError with a 1-based position.
+
+    The source is let go once it is lexed: when the caller holds it no
+    longer, it is freed before the tree is built.
+    """
+    lexed = _lex(source)
+    del source
+    return _Parser(*lexed).program()
 
 
 # ---------------------------------------------------------------------------
