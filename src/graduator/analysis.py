@@ -24,6 +24,11 @@ join's, are tabulated once per pair of fact bytes.
 Rules are built once per vertex visit, by dispatch on the instruction's
 type, and not kept: the fixpoint holds its states and no list of rules.  The
 tables of the constants Null, NonNull and Nullable are resolved at import.
+The fixpoint and the findings read the graph's columns by vertex number:
+vertex v's instruction is ``cfg.instr[v]`` and its procedure ``cfg.proc[v]``.
+On a graph that ``validate`` accepts, each vertex's procedure has a universe
+and every variable its instruction names is in it (rules 2 and 7), so no
+rule looks up a variable that its state does not number.
 
 Fixpoints come from a worklist iteration seeded with every vertex (initial
 state: bottom, every variable undefined).  The result is order-independent;
@@ -63,8 +68,8 @@ from .cfg import (
     IProc,
     IReturn,
     Instr,
+    OPERANDS,
     ProgramCfg,
-    Vertex,
 )
 from .lattice import (
     ALL_GRAD,
@@ -214,9 +219,6 @@ def _apply(rule: tuple[_Write, ...], state: bytes) -> bytes:
 # Transfer functions
 # ---------------------------------------------------------------------------
 
-# The instruction attributes that name variables.
-_OPERANDS = ("target", "source", "left", "right", "obj", "var", "param")
-
 
 def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradState:
     """Gradual transfer function on partial maps; annotations flow through unconverted.
@@ -227,7 +229,7 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
     target when the operand is undefined; an entry seeds universe with Null
     and binds the parameter to its annotation.
     """
-    names = sorted(universe.union(sigma, (getattr(ins, a) for a in _OPERANDS if hasattr(ins, a))))
+    names = sorted(universe.union(sigma, (getattr(ins, a) for a in OPERANDS[type(ins)])))
     index = {x: i for i, x in enumerate(names)}
     state = bytes(_CODE[sigma.get(x)] for x in names)
     return _decode(_apply(_rule(ins, index, universe), state), names)
@@ -310,7 +312,7 @@ class AnalysisResult(Record):
     @property
     def grad_pi(self) -> list[GradState]:
         if self._grad_pi is None:
-            self._grad_pi = [_decode(state, self.numbering[v.proc]) for state, v in zip(self.states, self.cfg.vertices)]
+            self._grad_pi = [_decode(state, self.numbering[proc]) for state, proc in zip(self.states, self.cfg.proc)]
         return self._grad_pi
 
     @property
@@ -322,7 +324,7 @@ class AnalysisResult(Record):
 
     def fact(self, v: int, x: str) -> Optional[GradAbst]:
         """The gradual fact of x at vertex v, or None where x is undefined."""
-        i = self.numbering[self.cfg.vertices[v].proc].get(x)
+        i = self.numbering[self.cfg.proc[v]].get(x)
         return None if i is None else _FACT[self.states[v][i]]
 
 
@@ -347,18 +349,18 @@ def kildall(
     absorbs (? + Nullable = Nullable).
     """
     if mode == "static":
-        for vertex in cfg.vertices:
-            kind = type(vertex.instr)
+        for ins in cfg.instr:
+            kind = type(ins)
             if kind is ICall:
-                _exact_ann(vertex.instr.ret_ann)
+                _exact_ann(ins.ret_ann)
             elif kind is IProc:
-                _exact_ann(vertex.instr.param_ann)
+                _exact_ann(ins.param_ann)
 
     numbering = {proc: {x: i for i, x in enumerate(sorted(u))} for proc, u in cfg.universe.items()}
     by_width: dict[int, bytes] = {}
     bottom = {proc: by_width.setdefault(len(index), bytes(len(index))) for proc, index in numbering.items()}
-    vertices, universe = cfg.vertices, cfg.universe
-    bottoms = [bottom[v.proc] for v in vertices]
+    instr, procs, universe = cfg.instr, cfg.proc, cfg.universe
+    bottoms = [bottom[proc] for proc in procs]
     states = list(bottoms)
     if seed_order is None:
         order: Iterable[int] = range(len(states))
@@ -371,8 +373,7 @@ def kildall(
     while work:
         v = work.popleft()
         queued[v] = 0
-        vertex = vertices[v]
-        ins, proc = vertex.instr, vertex.proc
+        ins, proc = instr[v], procs[v]
         out = _apply(_RULES[type(ins)](ins, numbering[proc], universe[proc]), states[v])
         for u in succ[v]:
             old = states[u]
@@ -439,9 +440,9 @@ def _verdict(found: Optional[GradAbst], bound: Optional[GradAbst]) -> int:
 _VERDICT = bytes(_verdict(f, b) for f in _FACT for b in _FACT)
 
 
-def _finding(category: str, vertex: Vertex, x: str, found: GradAbst, bound: GradAbst) -> Finding:
-    line, col = vertex.pos
-    return Finding(category, vertex.proc, vertex.id, line, col, x, str(ceil(bound)), str(found))
+def _finding(category: str, cfg: ProgramCfg, v: int, x: str, found: GradAbst, bound: GradAbst) -> Finding:
+    line, col = cfg.pos[v]
+    return Finding(category, cfg.proc[v], v, line, col, x, str(ceil(bound)), str(found))
 
 
 def findings(result: AnalysisResult) -> tuple[list[Finding], list[Finding]]:
@@ -455,18 +456,18 @@ def findings(result: AnalysisResult) -> tuple[list[Finding], list[Finding]]:
     """
     warnings: list[Finding] = []
     checks: list[Finding] = []
-    states, numbering = result.states, result.numbering
-    for vertex in result.cfg.vertices:
-        for x, bound in _safety_bounds(vertex.instr):
-            i = numbering[vertex.proc].get(x)
+    cfg, states, numbering = result.cfg, result.states, result.numbering
+    for v, (ins, proc) in enumerate(zip(cfg.instr, cfg.proc)):
+        for x, bound in _safety_bounds(ins):
+            i = numbering[proc].get(x)
             if i is None:
                 continue
-            code = states[vertex.id][i]
+            code = states[v][i]
             verdict = _VERDICT[7 * code + _CODE[bound]]
             if verdict == _WARN:
-                warnings.append(_finding(WARN_STATIC, vertex, x, _FACT[code], bound))
+                warnings.append(_finding(WARN_STATIC, cfg, v, x, _FACT[code], bound))
             elif verdict == _SITE:
-                checks.append(_finding(site_category(vertex.instr), vertex, x, _FACT[code], bound))
+                checks.append(_finding(site_category(ins), cfg, v, x, _FACT[code], bound))
     return warnings, checks
 
 

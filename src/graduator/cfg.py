@@ -13,15 +13,24 @@ There are no interprocedural edges: calls and returns meet only through
 annotations, which lowering copies from the callee signature onto the call
 instruction.  Since a signature reaches no other vertex, the annotation
 sites are read and edited here, on the graph: `reannotate` gives the graph
-of a program with other annotations by rebuilding just those vertices.
+of a program with other annotations by rebuilding just those instructions.
+
+A graph is parallel columns, with no record per vertex: vertex v is index v
+of `instr`, `proc` (one name string shared by all of a procedure's
+vertices), `pos` and `succ`, and every reader numbers vertices by index.
+`validate` is the back end's one precondition, so it checks every column
+that the back end reads: rule 0 that the columns have one entry per vertex,
+rule 2 that each vertex's proc names the region that reaches it, and rule 7
+that each region has a universe holding every variable its instructions
+name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union, get_args
 
 from .lattice import GradAbst, precision_leq
-from .record import Record, field
+from .record import Record, field, replace
 from .syntax import (
     EAnd,
     ECall,
@@ -142,6 +151,11 @@ Instr = Union[
 ]
 
 
+# The fields of each instruction type that name a variable, in declaration order.
+_VARIABLE_FIELDS = frozenset({"target", "source", "left", "right", "obj", "var", "param", "arg"})
+OPERANDS = {kind: tuple(f for f in kind._init_fields if f in _VARIABLE_FIELDS) for kind in get_args(Instr)}
+
+
 def _ann_text(ann: GradAbst) -> str:
     return f"@{ann}"
 
@@ -180,14 +194,19 @@ def render_instr(ins: Instr) -> str:
 
 
 class Vertex(Record, frozen=True):
-    id: int
+    """One vertex's entries in the graph's columns, as ProgramCfg.vertices builds them."""
+
     instr: Instr
     proc: str  # procedure name, or "main"
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
 class ProgramCfg(Record):
-    vertices: list[Vertex]
+    """Parallel columns, one entry per vertex: vertex v is index v of instr, proc, pos and succ."""
+
+    instr: list[Instr]
+    proc: list[str]  # procedure name, or "main"; one string object per procedure
+    pos: list[tuple[int, int]] = field(compare=False, repr=False)
     succ: list[tuple[int, ...]]
     entry: int
     proc_entry: dict[str, int]  # procedure name -> IProc vertex id
@@ -197,6 +216,11 @@ class ProgramCfg(Record):
     # holds an opcode and operands read from the graph, never the graph, or
     # the two would form a reference cycle.
     _run_sites: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def vertices(self) -> list[Vertex]:
+        """One Vertex per vertex, built on each read: only bench/run.py's traced counters() reads it."""
+        return list(map(Vertex, self.instr, self.proc, self.pos))
 
     def descend(self, root: int) -> set[int]:
         """Vertices reachable from root, root included."""
@@ -228,8 +252,7 @@ def _link(e: Expr) -> Expr:
 class _Lowerer:
     def __init__(self, signatures: dict[str, tuple[GradAbst, GradAbst]]):
         self.signatures = signatures  # procedure name -> (return, parameter) annotation
-        self.vertices: list[Vertex] = []
-        self.succ: list[tuple[int, ...]] = []
+        self.instr, self.proc, self.pos, self.succ = [], [], [], []  # ProgramCfg's columns
         self.vars: set[str] = set()
         self.temp_count = 0
         self.prockey = MAIN
@@ -247,8 +270,10 @@ class _Lowerer:
         return entry
 
     def emit(self, instr: Instr, pos: tuple[int, int], pending: list[int]) -> int:
-        vid = len(self.vertices)
-        self.vertices.append(Vertex(vid, instr, self.prockey, pos))
+        vid = len(self.instr)
+        self.instr.append(instr)
+        self.proc.append(self.prockey)
+        self.pos.append(pos)
         self.succ.append(())
         for p in pending:
             self.succ[p] += (vid,)
@@ -326,10 +351,10 @@ class _Lowerer:
             elif kind is SFieldAssign:
                 pending = [self.emit(IFieldWrite(s.obj, s.fieldname, s.source), s.pos, pending)]
             elif kind is SWhile:
-                head_mark = len(self.vertices)
+                head_mark = len(self.instr)
                 var, cond_exits = self.lower_operand(s.cond, pending)
                 b = self.emit(IBranch(var), s.pos, cond_exits)
-                head = head_mark if head_mark < len(self.vertices) - 1 else b
+                head = head_mark if head_mark < len(self.instr) - 1 else b
                 if_v = self.emit(IIf(var), s.pos, [b])
                 else_v = self.emit(IElse(var), s.pos, [b])
                 body_arm, exit_arm = (if_v, else_v) if s.op == "!=" else (else_v, if_v)
@@ -370,13 +395,7 @@ def lower(p: Program) -> ProgramCfg:
         proc_entry[proc.name] = lw.lower_region(proc.name, head, proc.pos, {proc.param}, proc.body, proc.ret_ann)
         del proc
     main_entry = lw.lower_region(MAIN, IMain(), main_pos, set(), main, GradAbst.NULLABLE)
-    return ProgramCfg(
-        vertices=lw.vertices,
-        succ=lw.succ,
-        entry=main_entry,
-        proc_entry=proc_entry,
-        universe=lw.universe,
-    )
+    return ProgramCfg(lw.instr, lw.proc, lw.pos, lw.succ, main_entry, proc_entry, lw.universe)
 
 
 def reannotate(cfg: ProgramCfg, rewrite: Callable[[str, GradAbst], GradAbst]) -> ProgramCfg:
@@ -385,33 +404,33 @@ def reannotate(cfg: ProgramCfg, rewrite: Callable[[str, GradAbst], GradAbst]) ->
     A procedure p has two sites, 'p.param' and 'p.return'.  Signatures reach
     the graph only at calls (ICall.arg_ann and ret_ann), procedure entries
     (IProc.param_ann and ret_ann) and the returns of procedures (main's return
-    is Nullable whatever they say), so only those vertices whose annotation
-    changes are rebuilt; the successors, entries and universes are cfg's own.
-    When no vertex changes, the result is cfg itself.
+    is Nullable whatever they say), so only the instr column is copied, with
+    the instructions whose annotation changes rebuilt; every other column and
+    field is cfg's own.  When no instruction changes, the result is cfg itself.
     """
-    vertices = list(cfg.vertices)
-    for v in vertices:
-        ins, kind = v.instr, type(v.instr)
+    instr = list(cfg.instr)
+    for v, ins in enumerate(instr):
+        kind = type(ins)
         if kind is ICall:
             ret, arg = rewrite(f"{ins.proc}.return", ins.ret_ann), rewrite(f"{ins.proc}.param", ins.arg_ann)
             new = ICall(ins.target, ins.proc, ret, ins.arg, arg)
         elif kind is IProc:
             ret, param = rewrite(f"{ins.name}.return", ins.ret_ann), rewrite(f"{ins.name}.param", ins.param_ann)
             new = IProc(ins.name, ret, ins.param, param)
-        elif kind is IReturn and v.proc != MAIN:
-            new = IReturn(ins.var, rewrite(f"{v.proc}.return", ins.ann))
+        elif kind is IReturn and cfg.proc[v] != MAIN:
+            new = IReturn(ins.var, rewrite(f"{cfg.proc[v]}.return", ins.ann))
         else:
             continue
         if new != ins:
-            vertices[v.id] = Vertex(v.id, new, v.proc, v.pos)
-    return cfg if vertices == cfg.vertices else ProgramCfg(vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe)
+            instr[v] = new
+    return cfg if instr == cfg.instr else replace(cfg, instr=instr)
 
 
 def annotation_sites(cfg: ProgramCfg) -> list[tuple[str, GradAbst]]:
     """Each site's key and annotation in declaration order; main's return is fixed Nullable, not a site."""
     sites: list[tuple[str, GradAbst]] = []
     for name, v in cfg.proc_entry.items():
-        ins = cfg.vertices[v].instr
+        ins = cfg.instr[v]
         sites += ((f"{name}.param", ins.param_ann), (f"{name}.return", ins.ret_ann))
     return sites
 
@@ -444,9 +463,11 @@ def precision_leq_cfg(cfg1: ProgramCfg, cfg2: ProgramCfg) -> bool:
 def validate(cfg: ProgramCfg) -> list[str]:
     """Structural well-formedness.  Empty iff the graph is well-formed.
 
+    0. The columns instr, proc, pos and succ hold one entry per vertex.  When
+       they do not, that is the only message.
     1. Exactly one main vertex, with no predecessors.
     2. The regions reachable from main and from each procedure entry
-       partition the vertex set.
+       partition the vertex set, and each vertex's proc names its region.
     3. Every vertex reaches a return, and every return's annotation matches
        its region's declared return annotation (Nullable for main).  The
        first half is one backward pass over the predecessors, from the
@@ -458,17 +479,22 @@ def validate(cfg: ProgramCfg) -> list[str]:
        which is not an if or else vertex.
     6. entry is the main vertex, and proc_entry maps each procedure entry's
        name to that vertex and holds no other name.
+    7. universe has a key for every region, and every variable that an
+       instruction names is in its region's universe.
 
-    Messages come rule by rule.  Rules 2 and 3 report region by region, main
-    first and then the procedures in vertex order, and within a region in
-    vertex order; rule 2's unreachable vertices come last, in vertex order.
+    Messages come rule by rule.  Rules 2, 3 and 7 report region by region,
+    main first and then the procedures in vertex order, and within a region
+    in vertex order; rule 2's unreachable and mislabelled vertices come last,
+    in vertex order.
     The predecessors, the largest per-vertex structure, are freed before the
     regions are built, and a region is a sorted list, not a set.
     """
+    instrs, procs, succ = cfg.instr, cfg.proc, cfg.succ
+    if not len(instrs) == len(procs) == len(cfg.pos) == len(succ):
+        lengths = f"{len(instrs)} instr, {len(procs)} proc, {len(cfg.pos)} pos, {len(succ)} succ"
+        return [f"columns differ in length: {lengths}"]
     out: list[str] = []
-    instrs = [v.instr for v in cfg.vertices]
     kinds = list(map(type, instrs))
-    succ = cfg.succ
     mains = [v for v, kind in enumerate(kinds) if kind is IMain]
     if len(mains) != 1:
         out.append(f"expected exactly one main vertex, found {len(mains)}")
@@ -540,6 +566,8 @@ def validate(cfg: ProgramCfg) -> list[str]:
     for v, owner in enumerate(covered):
         if owner is None:
             out.append(f"vertex v{v} unreachable from every entry")
+        elif procs[v] != owner:
+            out.append(f"vertex v{v} in region {owner!r} is labelled {procs[v]!r}")
 
     for name, region in regions:
         want = proc_ret.get(name, GradAbst.NULLABLE)
@@ -581,12 +609,31 @@ def validate(cfg: ProgramCfg) -> list[str]:
     for name, v in proc_entry.items():
         if name not in proc_ret:
             out.append(f"proc_entry maps {name!r} to v{v}, which no procedure entry declares")
+
+    for name, region in regions:
+        universe = cfg.universe.get(name)
+        if universe is None:
+            out.append(f"region {name!r} has no universe")
+            continue
+        for vid in region:
+            for a in OPERANDS[kinds[vid]]:
+                if getattr(instrs[vid], a) not in universe:
+                    out.append(f"vertex v{vid} names {getattr(instrs[vid], a)!r}, outside the universe of {name!r}")
     return out
 
 
 # ---------------------------------------------------------------------------
-# DOT
+# Text and DOT
 # ---------------------------------------------------------------------------
+
+
+def render_cfg(cfg: ProgramCfg) -> str:
+    """One line per vertex: its number, procedure, instruction and successors."""
+    lines = []
+    for v, (ins, proc, succs) in enumerate(zip(cfg.instr, cfg.proc, cfg.succ)):
+        arrow = f"  -> {', '.join(f'v{u}' for u in succs)}" if succs else ""
+        lines.append(f"v{v}: {proc}: {render_instr(ins)}{arrow}\n")
+    return "".join(lines)
 
 
 def _dot_escape(s: str) -> str:
@@ -596,18 +643,18 @@ def _dot_escape(s: str) -> str:
 def emit_dot(cfg: ProgramCfg) -> str:
     """Deterministic DOT rendering, one cluster per procedure plus main."""
     lines = ["digraph picl {", '    node [shape=box, fontname="monospace"];']
-    groups: dict[str, list[Vertex]] = {}
-    for v in cfg.vertices:
-        groups.setdefault(v.proc, []).append(v)
-    for name in sorted(groups, key=lambda n: groups[n][0].id):
+    groups: dict[str, list[int]] = {}
+    for v, proc in enumerate(cfg.proc):
+        groups.setdefault(proc, []).append(v)
+    for name in sorted(groups, key=lambda n: groups[n][0]):
         lines.append(f'    subgraph "cluster_{_dot_escape(name)}" {{')
         title = name if name == MAIN else f"proc {name}"
         lines.append(f'        label="{_dot_escape(title)}";')
         for v in groups[name]:
-            lines.append(f'        v{v.id} [label="{_dot_escape(render_instr(v.instr))}"];')
+            lines.append(f'        v{v} [label="{_dot_escape(render_instr(cfg.instr[v]))}"];')
         lines.append("    }")
-    for v in cfg.vertices:
-        for u in cfg.succ[v.id]:
-            lines.append(f"    v{v.id} -> v{u};")
+    for v, succs in enumerate(cfg.succ):
+        for u in succs:
+            lines.append(f"    v{v} -> v{u};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -54,7 +54,7 @@ from pathlib import Path
 from . import __version__
 from .analysis import WARN_CHECK, analyze
 from .cfg import IFieldRead, IFieldWrite, ProgramCfg, emit_dot, erase_annotations, is_fully_annotated, lower
-from .cfg import reannotate, render_instr, validate
+from .cfg import reannotate, render_cfg, validate
 from .lattice import GradAbst
 from .runtime import DEFAULT_FUEL, run
 from .syntax import Diagnostic, ParseError, Program, check_surface, parse
@@ -104,7 +104,7 @@ def _front_end(path: Path, static: bool = False) -> tuple[ProgramCfg, list[Diagn
 
 def _deref_stats(cfg: ProgramCfg, checks) -> tuple[int, int, int]:
     """(dereference sites, checks among them, eliminated)."""
-    derefs = sum(1 for v in cfg.vertices if type(v.instr) is IFieldRead or type(v.instr) is IFieldWrite)
+    derefs = sum(1 for ins in cfg.instr if type(ins) is IFieldRead or type(ins) is IFieldWrite)
     checked = sum(1 for c in checks if c.category == WARN_CHECK)
     return derefs, checked, derefs - checked
 
@@ -201,13 +201,7 @@ def cmd_run(args) -> int:
 def cmd_cfg(args) -> int:
     path = Path(args.path)
     cfg, _ = _front_end(path)
-    if args.dot:
-        sys.stdout.write(emit_dot(cfg))
-        return 0
-    for v in cfg.vertices:
-        succs = ", ".join(f"v{u}" for u in cfg.succ[v.id])
-        arrow = f"  -> {succs}" if succs else ""
-        print(f"v{v.id}: {v.proc}: {render_instr(v.instr)}{arrow}")
+    sys.stdout.write(emit_dot(cfg) if args.dot else render_cfg(cfg))
     return 0
 
 

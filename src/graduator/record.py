@@ -12,8 +12,8 @@ fields; a record that is not frozen is unhashable.  `copy`, `deepcopy` and
 `field(default=..., init=..., compare=..., repr=...)` declares a field that
 is left out of the constructor, the comparison or the repr.  A field with
 `init=False` and no default is set by the class's `__post_init__`, which
-`__init__` calls last.  `replace(obj, **changes)` copies a record through
-its constructor.
+`__init__` calls last.  `replace(obj, /, **changes)` copies a record through
+its constructor, whatever its fields are called.
 
 Why a metaclass: a class's slots are fixed by the `__slots__` of the
 namespace it is created from, so a class decorator, which sees the class
@@ -154,7 +154,7 @@ class Record(metaclass=_RecordType):
     """The base of every record class: `class EVar(Record, frozen=True):`."""
 
 
-def replace(obj, **changes):
+def replace(obj, /, **changes):
     """A copy of record obj with the given init fields changed."""
     kwargs = {name: getattr(obj, name) for name in obj._init_fields}
     kwargs.update(changes)

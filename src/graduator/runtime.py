@@ -15,10 +15,11 @@ blocks), while checked (gradual) execution consults the safety bounds
 instead of running into the violation.
 
 One executor, `_execute`, runs every step in one loop.  On its first step a
-vertex is decoded into a site, kept on the graph: a flat tuple of a small-int
-opcode for its instruction type and the operands its rule reads, with
-annotations and safety bounds resolved to whether they admit null and
-non-null.  The loop tests the opcode inline and keeps the top frame's
+vertex is decoded from the graph's columns (`instr[v]`, `succ[v]`, and
+`proc[v]` for main's universe) into a site, kept on the graph: a flat tuple
+of a small-int opcode for its instruction type and the operands its rule
+reads, with annotations and safety bounds resolved to whether they admit
+null and non-null.  The loop tests the opcode inline and keeps the top frame's
 environment and vertex in locals, writing them back to the state when a call
 pushes a frame and when the loop ends.  It updates a `MachineState` in place:
 the frames are a list, the heap a dict, and the state keeps its next free
@@ -130,9 +131,9 @@ class Errored(Record, frozen=True):
 
     def to_json(self, cfg: ProgramCfg) -> dict:
         """The check site's finding, found as the value's exact fact, plus the value."""
-        v = cfg.vertices[self.vertex]
         found = GradAbst.NULL if self.value == 0 else GradAbst.NONNULL
-        finding = _finding(site_category(v.instr), v, self.variable, found, exact(self.required))
+        category = site_category(cfg.instr[self.vertex])
+        finding = _finding(category, cfg, self.vertex, self.variable, found, exact(self.required))
         return finding.to_json() | {"value": self.value}
 
 
@@ -165,7 +166,7 @@ _READ, _BRANCH, _SKIP, _CALL, _ENTER, _RETURN, _NEW, _WRITE, _COPY, _NULL, _AND_
 
 
 def _site(cfg: ProgramCfg, v: int) -> _Site:
-    ins = cfg.vertices[v].instr
+    ins = cfg.instr[v]
     kind = type(ins)
     guards: tuple = ()
     for x, bound in _safety_bounds(ins):
@@ -197,7 +198,7 @@ def _site(cfg: ProgramCfg, v: int) -> _Site:
     if kind is IAnd or kind is IOr:
         return (_AND_OR, guards, nxt, ins.target, ins.left, ins.right, kind is IAnd)
     if kind is IMain:
-        return (_MAIN, guards, nxt, dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0))
+        return (_MAIN, guards, nxt, dict.fromkeys(sorted(cfg.universe[cfg.proc[v]]), 0))
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
@@ -216,9 +217,9 @@ def _execute(
     first `steps` of them are the vertices of the steps taken.
     """
     if cfg._run_sites is None:
-        cfg._run_sites = [None] * len(cfg.vertices)
+        cfg._run_sites = [None] * len(cfg.instr)
     sites = cfg._run_sites
-    vertices, succ = cfg.vertices, cfg.succ
+    instr, succ = cfg.instr, cfg.succ
     frames, heap = m.frames, m.heap
     env, v = frames[-1]
     try:
@@ -261,7 +262,7 @@ def _execute(
                 if len(frames) < 2:
                     return Stuck(m, v, "procedure entry without a caller"), steps
                 caller_env, caller_v = frames[-2]
-                call = vertices[caller_v].instr
+                call = instr[caller_v]
                 if type(call) is not ICall or call.proc != name:
                     return Stuck(m, v, "caller frame is not at a matching call"), steps
                 arg = caller_env[call.arg]
@@ -275,7 +276,7 @@ def _execute(
                     return Final(m), steps
                 _, _, _, var, admits, ann = site
                 caller_env, caller_v = frames[-2]
-                call = vertices[caller_v].instr
+                call = instr[caller_v]
                 if type(call) is not ICall:
                     return Stuck(m, v, "caller frame is not at a call"), steps
                 retval = env[var]
@@ -382,15 +383,12 @@ def run(
     stop, steps = _execute(cfg, state, mode == "gradual", max_steps, visited)
     trace: list[str] = []
     if visited:
-        label = {}
-        for u in set(visited):
-            vtx = cfg.vertices[u]
-            label[u] = f"{vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}"
+        label = {u: f"{cfg.proc[u]}/v{u}: {render_instr(cfg.instr[u])}" for u in set(visited)}
         trace = [f"{k}: {label[u]}" for k, u in enumerate(visited[:steps])]
     if stop is None:
         return RunResult("fuel", state, steps, trace)
     if type(stop) is Final:
-        return RunResult("final", state, steps, trace, final_var=cfg.vertices[state.top.vertex].instr.var)
+        return RunResult("final", state, steps, trace, final_var=cfg.instr[state.top.vertex].var)
     if type(stop) is Stuck:
         return RunResult("stuck", state, steps, trace, stuck_reason=stop.reason)
     return RunResult("error", state, steps, trace, error=stop)

@@ -58,7 +58,6 @@ from .cfg import (
     IProc,
     IReturn,
     ProgramCfg,
-    Vertex,
     annotation_sites,
     erase_annotations,
     lower,
@@ -634,34 +633,22 @@ _FIELDS = ("f", "g")
 def _single_cfg(ins) -> ProgramCfg:
     universe = frozenset(_VARS)
     if type(ins) is IBranch:
-        vertices = [
-            Vertex(0, ins, MAIN),
-            Vertex(1, IIf(ins.var), MAIN),
-            Vertex(2, IElse(ins.var), MAIN),
-            Vertex(3, IReturn("x", GradAbst.NULLABLE), MAIN),
-        ]
+        instr = [ins, IIf(ins.var), IElse(ins.var), IReturn("x", GradAbst.NULLABLE)]
         succ: list[tuple[int, ...]] = [(1, 2), (3,), (3,), ()]
     else:
-        vertices = [Vertex(0, ins, MAIN), Vertex(1, IReturn("x", GradAbst.NULLABLE), MAIN)]
-        succ = [(1,), ()]
-    return ProgramCfg(vertices, succ, entry=0, proc_entry={}, universe={MAIN: universe})
+        instr, succ = [ins, IReturn("x", GradAbst.NULLABLE)], [(1,), ()]
+    n = len(instr)
+    return ProgramCfg(instr, [MAIN] * n, [(0, 0)] * n, succ, entry=0, proc_entry={}, universe={MAIN: universe})
 
 
 def _call_cfg(ret_ann: GradAbst, param_ann: GradAbst) -> tuple[ProgramCfg, ICall, IProc]:
     call = ICall("x", "q", ret_ann, "y", param_ann)
     proc = IProc("q", ret_ann, "w", param_ann)
-    vertices = [
-        Vertex(0, IMain(), MAIN),
-        Vertex(1, call, MAIN),
-        Vertex(2, IReturn("x", GradAbst.NULLABLE), MAIN),
-        Vertex(3, proc, "q"),
-        Vertex(4, ICopy("r", "w"), "q"),
-        Vertex(5, IReturn("r", ret_ann), "q"),
-    ]
-    succ: list[tuple[int, ...]] = [(1,), (2,), (), (4,), (5,), ()]
     cfg = ProgramCfg(
-        vertices,
-        succ,
+        [IMain(), call, IReturn("x", GradAbst.NULLABLE), proc, ICopy("r", "w"), IReturn("r", ret_ann)],
+        [MAIN, MAIN, MAIN, "q", "q", "q"],
+        [(0, 0)] * 6,
+        [(1,), (2,), (), (4,), (5,), ()],
         entry=0,
         proc_entry={"q": 3},
         universe={MAIN: frozenset({"x", "y"}), "q": frozenset({"w", "r"})},
@@ -855,7 +842,7 @@ def check_conservative_extension(p: Program, fuel: int = 2000) -> list[str]:
     cfg = lower(p)
     rs = kildall(cfg, "static")
     rg = kildall(cfg, "gradual")
-    for v in range(len(cfg.vertices)):
+    for v in range(len(cfg.instr)):
         if {x: exact(a) for x, a in rs.pi[v].items()} != rg.pi[v]:
             failures.append(f"pi differs at v{v}: static {rs.pi[v]} vs gradual {rg.pi[v]}")
     ws, wg = static_warnings(rs), static_warnings(rg)
@@ -887,7 +874,7 @@ def check_erasure_guarantees(p: Program, subsets: list[set[str]], fuel: int = 20
         w2 = static_warnings(r2)
         if w2:
             failures.append(f"erasure {sorted(subset)} introduced warnings: {w2[0].render()}")
-        for v in range(len(cfg1.vertices)):
+        for v in range(len(cfg1.instr)):
             for x, g1 in r1.pi[v].items():
                 g2 = r2.fact(v, x)
                 if g2 is None:

@@ -19,6 +19,7 @@ dereferences the result exactly once.
 """
 
 import gc
+import importlib
 import statistics
 import sys
 import time
@@ -173,11 +174,14 @@ def wide_src(n: int) -> str:
     )
 
 
-def workload_source(name: str, scale: int) -> str:
-    """The source of the benchmark's sized workload name at scale (1, 4 or 16), seed 1."""
+def bench_module(name: str):
+    """A module of the benchmark (workloads, run), imported with bench/ on sys.path."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     if bench not in sys.path:
         sys.path.append(bench)
-    import workloads
+    return importlib.import_module(name)
 
-    return workloads.SIZED[name](1, scale).source
+
+def workload_source(name: str, scale: int) -> str:
+    """The source of the benchmark's sized workload name at scale (1, 4 or 16), seed 1."""
+    return bench_module("workloads").SIZED[name](1, scale).source

@@ -125,7 +125,7 @@ def test_criterion_3_retry_loop_dataflow():
             {"$0": "Null", "r": "NonNull"},
         ]
         branch_in, return_in = _hand_iterated_loop_facts()
-        foo = {type(cfg.vertices[v.id].instr).__name__: v.id for v in cfg.vertices if v.proc == "foo"}
+        foo = {type(ins).__name__: v for v, (ins, proc) in enumerate(zip(cfg.instr, cfg.proc)) if proc == "foo"}
         assert facts[foo["IBranch"]] == {"x": branch_in}
         assert facts[foo["IReturn"]] == {"x": return_in}
         _, warnings, checks = analyze(cfg)
@@ -255,7 +255,7 @@ def test_criterion_8_corpus_check_elimination():
         for path in corpus_paths():
             cfg = erase_annotations(lower(parse(path.read_text())))
             _, _, checks = analyze(cfg)
-            derefs = sum(1 for v in cfg.vertices if isinstance(v.instr, (IFieldRead, IFieldWrite)))
+            derefs = sum(1 for ins in cfg.instr if isinstance(ins, (IFieldRead, IFieldWrite)))
             checked = sum(1 for c in checks if c.category == "GRADUAL_CHECK")
             per_file[path.stem] = (derefs, derefs - checked)
             total_derefs += derefs

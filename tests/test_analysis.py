@@ -177,7 +177,7 @@ def test_safety_bounds():
 def test_retry_loop_fixpoint():
     cfg = lower(parse(LOOP_SRC))
     result = kildall(cfg, "gradual")
-    foo = {type(cfg.vertices[v.id].instr).__name__: v.id for v in cfg.vertices if v.proc == "foo"}
+    foo = {type(ins).__name__: v for v, (ins, proc) in enumerate(zip(cfg.instr, cfg.proc)) if proc == "foo"}
     # the loop head sees the join of the entry fact and the call result
     assert result.pi[foo["IBranch"]] == {"x": GradAbst.NULLABLE}
     assert result.pi[foo["IIf"]] == {"x": GradAbst.NULLABLE}
@@ -210,7 +210,7 @@ def test_fixpoint_ignores_seed_order():
     for seed in range(12):
         cfg = lower(gen_program(GenConfig(seed=seed, annotation_density=0.6)))
         baseline = kildall(cfg)
-        ids = [v.id for v in cfg.vertices]
+        ids = list(range(len(cfg.instr)))
         for _ in range(3):
             rng.shuffle(ids)
             result = kildall(cfg, seed_order=list(ids))
@@ -239,12 +239,12 @@ def _reference_fixpoint(cfg, mode):
     which refuses to write a '?') under the base join.
     """
     transfer, join = (lifted_flow, lifted_join) if mode == "gradual" else (flow, base_join)
-    pi = [{} for _ in cfg.vertices]
-    work = list(range(len(cfg.vertices)))
+    pi = [{} for _ in cfg.instr]
+    work = list(range(len(cfg.instr)))
     try:
         while work:
             v = work.pop(0)
-            out = transfer(cfg.vertices[v].instr, pi[v], cfg.universe[cfg.vertices[v].proc])
+            out = transfer(cfg.instr[v], pi[v], cfg.universe[cfg.proc[v]])
             for u in cfg.succ[v]:
                 grown = _merge_only_join(pi[u], out, join)
                 if grown != pi[u]:
@@ -299,7 +299,7 @@ def test_fact_reads_what_pi_holds():
         cfg = lower(parse(path.read_text()))
         result = kildall(cfg)
         for v, sigma in enumerate(result.pi):
-            for x in [*cfg.universe[cfg.vertices[v].proc], "not-a-variable"]:
+            for x in [*cfg.universe[cfg.proc[v]], "not-a-variable"]:
                 assert result.fact(v, x) is sigma.get(x)
 
 
@@ -356,7 +356,7 @@ def test_warning_on_null_argument():
     assert w.proc == MAIN
     assert w.variable == "$0"  # the lowered argument temp
     assert w.required == "NonNull" and w.found == "Null"
-    assert isinstance(result.cfg.vertices[w.vertex].instr, ICall)
+    assert isinstance(result.cfg.instr[w.vertex], ICall)
     assert f"v{w.vertex}" in w.render()
     assert w.to_json()["category"] == WARN_STATIC
 
@@ -368,7 +368,7 @@ def test_check_on_unannotated_call_result():
     assert c.category == WARN_CHECK
     assert c.variable == "reversed"
     assert c.required == "NonNull" and c.found == "?"
-    assert isinstance(result.cfg.vertices[c.vertex].instr, IFieldRead)
+    assert isinstance(result.cfg.instr[c.vertex], IFieldRead)
 
 
 def test_boundary_checks_at_call_and_return():
@@ -407,17 +407,18 @@ def test_warnings_and_checks_partition_the_judged_positions():
 def findings_by_definition(result):
     """(warnings, checks) judged position by position through the lattice, in vertex order."""
     warnings, checks = [], []
-    for vertex in result.cfg.vertices:
-        for x, bound in _safety_bounds(vertex.instr):
-            found = result.fact(vertex.id, x)
+    cfg = result.cfg
+    for v, ins in enumerate(cfg.instr):
+        for x, bound in _safety_bounds(ins):
+            found = result.fact(v, x)
             if found is None:
                 continue
-            line, col = vertex.pos
-            args = (vertex.proc, vertex.id, line, col, x, str(ceil(bound)), str(found))
+            line, col = cfg.pos[v]
+            args = (cfg.proc[v], v, line, col, x, str(ceil(bound)), str(found))
             if not lifted_leq(found, bound):
                 warnings.append(Finding(WARN_STATIC, *args))
             elif not base_leq(ceil(found), ceil(bound)):
-                checks.append(Finding(site_category(vertex.instr), *args))
+                checks.append(Finding(site_category(ins), *args))
     return warnings, checks
 
 
@@ -454,11 +455,11 @@ def test_findings_time_per_vertex_does_not_grow_on_wide_programs():
         return static_warnings(result), check_sites(result)
 
     small, large = (kildall(lower(parse(wide_src(n)))) for n in (100, 800))
-    ratio = growth_per_vertex(findings, (small, len(small.cfg.vertices)), (large, len(large.cfg.vertices)))
+    ratio = growth_per_vertex(findings, (small, len(small.cfg.instr)), (large, len(large.cfg.instr)))
     assert ratio <= 2, f"findings: {ratio:.2f}x the time per vertex at 8x the locals"
 
 
 def test_kildall_time_per_vertex_does_not_grow_on_wide_programs():
     small, large = (lower(parse(wide_src(n))) for n in (100, 800))
-    ratio = growth_per_vertex(kildall, (small, len(small.vertices)), (large, len(large.vertices)))
+    ratio = growth_per_vertex(kildall, (small, len(small.instr)), (large, len(large.instr)))
     assert ratio <= 2, f"kildall: {ratio:.2f}x the time per vertex at 8x the locals"

@@ -9,7 +9,7 @@ from collections import Counter
 from typing import Optional
 
 import pytest
-from conftest import LOOP_SRC, growth_per_vertex, peak_bytes, scenario_src, wide_src, workload_source
+from conftest import LOOP_SRC, bench_module, growth_per_vertex, peak_bytes, scenario_src, wide_src, workload_source
 from graduator.cfg import (
     MAIN,
     IBranch,
@@ -25,7 +25,6 @@ from graduator.cfg import (
     IProc,
     IReturn,
     ProgramCfg,
-    Vertex,
     annotation_sites,
     emit_dot,
     erase_annotations,
@@ -33,11 +32,14 @@ from graduator.cfg import (
     lower,
     precision_leq_cfg,
     reannotate,
+    render_cfg,
     render_instr,
     validate,
 )
+from graduator.analysis import analyze
 from graduator.lattice import GradAbst
 from graduator.record import replace
+from graduator.runtime import run
 from graduator.syntax import parse
 from graduator.testkit import GenConfig, corpus_paths, gen_program
 
@@ -49,15 +51,16 @@ def lowered(src):
 
 
 def region(cfg, name):
-    return [v for v in cfg.vertices if v.proc == name]
+    """The vertices of one procedure (or main), in vertex order."""
+    return [v for v, proc in enumerate(cfg.proc) if proc == name]
 
 
 def test_retry_loop_region_is_the_six_vertex_shape():
     cfg = lowered(LOOP_SRC)
     foo = region(cfg, "foo")
-    kinds = [type(v.instr).__name__ for v in foo]
+    kinds = [type(cfg.instr[v]).__name__ for v in foo]
     assert kinds == ["IProc", "IBranch", "IIf", "IElse", "ICall", "IReturn"]
-    proc, branch, iff, els, call, ret = (v.id for v in foo)
+    proc, branch, iff, els, call, ret = foo
     assert cfg.succ[proc] == (branch,)
     assert set(cfg.succ[branch]) == {iff, els}
     assert cfg.succ[iff] == (ret,)
@@ -68,19 +71,19 @@ def test_retry_loop_region_is_the_six_vertex_shape():
 
 def test_bare_variable_condition_branches_directly():
     cfg = lowered("main { var x; x := null; if (x != null) { skip; } else { skip; } return x; }")
-    assert not any(isinstance(v.instr, ICopy) for v in cfg.vertices)
-    branch = next(v for v in cfg.vertices if isinstance(v.instr, IBranch))
-    assert branch.instr.var == "x"
+    assert not any(isinstance(ins, ICopy) for ins in cfg.instr)
+    branch = next(ins for ins in cfg.instr if isinstance(ins, IBranch))
+    assert branch.var == "x"
 
 
 def test_null_test_polarity_swaps_the_arms():
     # body of `while (x == null)` hangs off the else arm; exit goes through if
     cfg = lowered("main { var x; x := null; while (x == null) { x := null; } return x; }")
-    els = next(v for v in cfg.vertices if isinstance(v.instr, IElse))
-    iff = next(v for v in cfg.vertices if isinstance(v.instr, IIf))
-    body = cfg.succ[els.id][0]
-    assert isinstance(cfg.vertices[body].instr, IConstNull)
-    assert isinstance(cfg.vertices[cfg.succ[iff.id][0]].instr, IReturn)
+    els = next(v for v, ins in enumerate(cfg.instr) if isinstance(ins, IElse))
+    iff = next(v for v, ins in enumerate(cfg.instr) if isinstance(ins, IIf))
+    body = cfg.succ[els][0]
+    assert isinstance(cfg.instr[body], IConstNull)
+    assert isinstance(cfg.instr[cfg.succ[iff][0]], IReturn)
 
 
 def test_compound_condition_evaluates_into_a_temp():
@@ -88,9 +91,9 @@ def test_compound_condition_evaluates_into_a_temp():
         "main { var a; var b; a := null; b := null;"
         " if (a && b != null) { skip; } else { skip; } return a; }"
     )
-    branch = next(v for v in cfg.vertices if isinstance(v.instr, IBranch))
-    assert branch.instr.var == "$0"
-    assert "$0 := a && b" in [render_instr(v.instr) for v in cfg.vertices]
+    branch = next(ins for ins in cfg.instr if isinstance(ins, IBranch))
+    assert branch.var == "$0"
+    assert "$0 := a && b" in [render_instr(ins) for ins in cfg.instr]
 
 
 def test_boolean_chains_name_temps_outermost_first():
@@ -117,8 +120,8 @@ def test_boolean_chains_name_temps_outermost_first():
             f"main {{ var a; var b; a := null; b := new {{f, g}}; {assign}; return a; }}"
         )
         chain = region(cfg, MAIN)[3:-1]
-        assert [render_instr(v.instr) for v in chain] == lowered_chain
-        assert [v.pos for v in chain] == [(1, c) for c in cols]
+        assert [render_instr(cfg.instr[v]) for v in chain] == lowered_chain
+        assert [cfg.pos[v] for v in chain] == [(1, c) for c in cols]
 
 
 def test_loop_reenters_at_the_condition_head():
@@ -127,14 +130,14 @@ def test_loop_reenters_at_the_condition_head():
         "main { var a; var b; a := null; b := null;"
         " while (a || b != null) { a := null; } return a; }"
     )
-    tmp = next(v for v in cfg.vertices if render_instr(v.instr) == "$0 := a || b")
-    bodies = [v for v in cfg.vertices if isinstance(v.instr, IConstNull) and v.instr.target == "a"]
-    assert cfg.succ[bodies[-1].id] == (tmp.id,)
+    tmp = next(v for v, ins in enumerate(cfg.instr) if render_instr(ins) == "$0 := a || b")
+    bodies = [v for v, ins in enumerate(cfg.instr) if isinstance(ins, IConstNull) and ins.target == "a"]
+    assert cfg.succ[bodies[-1]] == (tmp,)
 
 
 def test_call_vertices_copy_the_callee_signature():
     cfg = lowered(LOOP_SRC)
-    call = next(v.instr for v in cfg.vertices if isinstance(v.instr, ICall))
+    call = next(ins for ins in cfg.instr if isinstance(ins, ICall))
     assert call.proc == "bar"
     assert call.ret_ann is GradAbst.NONNULL
     assert call.arg_ann is GradAbst.NULLABLE
@@ -145,14 +148,14 @@ def test_nested_call_arguments_lower_inside_out():
         "proc f(x) { return x; }"
         " main { var a; a := null; a := f(f(a)); return a; }"
     )
-    calls = [v for v in cfg.vertices if isinstance(v.instr, ICall)]
-    assert [c.instr.target for c in calls] == ["$0", "a"]
-    assert calls[1].instr.arg == "$0"
+    calls = [ins for ins in cfg.instr if isinstance(ins, ICall)]
+    assert [c.target for c in calls] == ["$0", "a"]
+    assert calls[1].arg == "$0"
 
 
 def test_main_return_is_annotated_nullable():
     cfg = lowered("main { var x; x := null; return x; }")
-    ret = next(v.instr for v in cfg.vertices if isinstance(v.instr, IReturn))
+    ret = next(ins for ins in cfg.instr if isinstance(ins, IReturn))
     assert ret.ann is GradAbst.NULLABLE
 
 
@@ -167,7 +170,7 @@ def test_universe_covers_params_locals_and_temps():
 
 def test_instruction_rendering():
     cfg = lowered(LOOP_SRC)
-    texts = [render_instr(v.instr) for v in cfg.vertices]
+    texts = [render_instr(ins) for ins in cfg.instr]
     assert "proc foo@NonNull(x@Nullable)" in texts
     assert "x := bar@NonNull(x@Nullable)" in texts
     assert "branch(x)" in texts
@@ -175,16 +178,16 @@ def test_instruction_rendering():
     assert "t := new {f}" in texts
 
 
+def graph(vertices, succ, entry=0, proc_entry=None, universe=None):
+    """A hand-built graph from (instruction, procedure) pairs, every position (0, 0)."""
+    instr, proc = (list(column) for column in zip(*vertices))
+    return ProgramCfg(instr, proc, [(0, 0)] * len(instr), succ, entry, proc_entry or {}, universe)
+
+
 def hand_graph():
     """Minimal well-formed graph: main; x := null; return x."""
-    vertices = [
-        Vertex(0, IMain(), MAIN),
-        Vertex(1, IConstNull("x"), MAIN),
-        Vertex(2, IReturn("x", GradAbst.NULLABLE), MAIN),
-    ]
-    return ProgramCfg(
-        vertices, [(1,), (2,), ()], entry=0, proc_entry={}, universe={MAIN: frozenset({"x"})}
-    )
+    vertices = [(IMain(), MAIN), (IConstNull("x"), MAIN), (IReturn("x", GradAbst.NULLABLE), MAIN)]
+    return graph(vertices, [(1,), (2,), ()], universe={MAIN: frozenset({"x"})})
 
 
 def test_validation_accepts_the_minimal_graph():
@@ -193,7 +196,7 @@ def test_validation_accepts_the_minimal_graph():
 
 def test_validation_unique_entry():
     g = hand_graph()
-    bad = replace(g, vertices=[g.vertices[0], Vertex(1, IMain(), MAIN), g.vertices[2]])
+    bad = replace(g, instr=[g.instr[0], IMain(), g.instr[2]])
     assert any("one main" in m for m in validate(bad))
     looped = replace(g, succ=[(1,), (2,), (0,)])
     assert any("predecessors" in m for m in validate(looped))
@@ -203,7 +206,9 @@ def test_validation_partition():
     g = hand_graph()
     orphan = replace(
         g,
-        vertices=g.vertices + [Vertex(3, IConstNull("x"), MAIN)],
+        instr=g.instr + [IConstNull("x")],
+        proc=g.proc + [MAIN],
+        pos=g.pos + [(0, 0)],
         succ=[(1,), (2,), (), (2,)],
     )
     assert any("unreachable" in m for m in validate(orphan))
@@ -216,9 +221,7 @@ def test_validation_return_reachability_and_annotation():
     msgs = validate(stuck)
     assert any("cannot reach a return" in m for m in msgs)
 
-    wrong = replace(
-        g, vertices=[g.vertices[0], g.vertices[1], Vertex(2, IReturn("x", GradAbst.NONNULL), MAIN)]
-    )
+    wrong = replace(g, instr=[g.instr[0], g.instr[1], IReturn("x", GradAbst.NONNULL)])
     assert any("declares" in m for m in validate(wrong))
 
 
@@ -227,17 +230,17 @@ def test_validation_reports_rule_three_in_region_and_vertex_order():
     # wrong annotation; p: a wrongly annotated return; v8: an orphan that
     # reaches main's return but belongs to no region.
     vertices = [
-        Vertex(0, IProc("p", GradAbst.NONNULL, "y", GradAbst.NULLABLE), "p"),
-        Vertex(1, IReturn("y", GradAbst.NULLABLE), "p"),
-        Vertex(2, IMain(), MAIN),
-        Vertex(3, IBranch("x"), MAIN),
-        Vertex(4, IIf("x"), MAIN),
-        Vertex(5, IElse("x"), MAIN),
-        Vertex(6, IReturn("x", GradAbst.NONNULL), MAIN),
-        Vertex(7, ICopy("x", "x"), MAIN),
-        Vertex(8, IConstNull("x"), MAIN),
+        (IProc("p", GradAbst.NONNULL, "y", GradAbst.NULLABLE), "p"),
+        (IReturn("y", GradAbst.NULLABLE), "p"),
+        (IMain(), MAIN),
+        (IBranch("x"), MAIN),
+        (IIf("x"), MAIN),
+        (IElse("x"), MAIN),
+        (IReturn("x", GradAbst.NONNULL), MAIN),
+        (ICopy("x", "x"), MAIN),
+        (IConstNull("x"), MAIN),
     ]
-    g = ProgramCfg(
+    g = graph(
         vertices,
         [(1,), (), (3,), (4, 5), (7,), (6,), (), (7,), (6,)],
         entry=2,
@@ -255,8 +258,13 @@ def test_validation_reports_rule_three_in_region_and_vertex_order():
 
 def reference_validate(cfg):
     """validate as it was with per-region sets and a list of predecessors per vertex: the reference."""
+    instrs = cfg.instr
+    if len({len(instrs), len(cfg.proc), len(cfg.pos), len(cfg.succ)}) != 1:
+        return [
+            f"columns differ in length: {len(instrs)} instr, {len(cfg.proc)} proc, "
+            f"{len(cfg.pos)} pos, {len(cfg.succ)} succ"
+        ]
     out: list[str] = []
-    instrs = [v.instr for v in cfg.vertices]
     kinds = list(map(type, instrs))
     succ = cfg.succ
     preds: list[list[int]] = [[] for _ in instrs]
@@ -294,6 +302,8 @@ def reference_validate(cfg):
     for v, owner in enumerate(covered):
         if owner is None:
             out.append(f"vertex v{v} unreachable from every entry")
+        elif cfg.proc[v] != owner:
+            out.append(f"vertex v{v} in region {owner!r} is labelled {cfg.proc[v]!r}")
 
     stack = [v for v, kind in enumerate(kinds) if kind is IReturn]
     reaches = [False] * len(instrs)
@@ -345,7 +355,25 @@ def reference_validate(cfg):
     for name, v in cfg.proc_entry.items():
         if name not in proc_ret:
             out.append(f"proc_entry maps {name!r} to v{v}, which no procedure entry declares")
+
+    for name, region in regions.items():
+        if name not in cfg.universe:
+            out.append(f"region {name!r} has no universe")
+            continue
+        for vid in sorted(region):
+            for x in _variables(instrs[vid]):
+                if x not in cfg.universe[name]:
+                    out.append(f"vertex v{vid} names {x!r}, outside the universe of {name!r}")
     return out
+
+
+# The fields that name a variable, in the order validate reports them.
+_VARIABLE_FIELDS = ("target", "obj", "source", "left", "right", "var", "param", "arg")
+
+
+def _variables(ins):
+    """The variables an instruction names."""
+    return [getattr(ins, a) for a in _VARIABLE_FIELDS if hasattr(ins, a)]
 
 
 _BOTH = re.compile(r"vertex v(\d+) reachable from both .* and (.*)")
@@ -363,38 +391,46 @@ def _with_rule_two_as_multisets(messages):
     return out
 
 
-def _malformed(cfg, rng):
-    """cfg with one to three seeded faults: retargeted or deleted edges, a second main, an orphan,
-    a flipped return or call annotation, swapped branch arms, a procedure entry renamed to another's
-    name, or a moved entry field (entry, or one name of proc_entry)."""
-    vertices, succ = list(cfg.vertices), list(cfg.succ)
-    entry, proc_entry = cfg.entry, dict(cfg.proc_entry)
+_FAULTS = ("retarget", "delete", "main", "orphan", "annotation", "arms", "rename", "entry")
+_FAULTS += ("relabel", "operand", "callee", "universe")
+
+
+def _malformed(cfg, rng, faults=_FAULTS):
+    """cfg with one to three seeded faults drawn from faults: retargeted or deleted edges, a second
+    main, an orphan, a flipped return or call annotation, swapped branch arms, a procedure entry
+    renamed to another's name, a moved entry field (entry, or one name of proc_entry), a vertex
+    relabelled to another procedure, an operand renamed to a variable of its universe or to one
+    outside it, a call retargeted to another procedure, or a universe that loses its key or one
+    variable."""
+    instr, proc, pos, succ = list(cfg.instr), list(cfg.proc), list(cfg.pos), list(cfg.succ)
+    entry, proc_entry, universe = cfg.entry, dict(cfg.proc_entry), dict(cfg.universe)
     flip = {GradAbst.NONNULL: GradAbst.NULLABLE, GradAbst.NULLABLE: GradAbst.UNKNOWN, GradAbst.UNKNOWN: GradAbst.NONNULL}
     for _ in range(rng.randint(1, 3)):
-        v = rng.randrange(len(vertices))
-        faults = ["retarget", "delete", "main", "orphan", "annotation", "arms", "rename", "entry"]
-        ins, fault = vertices[v].instr, rng.choice(faults)
+        v = rng.randrange(len(instr))
+        ins, fault = instr[v], rng.choice(faults)
         if fault == "retarget" and succ[v]:
             k = rng.randrange(len(succ[v]))
-            succ[v] = succ[v][:k] + (rng.randrange(len(vertices)),) + succ[v][k + 1 :]
+            succ[v] = succ[v][:k] + (rng.randrange(len(instr)),) + succ[v][k + 1 :]
         elif fault == "delete" and succ[v]:
             k = rng.randrange(len(succ[v]))
             succ[v] = succ[v][:k] + succ[v][k + 1 :]
         elif fault == "main":
-            vertices[v] = replace(vertices[v], instr=IMain())
+            instr[v] = IMain()
         elif fault == "orphan":
-            vertices.append(Vertex(len(vertices), IConstNull("x"), MAIN))
+            instr.append(IConstNull("x"))
+            proc.append(MAIN)
+            pos.append((0, 0))
             succ.append((v,))
         elif fault == "annotation" and type(ins) is IReturn:
-            vertices[v] = replace(vertices[v], instr=replace(ins, ann=flip[ins.ann]))
+            instr[v] = replace(ins, ann=flip[ins.ann])
         elif fault == "annotation" and type(ins) is ICall:
             which = rng.choice(["ret_ann", "arg_ann"])
-            vertices[v] = replace(vertices[v], instr=replace(ins, **{which: flip[getattr(ins, which)]}))
+            instr[v] = replace(ins, **{which: flip[getattr(ins, which)]})
         elif fault == "rename":
-            entries = [u for u, vx in enumerate(vertices) if type(vx.instr) is IProc]
+            entries = [u for u, other in enumerate(instr) if type(other) is IProc]
             if len(entries) > 1:
                 a, b = rng.sample(entries, 2)
-                vertices[a] = replace(vertices[a], instr=replace(vertices[a].instr, name=vertices[b].instr.name))
+                instr[a] = replace(instr[a], name=instr[b].name)
         elif fault == "entry":
             name = rng.choice([None, "ghost", *proc_entry])
             if name is None:
@@ -403,12 +439,25 @@ def _malformed(cfg, rng):
                 proc_entry[name] = v
             else:
                 proc_entry.pop(name, None)
+        elif fault == "relabel":
+            proc[v] = rng.choice([*sorted(set(proc)), "ghost"])
+        elif fault == "operand" and (fields := [a for a in _VARIABLE_FIELDS if hasattr(ins, a)]):
+            instr[v] = replace(ins, **{rng.choice(fields): rng.choice([*sorted(universe.get(proc[v], ())), "ghost"])})
+        elif fault == "callee" and type(ins) is ICall:
+            instr[v] = replace(ins, proc=rng.choice([*cfg.proc_entry, "ghost"]))
+        elif fault == "universe" and universe:
+            name = rng.choice(sorted(universe))
+            if rng.random() < 0.5:
+                del universe[name]
+            else:
+                universe[name] = frozenset(sorted(universe[name])[1:])
         elif fault == "arms" or fault == "annotation":
-            branches = [u for u, vx in enumerate(vertices) if type(vx.instr) is IBranch]
+            branches = [u for u, other in enumerate(instr) if type(other) is IBranch]
             if branches:
                 b = rng.choice(branches)
                 succ[b] = succ[b][::-1]
-    return replace(cfg, vertices=vertices, succ=succ, entry=entry, proc_entry=proc_entry)
+    columns = {"instr": instr, "proc": proc, "pos": pos, "succ": succ}
+    return replace(cfg, **columns, entry=entry, proc_entry=proc_entry, universe=universe)
 
 
 def test_validate_agrees_with_the_reference():
@@ -436,7 +485,7 @@ def test_validation_reads_the_entry_fields():
     # once passed validate, and run then raised IndexError on entry=11 and
     # stuck at the call, on "undefined variable 'q'", with no proc_entry.
     cfg = lower(parse("proc q(y) { return y; } main { var z; z := q(null); return z; }"))
-    assert (cfg.entry, cfg.proc_entry, len(cfg.vertices)) == (2, {"q": 0}, 6)
+    assert (cfg.entry, cfg.proc_entry, len(cfg.instr)) == (2, {"q": 0}, 6)
     cases = [
         (replace(cfg, entry=11), ["entry is v11, not the main vertex v2"]),
         (replace(cfg, entry=0), ["entry is v0, not the main vertex v2"]),
@@ -448,10 +497,89 @@ def test_validation_reads_the_entry_fields():
         assert validate(g) == reference_validate(g) == want
 
 
+def test_validation_rule_zero_the_columns_hold_one_entry_per_vertex():
+    # A succ column one short once made validate raise IndexError, and one
+    # entry too many passed.  A length mismatch is the only message.
+    g = hand_graph()
+    cases = [
+        (replace(g, succ=g.succ[:-1]), "3 instr, 3 proc, 3 pos, 2 succ"),
+        (replace(g, succ=g.succ + [()]), "3 instr, 3 proc, 3 pos, 4 succ"),
+        (replace(g, proc=g.proc[:-1], entry=7), "3 instr, 2 proc, 3 pos, 3 succ"),
+        (replace(g, pos=g.pos + [(1, 1)]), "3 instr, 3 proc, 4 pos, 3 succ"),
+        (replace(g, instr=g.instr + [IMain()]), "4 instr, 3 proc, 3 pos, 3 succ"),
+    ]
+    for bad, lengths in cases:
+        assert validate(bad) == reference_validate(bad) == [f"columns differ in length: {lengths}"]
+
+
+def test_validation_reads_the_proc_column_and_the_universe_keys():
+    # Each of these graphs once passed validate, and analyze then raised
+    # KeyError: 'x' (a main vertex labelled as q's) or KeyError: 'q' (no
+    # universe for q).
+    cfg = lower(parse("proc q(y) { return y; } main { var x; x := null; return x; }"))
+    assert cfg.proc == ["q", "q", MAIN, MAIN, MAIN]
+    relabelled = replace(cfg, proc=["q", "q", MAIN, "q", MAIN])
+    no_universe = replace(cfg, universe={MAIN: cfg.universe[MAIN]})
+    for g, want in [
+        (relabelled, ["vertex v3 in region 'main' is labelled 'q'"]),
+        (no_universe, ["region 'q' has no universe"]),
+    ]:
+        assert validate(g) == reference_validate(g) == want
+
+
+def test_validation_rule_seven_each_named_variable_is_in_its_universe():
+    # A surface error that the CLI stops before lowering: its graph once
+    # passed validate, and analyze then raised KeyError: 'y'.
+    undeclared = lower(parse("main { var x; y := null; return x; }"))
+    # A procedure's parameter and return read a variable outside its universe.
+    cfg = lower(parse("proc q(y) { return y; } main { var x; x := q(null); return x; }"))
+    narrowed = replace(cfg, universe={**cfg.universe, "q": frozenset({"z"})})
+    for g, want in [
+        (undeclared, ["vertex v1 names 'y', outside the universe of 'main'"]),
+        (narrowed, [f"vertex v{v} names 'y', outside the universe of 'q'" for v in (0, 1)]),
+    ]:
+        assert validate(g) == reference_validate(g) == want
+
+
+def test_the_back_end_is_total_on_every_graph_that_validate_accepts():
+    # Seeded mutants of the corpus and of generated programs: operand renames,
+    # call retargets and relabelled vertices alone, any of _malformed's faults,
+    # and a fifth of them with a column one entry short or long as well.
+    # Whatever validate accepts, the analysis, both runs and both renderings
+    # take without an exception; a run may stick.
+    cfgs = [lower(parse(path.read_text())) for path in corpus_paths()]
+    cfgs += [lower(gen_program(GenConfig(seed=seed))) for seed in range(150)]
+    rng = random.Random("back end totality")
+    mutants = accepted = edited = 0
+    for cfg in cfgs:
+        for faults in (("operand",), ("operand",), ("operand",), ("callee",), ("relabel",), _FAULTS, _FAULTS):
+            g = _malformed(cfg, rng, faults)
+            if rng.random() < 0.2:
+                column = rng.choice(["instr", "proc", "pos", "succ"])
+                values = getattr(g, column)
+                g = replace(g, **{column: values[:-1] if rng.random() < 0.5 else values + values[:1]})
+            mutants += 1
+            if validate(g):
+                continue
+            accepted += 1
+            edited += g.instr != cfg.instr or g.proc != cfg.proc
+            result, _, _ = analyze(g)
+            assert len(result.pi) == len(g.instr)
+            if is_fully_annotated(g):
+                analyze(g, "static")
+            for mode in ("plain", "gradual"):
+                outcome = run(g, mode, max_steps=200, collect_trace=True)
+                if outcome.error is not None:
+                    outcome.error.to_json(g)
+            emit_dot(g)
+            render_cfg(g)
+    assert mutants == 7 * len(cfgs) and accepted >= 350 and edited >= 120, (mutants, accepted, edited)
+
+
 def test_validate_time_per_vertex_does_not_grow_on_wide_programs():
     # One region of about 500 vertices against one of about 4,000.
     small, large = (lowered(wide_src(n)) for n in (100, 800))
-    ratio = growth_per_vertex(validate, (small, len(small.vertices)), (large, len(large.vertices)))
+    ratio = growth_per_vertex(validate, (small, len(small.instr)), (large, len(large.instr)))
     assert ratio <= 2, f"validate: {ratio:.2f}x the time per vertex at 8x the locals"
 
 
@@ -484,43 +612,34 @@ def test_validate_peak_memory_per_vertex():
     # No per-vertex list of predecessors and no per-region set: about 77
     # bytes per vertex on chain 4x, against 228 with them.
     cfg = lowered(workload_source("chain", 4))
-    per_vertex = peak_bytes(validate, cfg) / len(cfg.vertices)
+    per_vertex = peak_bytes(validate, cfg) / len(cfg.instr)
     assert per_vertex <= 90, f"validate peaks at {per_vertex:.0f} bytes per vertex"
 
 
 def test_validation_call_site_agreement():
     cfg = lowered(LOOP_SRC)
-    call_vertex = next(v for v in cfg.vertices if isinstance(v.instr, ICall))
-    busted = replace(call_vertex.instr, ret_ann=GradAbst.NULLABLE)
-    vertices = [
-        replace(v, instr=busted) if v.id == call_vertex.id else v
-        for v in cfg.vertices
-    ]
-    bad = replace(cfg, vertices=vertices)
+    instr = list(cfg.instr)
+    call = next(v for v, ins in enumerate(instr) if isinstance(ins, ICall))
+    instr[call] = replace(instr[call], ret_ann=GradAbst.NULLABLE)
+    bad = replace(cfg, instr=instr)
     assert any("disagrees" in m for m in validate(bad))
 
 
 def test_validation_branch_successor_shape():
     vertices = [
-        Vertex(0, IMain(), MAIN),
-        Vertex(1, IConstNull("x"), MAIN),
-        Vertex(2, IBranch("x"), MAIN),
-        Vertex(3, IIf("x"), MAIN),
-        Vertex(4, IElse("y"), MAIN),  # wrong variable
-        Vertex(5, IReturn("x", GradAbst.NULLABLE), MAIN),
+        (IMain(), MAIN),
+        (IConstNull("x"), MAIN),
+        (IBranch("x"), MAIN),
+        (IIf("x"), MAIN),
+        (IElse("y"), MAIN),  # wrong variable
+        (IReturn("x", GradAbst.NULLABLE), MAIN),
     ]
-    g = ProgramCfg(
-        vertices,
-        [(1,), (2,), (3, 4), (5,), (5,), ()],
-        entry=0,
-        proc_entry={},
-        universe={MAIN: frozenset({"x", "y"})},
-    )
+    g = graph(vertices, [(1,), (2,), (3, 4), (5,), (5,), ()], universe={MAIN: frozenset({"x", "y"})})
     assert any("matching if/else" in m for m in validate(g))
 
     # The arms are ordered: the interpreter takes the first when the
     # variable is non-null, so (else, if) is malformed too.
-    vertices[4] = Vertex(4, IElse("x"), MAIN)
+    g.instr[4] = IElse("x")
     assert validate(g) == []
     g.succ[2] = (4, 3)
     assert validate(g) == ["branch at v2 lacks matching if/else successors"]
@@ -552,9 +671,8 @@ POLICIES = {
 
 
 def _graph_value(cfg):
-    # Vertex equality leaves out pos, so the positions are compared too.
-    vertices = [(v.id, v.instr, v.proc, v.pos) for v in cfg.vertices]
-    return vertices, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe
+    # ProgramCfg equality leaves out pos, so the positions are compared too.
+    return cfg.instr, cfg.proc, cfg.pos, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe
 
 
 def _tree_sites(p):
@@ -587,10 +705,13 @@ def test_reannotate_equals_lowering_the_rewritten_tree():
             edited = erase_annotations(cfg, subset) if rewrite is erase_some else reannotate(cfg, rewrite)
             want = lower(_rewrite_tree(p, rewrite))
             assert _graph_value(edited) == _graph_value(want), name
-            assert edited.succ is cfg.succ and edited.proc_entry is cfg.proc_entry and edited.universe is cfg.universe
-            # A vertex is rebuilt exactly when its instruction changes.
-            for old, new in zip(cfg.vertices, edited.vertices, strict=True):
-                assert (new is old) is (new.instr == old.instr)
+            # Only the instr column is copied: every other column and field is cfg's own.
+            for column in ("proc", "pos", "succ", "proc_entry", "universe"):
+                assert getattr(edited, column) is getattr(cfg, column), (name, column)
+            assert (edited.instr is cfg.instr) is (edited is cfg)
+            # An instruction is rebuilt exactly when it changes.
+            for old, new in zip(cfg.instr, edited.instr, strict=True):
+                assert (new is old) is (new == old)
                 rebuilt += new is not old
     assert rebuilt > 1000
 
@@ -598,8 +719,8 @@ def test_reannotate_equals_lowering_the_rewritten_tree():
 def test_reannotate_leaves_mains_return_and_a_fully_annotated_fill_alone():
     cfg = lowered(scenario_src())
     erased = reannotate(cfg, POLICIES["erase"])
-    returns = [v.instr.ann for v in erased.vertices if type(v.instr) is IReturn]
-    main_returns = [v.instr.ann for v in erased.vertices if type(v.instr) is IReturn and v.proc == MAIN]
+    returns = [ins.ann for ins in erased.instr if type(ins) is IReturn]
+    main_returns = [ins.ann for ins, proc in zip(erased.instr, erased.proc) if type(ins) is IReturn and proc == MAIN]
     assert GradAbst.UNKNOWN in returns
     assert main_returns == [GradAbst.NULLABLE]
     assert validate(erased) == []
@@ -611,7 +732,7 @@ def test_reannotate_leaves_mains_return_and_a_fully_annotated_fill_alone():
         assert is_fully_annotated(cfg)
         for name in ("fill NonNull", "fill Nullable"):
             filled = reannotate(cfg, POLICIES[name])
-            assert all(new is old for new, old in zip(filled.vertices, cfg.vertices, strict=True)), name
+            assert filled is cfg, name
 
 
 def test_annotation_sites_and_erasure():
@@ -621,10 +742,10 @@ def test_annotation_sites_and_erasure():
     assert sites["foo.return"] is GradAbst.NONNULL
 
     erased = erase_annotations(cfg, {"foo.return"})
-    foo = erased.vertices[erased.proc_entry["foo"]].instr
+    foo = erased.instr[erased.proc_entry["foo"]]
     assert foo.ret_ann is GradAbst.UNKNOWN
     assert foo.param_ann is GradAbst.NULLABLE
-    assert region(erased, "bar") == region(cfg, "bar")
+    assert [erased.instr[v] for v in region(erased, "bar")] == [cfg.instr[v] for v in region(cfg, "bar")]
 
     bare = erase_annotations(cfg)
     assert all(g is GradAbst.UNKNOWN for _, g in annotation_sites(bare))
@@ -649,7 +770,18 @@ def test_dot_output_shape_and_determinism():
     assert dot.startswith("digraph picl {")
     assert 'subgraph "cluster_foo"' in dot
     assert 'label="main"' in dot
-    for v in cfg.vertices:
-        assert f"v{v.id} [" in dot
+    for v in range(len(cfg.instr)):
+        assert f"v{v} [" in dot
     edges = [line for line in dot.splitlines() if "->" in line]
     assert len(edges) == sum(len(s) for s in cfg.succ)
+
+
+def test_the_benchmarks_traced_counters_read_the_vertices_view():
+    # bench/run.py's counters() runs only under --trace 1, and it counts
+    # cfg.vertices and each vertex's proc: the one reader of that view.
+    case = bench_module("workloads").chain(1, 1)
+    cfg = lower(parse(case.source))
+    got = bench_module("run").counters(case, {"cfg.lower": cfg, "runtime.run": run(cfg, case.run_mode, case.fuel)})
+    assert got["cfg.vertices"] == len(cfg.instr)
+    assert got["cfg.max_region"] == max(Counter(cfg.proc).values())
+    assert [(v.instr, v.proc, v.pos) for v in cfg.vertices] == list(zip(cfg.instr, cfg.proc, cfg.pos))

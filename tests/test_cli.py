@@ -413,7 +413,7 @@ def test_a_checked_run_stops_at_a_position_that_check_reports(tmp_path, capsys):
             (kind, f) for kind in ("checks", "warnings") for f in report[kind] if position(f) == position(stop)
         ]
         assert list(stop) == list(finding), path
-        site = site_category(lower(parse(Path(path).read_text())).vertices[stop["vertex"]].instr)
+        site = site_category(lower(parse(Path(path).read_text())).instr[stop["vertex"]])
         assert stop["category"] == (finding["category"] if kind == "checks" else site), path
         assert stop["found"] == ("Null" if value == 0 else "NonNull"), path
         assert grad_conc_contains(GradAbst(finding["found"]), value), path
@@ -793,7 +793,7 @@ def test_check_and_run_grow_linearly_in_each_construct(tmp_path, generate, n):
     for size in (n, 8 * n):
         path = tmp_path / f"{size}.picl"
         path.write_text(generate(size))
-        sizes.append((path, len(_front_end(path)[0].vertices)))
+        sizes.append((path, len(_front_end(path)[0].instr)))
     gc.collect()
     gc.freeze()  # each measurement's collection then skips what the rest of the suite keeps alive
     try:

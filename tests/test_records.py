@@ -37,7 +37,7 @@ from graduator.cfg import (
     Vertex,
 )
 from graduator.lattice import Abst, GradAbst
-from graduator.record import Record
+from graduator.record import Record, replace
 from graduator.runtime import Errored, Final, MachineState, RunResult, Stepped, Stuck
 from graduator.syntax import (
     Diagnostic,
@@ -67,7 +67,9 @@ NN, NL, UNK = GradAbst.NONNULL, GradAbst.NULLABLE, GradAbst.UNKNOWN
 
 def _graph(pos=(0, 0)):
     return ProgramCfg(
-        [Vertex(0, IMain(), "main"), Vertex(1, IFieldRead("y", "x", "f"), "main", pos)],
+        [IMain(), IFieldRead("y", "x", "f")],
+        ["main", "main"],
+        [(0, 0), pos],
         [(1,), ()],
         0,
         {},
@@ -127,12 +129,11 @@ RECORDS = {
     "IMain": (lambda pos: IMain(), "var", "IMain()"),
     "IProc": (lambda pos: IProc("p", NN, "a", UNK), "param",
               "IProc(name='p', ret_ann=NonNull, param='a', param_ann=?)"),
-    "Vertex": (lambda pos: Vertex(3, IIf("x"), "main", pos), "instr",
-               "Vertex(id=3, instr=IIf(var='x'), proc='main')"),
+    "Vertex": (lambda pos: Vertex(IIf("x"), "main", pos), "instr", "Vertex(instr=IIf(var='x'), proc='main')"),
     "ProgramCfg": (_graph, None,
-                   "ProgramCfg(vertices=[Vertex(id=0, instr=IMain(), proc='main'), "
-                   "Vertex(id=1, instr=IFieldRead(target='y', obj='x', fieldname='f'), proc='main')], "
-                   "succ=[(1,), ()], entry=0, proc_entry={}, universe={'main': frozenset({'x'})})"),
+                   "ProgramCfg(instr=[IMain(), IFieldRead(target='y', obj='x', fieldname='f')], "
+                   "proc=['main', 'main'], succ=[(1,), ()], entry=0, proc_entry={}, "
+                   "universe={'main': frozenset({'x'})})"),
     "AnalysisResult": (lambda pos: AnalysisResult(_graph(pos), "gradual", [b"\0", b"\0"], {"main": {"x": 0}}),
                        None, None),  # repr: its graph's, see test_analysis_result_repr_leaves_out_numbering
     "Finding": (lambda pos: Finding("GRADUAL_CHECK", "main", 1, 2, 3, "x", "NonNull", "?"), "found",
@@ -258,14 +259,22 @@ def test_types_with_equal_fields_compare_unequal():
 
 
 def test_constructor_order_and_defaults():
-    assert EVar("x").pos == (0, 0) and Vertex(0, IMain(), "main").pos == (0, 0)
+    assert EVar("x").pos == (0, 0) and Vertex(IMain(), "main").pos == (0, 0)
     assert Program((), (), ()).main_pos == (0, 0)
     assert EVar(pos=(2, 5), name="x").pos == (2, 5)
     assert RunResult("fuel", _state(), 0, []).error is None
     with pytest.raises(TypeError):
         EVar()
     with pytest.raises(TypeError):
-        ProgramCfg([], [], 0, {}, {}, None)  # the decoded sites are not a constructor argument
+        ProgramCfg([], [], [], [], 0, {}, {}, None)  # the decoded sites are not a constructor argument
+
+
+def test_replace_changes_every_field_even_one_named_obj():
+    # The record parameter is positional-only: a field named obj, as
+    # IFieldRead's and IFieldWrite's, once bound to it and raised TypeError.
+    assert replace(IFieldRead("x", "o", "f"), obj="p") == IFieldRead("x", "p", "f")
+    assert replace(IFieldWrite("o", "f", "x"), obj="p", source="y") == IFieldWrite("p", "f", "y")
+    assert replace(EVar("x", (2, 5)), name="y").pos == (2, 5)
 
 
 def test_program_cfg_decoded_sites_are_not_part_of_its_value():

@@ -29,6 +29,7 @@ from graduator.cfg import (
     render_instr,
 )
 from graduator.lattice import Abst, GradAbst, ceil, exact, grad_conc_contains
+from graduator.record import replace
 from graduator.runtime import (
     Errored,
     Final,
@@ -135,7 +136,7 @@ def test_branch_follows_the_scrutinee():
     src = "main { var x; x := null; if (x != null) { x := x; } else { x := null; } return x; }"
     cfg = lower(parse(src))
     state = drive(cfg, 3)  # main, const, branch
-    assert "IElse" == type(cfg.vertices[state.top.vertex].instr).__name__
+    assert "IElse" == type(cfg.instr[state.top.vertex]).__name__
 
 
 def test_field_read_and_write():
@@ -160,14 +161,14 @@ def test_call_pushes_an_unbound_frame_then_entry_binds():
     cfg = lower(parse(LOOP_SRC))
     # right after ICall the new top frame is unbound at the callee entry
     state = initial_state(cfg)
-    while not isinstance(cfg.vertices[state.top.vertex].instr, ICall):
+    while not isinstance(cfg.instr[state.top.vertex], ICall):
         state = step(cfg, state).state
     step(cfg, state)
     assert len(state.frames) == 2
     assert state.top.env == {}
     assert state.top.vertex in cfg.proc_entry.values()
     # the entry step then binds the parameter from the caller's argument
-    entry_ins = cfg.vertices[state.top.vertex].instr
+    entry_ins = cfg.instr[state.top.vertex]
     step(cfg, state)
     assert state.top.env[entry_ins.param] == 0  # foo(null)
 
@@ -185,7 +186,7 @@ def test_entry_enforces_the_parameter_annotation():
     # the checked machine refuses earlier, at the call site itself
     checked = until_outcome(cfg, mode="gradual")
     assert isinstance(checked, Errored)
-    assert isinstance(cfg.vertices[checked.vertex].instr, ICall)
+    assert isinstance(cfg.instr[checked.vertex], ICall)
     assert checked.required is Abst.NONNULL and checked.value == 0
 
 
@@ -217,7 +218,7 @@ def test_checked_error_at_a_null_field_read():
     checked = run(cfg, mode="gradual")
     assert checked.outcome == "error"
     err = checked.error
-    assert isinstance(cfg.vertices[err.vertex].instr, IFieldRead)
+    assert isinstance(cfg.instr[err.vertex], IFieldRead)
     assert err.variable == "reversed" and err.value == 0
     assert err.to_json(cfg)["category"] == "GRADUAL_CHECK"
     plain = run(cfg, mode="plain")
@@ -229,7 +230,7 @@ def test_checked_error_at_a_null_field_read():
 
 def test_undefined_variable_sticks_with_a_reason():
     cfg = lower(parse("main { var x; var y; x := null; y := x && x; return y; }"))
-    and_vertex = next(v.id for v in cfg.vertices if type(v.instr).__name__ == "IAnd")
+    and_vertex = next(v for v, ins in enumerate(cfg.instr) if type(ins).__name__ == "IAnd")
     stuck = step(cfg, MachineState(frames=[({}, and_vertex)], heap={}))
     assert isinstance(stuck, Stuck)
     assert "undefined variable" in stuck.reason
@@ -287,11 +288,11 @@ def step_by_step(cfg, mode, fuel):
     state = initial_state(cfg)
     trace = []
     for k in range(fuel):
-        vtx = cfg.vertices[state.top.vertex]
+        v = state.top.vertex
         outcome = stepper(cfg, state)
         if not isinstance(outcome, Stepped):
             return outcome, k, trace
-        trace.append(f"{k}: {vtx.proc}/v{vtx.id}: {render_instr(vtx.instr)}")
+        trace.append(f"{k}: {cfg.proc[v]}/v{v}: {render_instr(cfg.instr[v])}")
     return state, fuel, trace
 
 
@@ -403,13 +404,13 @@ def test_a_stopped_step_writes_nothing(source, mode, expected):
     elif expected is Final:
         assert isinstance(outcome, Final)
     else:
-        assert isinstance(outcome, Errored) and isinstance(cfg.vertices[outcome.vertex].instr, expected)
+        assert isinstance(outcome, Errored) and isinstance(cfg.instr[outcome.vertex], expected)
 
 
 @pytest.mark.parametrize("stepper", [step, grad_step])
 def test_a_stuck_step_from_a_built_state_writes_nothing(stepper):
     cfg = lower(parse(BUILT_SRC))
-    at = {type(v.instr): v.id for v in cfg.vertices}
+    at = {type(ins): v for v, ins in enumerate(cfg.instr)}
     entry, write, ret = at[IProc], at[IFieldWrite], at[IReturn]
     for frames, heap, reason in [
         ([({"o": 1}, write)], {1: {"f": 7}}, "undefined variable 'x'"),
@@ -423,7 +424,7 @@ def test_a_stuck_step_from_a_built_state_writes_nothing(stepper):
 
 def test_allocation_takes_the_location_after_the_largest():
     cfg = lower(parse("field f; main { var a; a := new {f}; return a; }"))
-    alloc = next(v.id for v in cfg.vertices if isinstance(v.instr, INew))
+    alloc = next(v for v, ins in enumerate(cfg.instr) if isinstance(ins, INew))
     heap = {2: {"f": 0}, 7: {"f": 2}}
     state = MachineState([({"a": 0}, alloc)], heap)
     after = step(cfg, state).state
@@ -496,8 +497,8 @@ def test_build_time_tables_agree_with_the_lattice():
     guarded = 0
     for path in corpus_paths():
         cfg = lower(parse(path.read_text()))
-        for v in range(len(cfg.vertices)):
-            bounds = dict(_safety_bounds(cfg.vertices[v].instr))
+        for v, ins in enumerate(cfg.instr):
+            bounds = dict(_safety_bounds(ins))
             for x, required, admits in runtime._site(cfg, v)[1]:
                 assert required == ceil(bounds[x]) and admits == runtime._ADMITS[bounds[x]]
                 assert not all(admits)
@@ -517,8 +518,8 @@ EVERY_INSTR_SRC = (
 def test_every_instruction_type_decodes_and_runs():
     cfg = lower(parse(EVERY_INSTR_SRC))
     first = {}
-    for v in cfg.vertices:
-        first.setdefault(type(v.instr), v.id)
+    for v, ins in enumerate(cfg.instr):
+        first.setdefault(type(ins), v)
     kinds = typing.get_args(cfg_module.Instr)
     assert set(first) == set(kinds)
     for kind in kinds:
@@ -527,7 +528,7 @@ def test_every_instruction_type_decodes_and_runs():
     for mode in ("plain", "gradual"):
         result = run(cfg, mode=mode, collect_trace=True)
         assert result.outcome == "final", mode
-        ran = {type(cfg.vertices[int(re.match(r"\d+: \w+/v(\d+): ", line)[1])].instr) for line in result.trace}
+        ran = {type(cfg.instr[int(re.match(r"\d+: \w+/v(\d+): ", line)[1])]) for line in result.trace}
         assert ran == set(kinds), mode
 
 
@@ -536,7 +537,7 @@ def test_a_call_to_a_missing_procedure_sticks_only_when_reached():
     # cannot be built, and that stops the run only at the call itself.
     def without_entries(src):
         g = lower(parse(src))
-        return cfg_module.ProgramCfg(g.vertices, g.succ, g.entry, {}, g.universe)
+        return replace(g, proc_entry={})
 
     src = "field f; proc q(x) { return x; } main { var a; a := A; if (a != null) { a := q(a); } else { skip; } return a; }"
     for mode in ("plain", "gradual"):
@@ -545,7 +546,7 @@ def test_a_call_to_a_missing_procedure_sticks_only_when_reached():
         cfg = without_entries(src.replace("A", "new {f}"))
         reached = run(cfg, mode=mode)
         assert reached.outcome == "stuck" and reached.stuck_reason == "undefined variable 'q'", mode
-        assert type(cfg.vertices[reached.state.top.vertex].instr) is ICall, mode
+        assert type(cfg.instr[reached.state.top.vertex]) is ICall, mode
 
 
 # The instruction rules as they were before sites were decoded: one
@@ -555,7 +556,7 @@ _REF_ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in 
 
 
 def ref_site(cfg, v):
-    ins = cfg.vertices[v].instr
+    ins = cfg.instr[v]
     succs = cfg.succ[v]
     guards = tuple(
         (x, bound, _REF_ADMITS[bound]) for x, bound in _safety_bounds(ins) if not all(_REF_ADMITS[bound])
@@ -564,7 +565,7 @@ def ref_site(cfg, v):
     if isinstance(ins, IBranch):
         arms = cfg.succ[v]
     elif isinstance(ins, IMain):
-        entry_env = dict.fromkeys(sorted(cfg.universe[cfg.vertices[v].proc]), 0)
+        entry_env = dict.fromkeys(sorted(cfg.universe[cfg.proc[v]]), 0)
     elif isinstance(ins, IProc):
         entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
     return (ins, succs[0] if succs else None, arms, guards, entry_env)
@@ -625,7 +626,7 @@ def ref_execute(cfg, site, m, checked):
             if len(frames) < 2:
                 return Stuck(m, v, "procedure entry without a caller")
             caller_env, caller_v = frames[-2]
-            call = cfg.vertices[caller_v].instr
+            call = cfg.instr[caller_v]
             if not isinstance(call, ICall) or call.proc != ins.name:
                 return Stuck(m, v, "caller frame is not at a matching call")
             arg = caller_env[call.arg]
@@ -640,7 +641,7 @@ def ref_execute(cfg, site, m, checked):
             return None
         elif isinstance(ins, IReturn):
             caller_env, caller_v = frames[-2]
-            call = cfg.vertices[caller_v].instr
+            call = cfg.instr[caller_v]
             if not isinstance(call, ICall):
                 return Stuck(m, v, "caller frame is not at a call")
             retval = env[ins.var]
@@ -677,7 +678,7 @@ def test_sites_step_in_lockstep_with_the_reference_rules(mode, outcomes):
     seen = set()
     for i, program in enumerate(LOCKSTEP_PROGRAMS):
         cfg = lower(program)
-        ref_sites = [ref_site(cfg, v) for v in range(len(cfg.vertices))]
+        ref_sites = [ref_site(cfg, v) for v in range(len(cfg.instr))]
         ref, state = initial_state(cfg), initial_state(cfg)
         for k in range(2000):
             expected = ref_execute(cfg, ref_sites[ref.frames[-1][1]], ref, checked) or Stepped(ref)

@@ -530,7 +530,7 @@ def test_check_surface_time_per_vertex_does_not_grow_on_wide_programs():
     small, large = (parse(wide_src(n)) for n in (100, 800))
     assert check_surface(small) == check_surface(large) == []
     ratio = growth_per_vertex(
-        check_surface, (small, len(lower(small).vertices)), (large, len(lower(large).vertices))
+        check_surface, (small, len(lower(small).instr)), (large, len(lower(large).instr))
     )
     assert ratio <= 2, f"check_surface: {ratio:.2f}x the time per vertex at 8x the locals"
 
@@ -538,7 +538,7 @@ def test_check_surface_time_per_vertex_does_not_grow_on_wide_programs():
 def test_parse_time_per_vertex_does_not_grow_on_wide_programs():
     small, large = (wide_src(n) for n in (100, 800))
     ratio = growth_per_vertex(
-        parse, (small, len(lower(parse(small)).vertices)), (large, len(lower(parse(large)).vertices))
+        parse, (small, len(lower(parse(small)).instr)), (large, len(lower(parse(large)).instr))
     )
     assert ratio <= 2, f"parse: {ratio:.2f}x the time per vertex at 8x the locals"
 
