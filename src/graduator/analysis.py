@@ -21,11 +21,14 @@ exact base facts, so the gradual version is ``lattice.lift`` of the base
 rule, as the gradual join is of the base join.  Those results, and the
 join's, are tabulated once per pair of fact bytes.
 
-Rules are built once per vertex visit, by dispatch on the instruction's
-type, and not kept: the fixpoint holds its states and no list of rules.  The
-tables of the constants Null, NonNull and Nullable are resolved at import.
-The fixpoint and the findings read the graph's columns by vertex number:
-vertex v's instruction is ``cfg.instr[v]`` and its procedure ``cfg.proc[v]``.
+``_transfer`` is that one transfer function on byte states: one branch per
+instruction type, tested inline, and no rule object is built or kept, so
+the fixpoint holds its states and nothing per vertex beside them.  It
+returns its input state itself when the instruction writes nothing or
+writes each byte as it was, so vertices whose instructions change nothing
+share one state.  The fixpoint and the findings read the graph's columns by
+vertex number: vertex v's instruction is ``cfg.instr[v]`` and its procedure
+``cfg.proc[v]``.  Procedures with equal universes share one variable index.
 On a graph that ``validate`` accepts, each vertex's procedure has a universe
 and every variable its instruction names is in it (rules 2 and 7), so no
 rule looks up a variable that its state does not number.
@@ -44,7 +47,7 @@ with the safety bound (fine), plausibly consistent but not provably so
 table over (fact byte, bound byte), built at import from ``lifted_leq`` and
 ``base_leq`` on ceilings, holds every verdict; ``findings`` reads each
 position's fact byte from the states and looks its verdict up, in one walk
-over the vertices.
+over the vertices that skips those whose instruction has no safety bound.
 """
 
 from __future__ import annotations
@@ -148,8 +151,6 @@ _JOIN = _table(lambda f, g: g if f is None else f if g is None else lifted_join(
 _AND, _OR = (
     _table(lambda f, g: None if f is None or g is None else lift(rule, f, g)) for rule in (_and_case, _or_case)
 )
-_COPY = _table(lambda f, g: g)
-_CONST = {c: _table(lambda f, g, c=c: c) for c in _FACT}
 
 
 def _decode(state: bytes, names: Iterable[str]) -> GradState:
@@ -159,59 +160,60 @@ def _decode(state: bytes, names: Iterable[str]) -> GradState:
     return dict(zip(names, map(_FACT.__getitem__, state)))
 
 
-# A rule is the tuple of byte writes one instruction makes, in order:
-# (t, a, b, table) sets byte t to table[7 * a + b], where a and b are the
-# input state's bytes at the operand indices (a constant's table ignores them).
-_Write = tuple[int, int, int, bytes]
+_NULL, _NONNULL, _NULLABLE = (_CODE[g] for g in (GradAbst.NULL, GradAbst.NONNULL, GradAbst.NULLABLE))
 
 
-_NULL, _NONNULL, _NULLABLE = (_CONST[g] for g in (GradAbst.NULL, GradAbst.NONNULL, GradAbst.NULLABLE))
+def _transfer(ins: Instr, index: dict[str, int], universe: Iterable[str], state: bytes) -> bytes:
+    """The state after ins, on states whose variables index numbers; universe is the procedure's.
 
-
-def _entry_rule(ins: IMain | IProc, index: dict[str, int], universe: Iterable[str]) -> tuple[_Write, ...]:
-    # An entry writes every byte: Null over universe, undefined elsewhere.
-    facts = dict.fromkeys(index, _CONST[None]) | dict.fromkeys(universe, _NULL)
-    if type(ins) is IProc:
-        facts[ins.param] = _CONST[ins.param_ann]
-    return tuple((index[x], 0, 0, table) for x, table in facts.items())
-
-
-# The rule of each instruction type, as a function of (ins, index, universe).
-_RULES: dict[type, Callable[..., tuple[_Write, ...]]] = {
-    IBranch: lambda ins, index, universe: (),
-    IReturn: lambda ins, index, universe: (),
-    IMain: _entry_rule,
-    IProc: _entry_rule,
-    # Reading narrows the receiver; when target and receiver coincide the
-    # receiver fact wins (the write order is load-bearing).
-    IFieldRead: lambda ins, index, universe: (
-        (index[ins.target], 0, 0, _NULLABLE),
-        (index[ins.obj], 0, 0, _NONNULL),
-    ),
-    IAnd: lambda ins, index, universe: ((index[ins.target], index[ins.left], index[ins.right], _AND),),
-    IOr: lambda ins, index, universe: ((index[ins.target], index[ins.left], index[ins.right], _OR),),
-    ICopy: lambda ins, index, universe: ((index[ins.target], index[ins.source], index[ins.source], _COPY),),
-    IConstNull: lambda ins, index, universe: ((index[ins.target], 0, 0, _NULL),),
-    ICall: lambda ins, index, universe: ((index[ins.target], 0, 0, _CONST[ins.ret_ann]),),
-    INew: lambda ins, index, universe: ((index[ins.target], 0, 0, _NONNULL),),
-    IFieldWrite: lambda ins, index, universe: ((index[ins.obj], 0, 0, _NONNULL),),
-    IIf: lambda ins, index, universe: ((index[ins.var], 0, 0, _NONNULL),),
-    IElse: lambda ins, index, universe: ((index[ins.var], 0, 0, _NULL),),
-}
-
-
-def _rule(ins: Instr, index: dict[str, int], universe: Iterable[str]) -> tuple[_Write, ...]:
-    """The writes of ins on states whose variables index numbers."""
-    return _RULES[type(ins)](ins, index, universe)
-
-
-def _apply(rule: tuple[_Write, ...], state: bytes) -> bytes:
-    """The state after rule: state itself when it writes nothing, else a bytearray copy."""
-    if not rule:
+    state itself when ins writes nothing or writes each byte as it was, else
+    a new bytearray.  Each instruction type is one branch, most often run
+    first; a rule that reads an operand looks its byte up in state.
+    """
+    kind = type(ins)
+    if kind is IIf:
+        t, code = index[ins.var], _NONNULL
+    elif kind is IElse:
+        t, code = index[ins.var], _NULL
+    elif kind is IBranch or kind is IReturn:
+        return state
+    elif kind is INew:
+        t, code = index[ins.target], _NONNULL
+    elif kind is ICopy:
+        t, code = index[ins.target], state[index[ins.source]]
+    elif kind is IFieldWrite:
+        t, code = index[ins.obj], _NONNULL
+    elif kind is IConstNull:
+        t, code = index[ins.target], _NULL
+    elif kind is ICall:
+        t, code = index[ins.target], _CODE[ins.ret_ann]
+    elif kind is IAnd:
+        t, code = index[ins.target], _AND[7 * state[index[ins.left]] + state[index[ins.right]]]
+    elif kind is IOr:
+        t, code = index[ins.target], _OR[7 * state[index[ins.left]] + state[index[ins.right]]]
+    elif kind is IFieldRead:
+        # Reading narrows the receiver; when target and receiver coincide the
+        # receiver fact wins (the write order is load-bearing).
+        t, o = index[ins.target], index[ins.obj]
+        if state[o] == _NONNULL and (state[t] == _NULLABLE or t == o):
+            return state
+        out = bytearray(state)
+        out[t], out[o] = _NULLABLE, _NONNULL
+        return out
+    elif kind is IMain or kind is IProc:
+        # An entry writes every byte: Null over universe, undefined elsewhere.
+        out = bytearray(len(state))
+        for x in universe:
+            out[index[x]] = _NULL
+        if kind is IProc:
+            out[index[ins.param]] = _CODE[ins.param_ann]
+        return state if out == state else out
+    else:
+        raise AssertionError(f"unknown instruction {ins!r}")
+    if state[t] == code:
         return state
     out = bytearray(state)
-    for t, a, b, table in rule:
-        out[t] = table[7 * state[a] + state[b]]
+    out[t] = code
     return out
 
 
@@ -232,7 +234,7 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
     names = sorted(universe.union(sigma, (getattr(ins, a) for a in OPERANDS[type(ins)])))
     index = {x: i for i, x in enumerate(names)}
     state = bytes(_CODE[sigma.get(x)] for x in names)
-    return _decode(_apply(_rule(ins, index, universe), state), names)
+    return _decode(_transfer(ins, index, universe, state), names)
 
 
 def flow(ins: Instr, sigma: BaseState, universe: frozenset[str]) -> BaseState:
@@ -338,9 +340,12 @@ def kildall(
     Every vertex starts at bottom, all bytes 0 (one shared object per state
     width), and is processed at least once, first in seed_order (by default
     the vertex order; see lower); a successor re-enters the worklist
-    whenever its state grows.  A vertex's rule is built each time the
-    worklist visits it and dropped after, so no list of every rule sits
-    beside the states.  The result does not depend on seed_order
+    whenever its state grows.  Each visit runs _transfer on the vertex's
+    instruction, so no list of rules sits beside the states, and a vertex
+    whose instruction leaves its state as it was passes that same object on,
+    so the vertices along a run of such instructions share one state.  The
+    procedures share one variable index per distinct universe.  The result
+    does not depend on seed_order
     (that is a tested property, not a hope).
 
     Static mode is the same fixpoint, read through base facts.  A '?' enters
@@ -356,7 +361,13 @@ def kildall(
             elif kind is IProc:
                 _exact_ann(ins.param_ann)
 
-    numbering = {proc: {x: i for i, x in enumerate(sorted(u))} for proc, u in cfg.universe.items()}
+    # One index per distinct universe, one bottom per width.
+    indexes: dict[frozenset[str], dict[str, int]] = {}
+    for u in cfg.universe.values():
+        if u not in indexes:
+            indexes[u] = {x: i for i, x in enumerate(sorted(u))}
+    numbering = {proc: indexes[u] for proc, u in cfg.universe.items()}
+    del indexes
     by_width: dict[int, bytes] = {}
     bottom = {proc: by_width.setdefault(len(index), bytes(len(index))) for proc, index in numbering.items()}
     instr, procs, universe = cfg.instr, cfg.proc, cfg.universe
@@ -374,7 +385,7 @@ def kildall(
         v = work.popleft()
         queued[v] = 0
         ins, proc = instr[v], procs[v]
-        out = _apply(_RULES[type(ins)](ins, numbering[proc], universe[proc]), states[v])
+        out = _transfer(ins, numbering[proc], universe[proc], states[v])
         for u in succ[v]:
             old = states[u]
             if old is out:
@@ -457,9 +468,13 @@ def findings(result: AnalysisResult) -> tuple[list[Finding], list[Finding]]:
     warnings: list[Finding] = []
     checks: list[Finding] = []
     cfg, states, numbering = result.cfg, result.states, result.numbering
-    for v, (ins, proc) in enumerate(zip(cfg.instr, cfg.proc)):
-        for x, bound in _safety_bounds(ins):
-            i = numbering[proc].get(x)
+    procs = cfg.proc
+    for v, ins in enumerate(cfg.instr):
+        bounds = _BOUNDS.get(type(ins))
+        if bounds is None:
+            continue
+        for x, bound in bounds(ins):
+            i = numbering[procs[v]].get(x)
             if i is None:
                 continue
             code = states[v][i]

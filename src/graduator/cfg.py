@@ -17,17 +17,22 @@ of a program with other annotations by rebuilding just those instructions.
 
 A graph is parallel columns, with no record per vertex: vertex v is index v
 of `instr`, `proc` (one name string shared by all of a procedure's
-vertices), `pos` and `succ`, and every reader numbers vertices by index.
-`validate` is the back end's one precondition, so it checks every column
-that the back end reads: rule 0 that the columns have one entry per vertex,
-rule 2 that each vertex's proc names the region that reaches it, and rule 7
-that each region has a universe holding every variable its instructions
-name.
+vertices), `pos` and `succ`, and every reader numbers vertices by index.  A
+lowered graph keeps `pos` as two arrays of integers (`Positions`), whose
+item v is the (line, col) pair, and shares its equal immutable parts: one
+frozenset per distinct universe, and one branch/if/else triple of
+instructions per tested variable.  `validate` is the back end's one
+precondition, so it checks every column that the back end reads: rule 0
+that the columns have one entry per vertex and every successor is a
+vertex, rule 2 that each vertex's proc names the region that reaches it,
+and rule 7 that each region has a universe holding every variable its
+instructions name.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Union, get_args
+from array import array
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union, get_args
 
 from .lattice import GradAbst, precision_leq
 from .record import Record, field, replace
@@ -201,21 +206,49 @@ class Vertex(Record, frozen=True):
     pos: tuple[int, int] = field(default=(0, 0), compare=False, repr=False)
 
 
+class Positions:
+    """The pos column of a lowered graph: (line, col) of vertex v is (lines[v], cols[v]).
+
+    Lowering keeps one (line, col) tuple per vertex, shared with the tree,
+    and when it ends stores them as two array('L') of integers, so the
+    tuples are freed with the tree.  Reading vertex v builds its tuple.
+    """
+
+    __slots__ = ("lines", "cols")
+
+    def __init__(self, pairs: Sequence[tuple[int, int]]):
+        # An array fills fastest from a list.
+        self.lines = array("L", [pair[0] for pair in pairs])
+        self.cols = array("L", [pair[1] for pair in pairs])
+
+    def __len__(self) -> int:
+        return len(self.lines)
+
+    def __getitem__(self, v: int) -> tuple[int, int]:
+        return self.lines[v], self.cols[v]
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Positions:
+            return NotImplemented
+        return self.lines == other.lines and self.cols == other.cols
+
+
 class ProgramCfg(Record):
     """Parallel columns, one entry per vertex: vertex v is index v of instr, proc, pos and succ."""
 
     instr: list[Instr]
     proc: list[str]  # procedure name, or "main"; one string object per procedure
-    pos: list[tuple[int, int]] = field(compare=False, repr=False)
+    # (line, col) per vertex: a Positions when lowered, any sequence of pairs when built by hand.
+    pos: Sequence[tuple[int, int]] = field(compare=False, repr=False)
     succ: list[tuple[int, ...]]
     entry: int
     proc_entry: dict[str, int]  # procedure name -> IProc vertex id
-    universe: dict[str, frozenset[str]]  # per procedure (and "main")
+    universe: dict[str, frozenset[str]]  # per procedure (and "main"); equal sets are one object when lowered
     # The interpreter's decoded site of each vertex, None until the vertex's
-    # first step (runtime._execute); not part of the graph's value.  A site
-    # holds an opcode and operands read from the graph, never the graph, or
-    # the two would form a reference cycle.
-    _run_sites: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    # first step, and the table of parts the sites share (runtime._execute);
+    # not part of the graph's value.  A site holds an opcode and operands read
+    # from the graph, never the graph, or the two would form a reference cycle.
+    _run_sites: Optional[tuple[list, dict]] = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def vertices(self) -> list[Vertex]:
@@ -249,14 +282,23 @@ def _link(e: Expr) -> Expr:
     return e.obj if type(e) is EField else e.left
 
 
+def _drain(stack: list) -> Iterator:
+    """stack's items, popped from its end, so that each is freed once its reader lets it go."""
+    while stack:
+        yield stack.pop()
+
+
 class _Lowerer:
     def __init__(self, signatures: dict[str, tuple[GradAbst, GradAbst]]):
         self.signatures = signatures  # procedure name -> (return, parameter) annotation
-        self.instr, self.proc, self.pos, self.succ = [], [], [], []  # ProgramCfg's columns
+        # ProgramCfg's columns, pos as the tree's (line, col) tuples until lower stores them.
+        self.instr, self.proc, self.pos, self.succ = [], [], [], []
         self.vars: set[str] = set()
         self.temp_count = 0
         self.prockey = MAIN
         self.universe: dict[str, frozenset[str]] = {}
+        self.universes: dict[frozenset[str], frozenset[str]] = {}  # each distinct universe, once
+        self.tests: dict[str, tuple[IBranch, IIf, IElse]] = {}  # see test
 
     def lower_region(
         self, name: str, head: Instr, pos: tuple[int, int], bound: set[str], body: Iterable[Stmt], ret_ann: GradAbst
@@ -266,7 +308,8 @@ class _Lowerer:
         entry = self.emit(head, pos, [])
         leftover = self.lower_stmts(body, [entry], ret_ann)
         assert not leftover, "parser guarantees every path of a procedure or main returns"
-        self.universe[name] = frozenset(self.vars)
+        universe = frozenset(self.vars)
+        self.universe[name] = self.universes.setdefault(universe, universe)
         return entry
 
     def emit(self, instr: Instr, pos: tuple[int, int], pending: list[int]) -> int:
@@ -278,6 +321,13 @@ class _Lowerer:
         for p in pending:
             self.succ[p] += (vid,)
         return vid
+
+    def test(self, var: str) -> tuple[IBranch, IIf, IElse]:
+        """branch(var) and its two arms: one triple per variable name, shared by every test of it."""
+        triple = self.tests.get(var)
+        if triple is None:
+            triple = self.tests[var] = (IBranch(var), IIf(var), IElse(var))
+        return triple
 
     def fresh_temp(self) -> str:
         name = f"${self.temp_count}"
@@ -338,9 +388,10 @@ class _Lowerer:
                 # A bare variable branches directly; anything else evaluates
                 # into a temporary first, and loops re-enter at that evaluation.
                 var, pending = self.lower_operand(s.cond, pending)
-                b = self.emit(IBranch(var), s.pos, pending)
-                if_v = self.emit(IIf(var), s.pos, [b])
-                else_v = self.emit(IElse(var), s.pos, [b])
+                branch, if_, else_ = self.test(var)
+                b = self.emit(branch, s.pos, pending)
+                if_v = self.emit(if_, s.pos, [b])
+                else_v = self.emit(else_, s.pos, [b])
                 nonnull_arm, null_arm = (s.then, s.els) if s.op == "!=" else (s.els, s.then)
                 exits_nonnull = self.lower_stmts(nonnull_arm, [if_v], ret_ann)
                 exits_null = self.lower_stmts(null_arm, [else_v], ret_ann)
@@ -353,10 +404,11 @@ class _Lowerer:
             elif kind is SWhile:
                 head_mark = len(self.instr)
                 var, cond_exits = self.lower_operand(s.cond, pending)
-                b = self.emit(IBranch(var), s.pos, cond_exits)
+                branch, if_, else_ = self.test(var)
+                b = self.emit(branch, s.pos, cond_exits)
                 head = head_mark if head_mark < len(self.instr) - 1 else b
-                if_v = self.emit(IIf(var), s.pos, [b])
-                else_v = self.emit(IElse(var), s.pos, [b])
+                if_v = self.emit(if_, s.pos, [b])
+                else_v = self.emit(else_, s.pos, [b])
                 body_arm, exit_arm = (if_v, else_v) if s.op == "!=" else (else_v, if_v)
                 body_exits = self.lower_stmts(s.body, [body_arm], ret_ann)
                 for v in body_exits:
@@ -379,14 +431,19 @@ def lower(p: Program) -> ProgramCfg:
     this for speed, not for correctness.
 
     Lowering keeps the signatures' annotations, drops its reference to p and
-    then takes the procedures one at a time, main last.  So when the caller
-    passes a tree that it holds no longer (on Python 3.11 and later, a call
-    moves its arguments into the callee), each procedure's subtree is freed
-    as soon as it is lowered; main's block lives until lowering ends.  A tree
-    that the caller still holds is left as it was.
+    then takes the procedures one at a time, main last, and main's top-level
+    statements one at a time.  So when the caller passes a tree that it holds
+    no longer (on Python 3.11 and later, a call moves its arguments into the
+    callee), each procedure's subtree and each of main's statements is freed
+    as soon as it is lowered.  A tree that the caller still holds is left as
+    it was.  The vertices' (line, col) tuples are the tree's until lowering
+    ends, when the graph stores them as integers (Positions).  Equal
+    universes are one set, and the tests of one variable share one branch,
+    if and else instruction.
     """
     lw = _Lowerer({proc.name: (proc.ret_ann, proc.param_ann) for proc in p.procs})
-    procs, main, main_pos = list(reversed(p.procs)), p.main, p.main_pos  # popped from the end, first first
+    # Popped from the end, first first.
+    procs, main, main_pos = list(reversed(p.procs)), list(reversed(p.main)), p.main_pos
     del p
     proc_entry: dict[str, int] = {}
     while procs:
@@ -394,8 +451,8 @@ def lower(p: Program) -> ProgramCfg:
         head = IProc(proc.name, proc.ret_ann, proc.param, proc.param_ann)
         proc_entry[proc.name] = lw.lower_region(proc.name, head, proc.pos, {proc.param}, proc.body, proc.ret_ann)
         del proc
-    main_entry = lw.lower_region(MAIN, IMain(), main_pos, set(), main, GradAbst.NULLABLE)
-    return ProgramCfg(lw.instr, lw.proc, lw.pos, lw.succ, main_entry, proc_entry, lw.universe)
+    main_entry = lw.lower_region(MAIN, IMain(), main_pos, set(), _drain(main), GradAbst.NULLABLE)
+    return ProgramCfg(lw.instr, lw.proc, Positions(lw.pos), lw.succ, main_entry, proc_entry, lw.universe)
 
 
 def reannotate(cfg: ProgramCfg, rewrite: Callable[[str, GradAbst], GradAbst]) -> ProgramCfg:
@@ -463,8 +520,9 @@ def precision_leq_cfg(cfg1: ProgramCfg, cfg2: ProgramCfg) -> bool:
 def validate(cfg: ProgramCfg) -> list[str]:
     """Structural well-formedness.  Empty iff the graph is well-formed.
 
-    0. The columns instr, proc, pos and succ hold one entry per vertex.  When
-       they do not, that is the only message.
+    0. The columns instr, proc, pos and succ hold one entry per vertex, and
+       every successor is a vertex number, in range(len(instr)).  When either
+       fails, its messages are the only ones.
     1. Exactly one main vertex, with no predecessors.
     2. The regions reachable from main and from each procedure entry
        partition the vertex set, and each vertex's proc names its region.
@@ -493,24 +551,34 @@ def validate(cfg: ProgramCfg) -> list[str]:
     if not len(instrs) == len(procs) == len(cfg.pos) == len(succ):
         lengths = f"{len(instrs)} instr, {len(procs)} proc, {len(cfg.pos)} pos, {len(succ)} succ"
         return [f"columns differ in length: {lengths}"]
+    # Each vertex's predecessors: None, the one predecessor, or a list of
+    # two or more, so that the many vertices with one hold no list.  The
+    # same pass finds a successor that is no vertex (rule 0): a negative
+    # one by its sign, one past the end by the IndexError.
+    n = len(instrs)
+    preds: list[Union[None, int, list[int]]] = [None] * n
+    try:
+        for v, succs in enumerate(succ):
+            for u in succs:
+                if u < 0:
+                    raise IndexError
+                p = preds[u]
+                if p is None:
+                    preds[u] = v
+                elif type(p) is int:
+                    preds[u] = [p, v]
+                else:
+                    p.append(v)
+    except IndexError:
+        return [
+            f"vertex v{v} has successor {u}, not in 0..{n - 1}" for v, us in enumerate(succ) for u in us if not 0 <= u < n
+        ]
     out: list[str] = []
     kinds = list(map(type, instrs))
     mains = [v for v, kind in enumerate(kinds) if kind is IMain]
     if len(mains) != 1:
         out.append(f"expected exactly one main vertex, found {len(mains)}")
 
-    # Each vertex's predecessors: None, the one predecessor, or a list of
-    # two or more, so that the many vertices with one hold no list.
-    preds: list[Union[None, int, list[int]]] = [None] * len(instrs)
-    for v, succs in enumerate(succ):
-        for u in succs:
-            p = preds[u]
-            if p is None:
-                preds[u] = v
-            elif type(p) is int:
-                preds[u] = [p, v]
-            else:
-                p.append(v)
     for m in mains:
         p = preds[m]
         if p is not None:

@@ -21,12 +21,16 @@ The environment variable GRADUATOR_MAX_STEPS overrides the default fuel;
 an explicit --max-steps beats both.  Fuel is a count of steps: 0 or more,
 and a negative value exits 2.
 
-Every command frees the program's tree as soon as it is lowered, so that
-validate, the analysis and the interpreter never hold memory beside it:
-nothing after lowering reads the tree.  No name here holds the tree, and
-parse lets the source text go once it is lexed, so on Python 3.11 and later,
-where a call moves its arguments into the callee, lowering frees the tree
-procedure by procedure as it goes (see cfg.lower).  check's static mode
+Every command holds one representation of the program at a time.  parse
+lexes the source a window of lines at a time as it builds the tree, so no
+list of every token exists, and it holds the source text until lexing ends.
+The tree is freed as soon as it is lowered, so that validate, the analysis
+and the interpreter never hold memory beside it: nothing after lowering
+reads the tree.  No name here holds the tree or the source text, so on
+Python 3.11 and later, where a call moves its arguments into the callee,
+lowering frees the tree procedure by procedure, and main statement by
+statement, as it goes, and the graph keeps the positions as integers (see
+cfg.lower).  check's static mode
 tests the validated graph's annotations, and compare and stats
 --ignore-annotations apply their policies to it with cfg.reannotate.
 compare frees each policy's graph and facts before it builds the next, and

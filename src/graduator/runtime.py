@@ -152,7 +152,11 @@ Outcome = Union[Stepped, Final, Stuck, Errored]
 # bounds that can fail, next is the first successor (a branch's `if` arm) or
 # None, and the operands are what the rule reads.  A site holds values taken
 # from the graph, never the graph itself: the graph keeps the sites, and a site
-# that held it would make a reference cycle.
+# that held it would make a reference cycle.  The sites of one graph share
+# their equal parts through a table kept beside them, which lives as long as
+# they do: a guards tuple of one guard, as every bounded instruction has, and
+# the template that `new` copies are one object per distinct value (the
+# empty guards tuple is one already).
 _Site = tuple
 
 # Whether a fact admits (null, non-null): membership depends only on that.
@@ -165,13 +169,19 @@ _GUARD = {g: () if all(_ADMITS[g]) else (ceil(g), _ADMITS[g]) for g in GradAbst}
 _READ, _BRANCH, _SKIP, _CALL, _ENTER, _RETURN, _NEW, _WRITE, _COPY, _NULL, _AND_OR, _MAIN = range(12)
 
 
-def _site(cfg: ProgramCfg, v: int) -> _Site:
+def _site(cfg: ProgramCfg, v: int, shared: dict) -> _Site:
+    """Vertex v's site; shared holds the parts already built for cfg's other sites."""
     ins = cfg.instr[v]
     kind = type(ins)
     guards: tuple = ()
     for x, bound in _safety_bounds(ins):
         if guard := _GUARD[bound]:
-            guards += ((x, *guard),)
+            # What a guard admits fixes what it requires, so (x, admits)
+            # names it, and no enum is hashed.
+            one = shared.get(key := (x, guard[1]))
+            if one is None:
+                one = shared[key] = ((x, *guard),)
+            guards += one  # one itself when it is the only guard
     succs = cfg.succ[v]
     nxt = succs[0] if succs else None
     if kind is IFieldRead:
@@ -188,7 +198,10 @@ def _site(cfg: ProgramCfg, v: int) -> _Site:
     if kind is IReturn:
         return (_RETURN, guards, nxt, ins.var, _ADMITS[ins.ann], ins.ann)
     if kind is INew:
-        return (_NEW, guards, nxt, ins.target, dict.fromkeys(ins.fields, 0))
+        template = shared.get(ins.fields)
+        if template is None:
+            template = shared[ins.fields] = dict.fromkeys(ins.fields, 0)
+        return (_NEW, guards, nxt, ins.target, template)
     if kind is IFieldWrite:
         return (_WRITE, guards, nxt, ins.obj, ins.fieldname, ins.source)
     if kind is ICopy:
@@ -217,8 +230,8 @@ def _execute(
     first `steps` of them are the vertices of the steps taken.
     """
     if cfg._run_sites is None:
-        cfg._run_sites = [None] * len(cfg.instr)
-    sites = cfg._run_sites
+        cfg._run_sites = ([None] * len(cfg.instr), {})
+    sites, shared = cfg._run_sites
     instr, succ = cfg.instr, cfg.succ
     frames, heap = m.frames, m.heap
     env, v = frames[-1]
@@ -226,7 +239,7 @@ def _execute(
         for steps in range(fuel):
             site = sites[v]
             if site is None:
-                site = sites[v] = _site(cfg, v)
+                site = sites[v] = _site(cfg, v, shared)
             if checked and site[1]:
                 # Only the driving instruction's own operand carries a bound
                 # that can fail.

@@ -40,14 +40,16 @@ has parsed without a syntax error.
 The lexer scans the source one line at a time, up to each "\n", with one
 compiled regex: one match per token, with the blanks before it.  A column
 counts the code points before the token on its line, plus one.  The lexer
-gives the token texts, their lines and their columns as three parallel
-lists, ending with end of input, whose text is "".  Each distinct text is
-one string object per lex, so the tree and the graph lowered from it share
-one string per name.  A token's kind follows from its text: KEYWORDS,
-PUNCTUATION, or else an identifier.  The parser reads the lists by index and
-builds a (line, col) tuple only where a node or an error takes one: every
-node's `pos` is that of its first token (for `&&`, `||` and field access,
-the operator; for a procedure, `proc`).
+appends the token texts, their lines and their columns to three parallel
+lists, ending with end of input, whose text is "".  It lexes a window of
+whole lines at a time, as the parser asks for them, and the parser drops
+the tokens it has consumed before it asks, so no list of every token
+exists.  Each distinct text is one string object per lex, so the tree and
+the graph lowered from it share one string per name.  A token's kind follows
+from its text: KEYWORDS, PUNCTUATION, or else an identifier.  The parser
+reads the lists by index and builds a (line, col) tuple only where a node or
+an error takes one: every node's `pos` is that of its first token (for `&&`,
+`||` and field access, the operator; for a procedure, `proc`).
 
 Blocks and call arguments nest at most MAX_NESTING levels deep, counted
 together: a body is one level, each block inside it and each call argument
@@ -260,45 +262,92 @@ _TOKEN_RE = re.compile(r"([ \t\r]*)(?:(:=|==|!=|&&|\|\||[.;,{}()@?]|[A-Za-z_]\w*
 Pos = tuple[int, int]
 
 
+# Lines the parser has lexed at a time, at the least: see _Lexer.lex.
+_WINDOW_LINES = 256
+
+
+class _Lexer:
+    """The tokens of one source, lexed onto the caller's lists a window of whole lines at a time.
+
+    Between windows it keeps where the next line starts and its number, and
+    the table that gives each distinct text one string object.  It holds the
+    source until it has appended end of input, and then lets it go.
+    """
+
+    __slots__ = ("src", "lineno", "start", "intern")
+
+    def __init__(self, src: str):
+        self.src: Optional[str] = src
+        self.lineno, self.start = 0, 0
+        # A regex match makes a new string per token; keep the first of each text.
+        self.intern = {}.setdefault
+
+    def lex(self, texts: list[str], lines: list[int], cols: list[int], window: int) -> int:
+        """Append the next lines' token texts, lines and columns; the end of input's text is "".
+
+        It appends whole lines: at least window of them, then on to one that
+        holds a `;`, or to end of input.  It returns how many tokens of the
+        lists a parser may read before it needs more: through the last `;`
+        appended, or all of them once end of input is appended.
+        """
+        src = self.src
+        add_text, add_line, add_col = texts.append, lines.append, cols.append
+        intern = self.intern
+        find, findall = src.find, _TOKEN_RE.findall
+        lineno, start, size = self.lineno, self.start, len(src)
+        until = lineno + window
+        # Each line is scanned where it lies in src: slicing the lines out would
+        # hold a second copy of the source while the tokens are built.
+        while start <= size:
+            lineno += 1
+            stop = find("\n", start)
+            if stop < 0:
+                stop = size
+            col, end = 1, stop - start + 1
+            for blanks, text, rare in findall(src, start, stop):
+                col += len(blanks)
+                if not text:
+                    if not rare:
+                        break  # blanks that end the line
+                    if rare.startswith("//"):
+                        # A comment's characters advance no column: end of input
+                        # after a trailing comment sits where the comment starts.
+                        end = col
+                        break
+                    if not rare[0].isalpha():
+                        self.src = None  # nothing after the first error is lexed
+                        raise ParseError(f"unexpected character {rare[0]!r}", lineno, col)
+                    text = rare
+                add_text(intern(text, text))
+                add_line(lineno)
+                add_col(col)
+                col += len(text)
+            start = stop + 1
+            if lineno >= until and start <= size:
+                k = len(texts) - 1
+                while k >= 0 and lines[k] == lineno:
+                    if texts[k] == ";":
+                        self.lineno, self.start = lineno, start
+                        return k + 1
+                    k -= 1
+        add_text("")
+        add_line(lineno)
+        add_col(end)
+        self.src = None
+        return len(texts)
+
+    def finish(self) -> None:
+        """Lex the rest of the source, window by window, keeping no token: a lexer error raises."""
+        while self.src is not None:
+            self.lex([], [], [], _WINDOW_LINES)
+
+
 def _lex(src: str) -> tuple[list[str], list[int], list[int]]:
     """Token texts, lines and columns, in parallel lists ending at end of input, text ""."""
     texts: list[str] = []
     lines: list[int] = []
     cols: list[int] = []
-    add_text, add_line, add_col = texts.append, lines.append, cols.append
-    # A regex match makes a new string per token; keep the first of each text.
-    intern = {}.setdefault
-    find, findall = src.find, _TOKEN_RE.findall
-    lineno, start, size = 0, 0, len(src)
-    # Each line is scanned where it lies in src: slicing the lines out would
-    # hold a second copy of the source while the tokens are built.
-    while start <= size:
-        lineno += 1
-        stop = find("\n", start)
-        if stop < 0:
-            stop = size
-        col, end = 1, stop - start + 1
-        for blanks, text, rare in findall(src, start, stop):
-            col += len(blanks)
-            if not text:
-                if not rare:
-                    break  # blanks that end the line
-                if rare.startswith("//"):
-                    # A comment's characters advance no column: end of input
-                    # after a trailing comment sits where the comment starts.
-                    end = col
-                    break
-                if not rare[0].isalpha():
-                    raise ParseError(f"unexpected character {rare[0]!r}", lineno, col)
-                text = rare
-            add_text(intern(text, text))
-            add_line(lineno)
-            add_col(col)
-            col += len(text)
-        start = stop + 1
-    add_text("")
-    add_line(lineno)
-    add_col(end)
+    _Lexer(src).lex(texts, lines, cols, len(src) + 1)  # a window of every line
     return texts, lines, cols
 
 
@@ -311,18 +360,30 @@ _NOT_IDENT = KEYWORDS | PUNCTUATION | {""}
 
 
 class _Parser:
-    """Recursive descent over the lexer's lists, read by index.
+    """Recursive descent over a window of the lexer's lists, read by index.
 
-    No read needs a bounds check.  The parser looks one token ahead only from
-    an identifier, which end of input always follows, and steps past end of
-    input only in a condition, where it then fails at once.
+    The window holds the tokens of whole lines, and the parser may read the
+    first `limit` of them: through the last `;`, or all once they end with end
+    of input.  Before it reads a statement or a declaration, where the token
+    before is one it has consumed, it compares its index with the limit; at
+    the limit it drops the tokens it has consumed and has the lexer append the
+    next lines (refill).  No other read needs a check: a statement or
+    declaration reads no `;` but its last token, so from an index below the
+    limit every read up to the next `;` lies below it.  A position kept across
+    a refill is kept as (line, col), not as an index.
+
+    No read needs a bounds check either.  The parser looks one token ahead
+    only from an identifier, which a `;` or end of input always follows, and
+    steps past end of input only in a condition, where it then fails at once.
     """
 
-    def __init__(self, texts: list[str], lines: list[int], cols: list[int]):
-        self.texts = texts
-        self.lines = lines
-        self.cols = cols
+    def __init__(self, lexer: _Lexer):
+        self.lexer = lexer
+        self.texts: list[str] = []
+        self.lines: list[int] = []
+        self.cols: list[int] = []
         self.i = 0
+        self.limit = 0  # how many tokens of the window may be read before a refill
         # Return placement, judged as the statements are parsed: where the
         # first statement is that follows one after which every path has
         # returned, and the first `return`.  A procedure raises on the former,
@@ -334,6 +395,13 @@ class _Parser:
 
     def at(self, i: int) -> Pos:
         return self.lines[i], self.cols[i]
+
+    def refill(self) -> None:
+        """Drop the tokens consumed and have the lexer append the next window."""
+        i = self.i
+        del self.texts[:i], self.lines[:i], self.cols[:i]
+        self.i = 0
+        self.limit = self.lexer.lex(self.texts, self.lines, self.cols, _WINDOW_LINES)
 
     def nest(self, opening: int) -> None:
         """Open one more level at the token with index opening."""
@@ -373,7 +441,9 @@ class _Parser:
         procs: list[ProcDecl] = []
         seen_fields: set[str] = set()
         seen_procs: set[str] = set()
-        while texts[self.i] in ("field", "proc"):
+        while True:
+            if self.i >= self.limit:
+                self.refill()
             if texts[self.i] == "field":
                 pos = self.at(self.expect("field"))
                 name_at = self.i
@@ -383,12 +453,14 @@ class _Parser:
                     raise self.fail(f"duplicate field name {name!r}", self.at(name_at))
                 seen_fields.add(name)
                 fields.append(FieldDecl(name, pos))
-            else:
+            elif texts[self.i] == "proc":
                 decl = self.procdecl()
                 if decl.name in seen_procs:
                     raise self.fail(f"duplicate procedure name {decl.name!r}", self.at(self.i - 1))
                 seen_procs.add(decl.name)
                 procs.append(decl)
+            else:
+                break
         if texts[self.i] != "main":
             raise self.fail("expected 'field', 'proc', or 'main'")
         main_pos = self.at(self.expect("main"))
@@ -405,7 +477,7 @@ class _Parser:
 
     def procdecl(self) -> ProcDecl:
         pos = self.at(self.expect("proc"))
-        name_at = self.i
+        name_pos = self.at(self.i)
         name = self.expect_ident("procedure name")
         ret_ann = self.annotation_opt()
         self.expect("(")
@@ -417,7 +489,7 @@ class _Parser:
             raise self.fail("unreachable statement: every path above already returned", self.unreachable)
         if not returns:
             raise self.fail(
-                f"procedure {name!r}: some path through the body falls off the end without 'return'", self.at(name_at)
+                f"procedure {name!r}: some path through the body falls off the end without 'return'", name_pos
             )
         return ProcDecl(name, ret_ann, param, param_ann, body, pos)
 
@@ -439,7 +511,12 @@ class _Parser:
         texts = self.texts
         stmts: list[Stmt] = []
         returns = False
-        while (text := texts[self.i]) != "}":
+        while True:
+            if self.i >= self.limit:
+                self.refill()
+            text = texts[self.i]
+            if text == "}":
+                break
             if not text:
                 raise self.fail("unexpected end of input inside block")
             if returns and self.unreachable is None:
@@ -568,12 +645,20 @@ class _Parser:
 def parse(source: str) -> Program:
     """Parse PICL source text.  Raises ParseError with a 1-based position.
 
-    The source is let go once it is lexed: when the caller holds it no
-    longer, it is freed before the tree is built.
+    The parser pulls the tokens a window of lines at a time, so no list of
+    every token exists.  The source is held until it is lexed to the end and
+    then let go: when the caller holds it no longer, it is freed while the
+    tree is finished.  The first lexer error wins over any parser error, as
+    if the whole source were lexed first: when the parser fails, the rest of
+    the source is lexed, and an error there is raised instead.
     """
-    lexed = _lex(source)
+    lexer = _Lexer(source)
     del source
-    return _Parser(*lexed).program()
+    try:
+        return _Parser(lexer).program()
+    except ParseError:
+        lexer.finish()
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -50,19 +50,18 @@ def best_cpu(fn, *args, reps=3):
     As in the benchmark harness, the collector stays on, the objects alive
     before timing are frozen so that no pass scans what the rest of the
     suite keeps alive, and each call starts after a collection, so that it
-    pays for its own garbage only.
+    pays for its own garbage only.  What it froze stays frozen, as anything
+    frozen before it does: thawing would make the next collection, timed or
+    not, scan the whole suite's heap again.
     """
     best = float("inf")
     gc.collect()
     gc.freeze()
-    try:
-        for _ in range(reps):
-            gc.collect()
-            t0 = time.process_time()
-            fn(*args)
-            best = min(best, time.process_time() - t0)
-    finally:
-        gc.unfreeze()
+    for _ in range(reps):
+        gc.collect()
+        t0 = time.process_time()
+        fn(*args)
+        best = min(best, time.process_time() - t0)
     return best
 
 

@@ -278,19 +278,36 @@ def test_byte_fixpoint_matches_a_dict_worklist_fact_for_fact():
 def test_byte_tables_agree_with_the_fact_rules():
     codes = range(len(analysis._FACT))
     assert analysis._FACT == (None, *ALL_GRAD)
+    # Writes to x of a state over x (byte 0) and y (byte 1), and the fact each writes.
+    index, universe = {"x": 0, "y": 1}, frozenset({"x", "y"})
+    constants = [
+        (IConstNull("x"), GradAbst.NULL),
+        (INew("x", ("f",)), GradAbst.NONNULL),
+        (IFieldWrite("x", "f", "y"), GradAbst.NONNULL),
+        (IIf("x"), GradAbst.NONNULL),
+        (IElse("x"), GradAbst.NULL),
+        *((ICall("x", "p", c, "y", c), c) for c in ALL_GRAD),
+    ]
     for a in codes:
         for b in codes:
             f, g = analysis._FACT[a], analysis._FACT[b]
             join = g if f is None else f if g is None else lifted_join(f, g)
             assert analysis._FACT[analysis._JOIN[7 * a + b]] is join
-            for table, rule in ((analysis._AND, analysis._and_case), (analysis._OR, analysis._or_case)):
+            writes = [(ICopy("x", "y"), g)]  # a copy takes its source's fact
+            for table, rule, kind in ((analysis._AND, analysis._and_case, IAnd), (analysis._OR, analysis._or_case, IOr)):
                 case = None if f is None or g is None else alpha(rule(x, y) for x in gamma(f) for y in gamma(g))
                 assert analysis._FACT[table[7 * a + b]] is case
-            # a copy takes its second operand; a constant write ignores both
-            assert analysis._FACT[analysis._COPY[7 * a + b]] is g
-            assert all(analysis._FACT[table[7 * a + b]] is c for c, table in analysis._CONST.items())
+                writes.append((kind("x", "x", "y"), case))
+            # a constant write ignores both bytes
+            state = bytes([a, b])
+            for ins, want in writes + constants:
+                out = analysis._transfer(ins, index, universe, state)
+                assert analysis._FACT[out[0]] is want and out[1] == b, ins
+                # the state itself when the write leaves its byte as it was, else a copy
+                assert (out is state) is (want is f), ins
+                assert state == bytes([a, b])
     # no other entry is reachable: a digit pair is at most 7 * 6 + 6
-    for table in (analysis._JOIN, analysis._AND, analysis._OR, analysis._COPY, *analysis._CONST.values()):
+    for table in (analysis._JOIN, analysis._AND, analysis._OR):
         assert len(table) == 256 and not any(table[49:])
 
 

@@ -264,6 +264,14 @@ def reference_validate(cfg):
             f"columns differ in length: {len(instrs)} instr, {len(cfg.proc)} proc, "
             f"{len(cfg.pos)} pos, {len(cfg.succ)} succ"
         ]
+    outside = [
+        f"vertex v{v} has successor {u}, not in 0..{len(instrs) - 1}"
+        for v, succs in enumerate(cfg.succ)
+        for u in succs
+        if u not in range(len(instrs))
+    ]
+    if outside:
+        return outside
     out: list[str] = []
     kinds = list(map(type, instrs))
     succ = cfg.succ
@@ -510,6 +518,20 @@ def test_validation_rule_zero_the_columns_hold_one_entry_per_vertex():
     ]
     for bad, lengths in cases:
         assert validate(bad) == reference_validate(bad) == [f"columns differ in length: {lengths}"]
+
+
+def test_validation_rule_zero_every_successor_is_a_vertex():
+    # A successor past the last vertex once made validate raise IndexError,
+    # and a negative one passed, after which emit_dot printed an edge to v-1.
+    g = lower(parse("main { var x; x := null; return x; }"))
+    assert g.succ == [(1,), (2,), ()] and validate(g) == reference_validate(g) == []
+    cases = [
+        (replace(g, succ=[(1,), (3,), ()]), ["vertex v1 has successor 3, not in 0..2"]),
+        (replace(g, succ=[(1,), (-1,), ()]), ["vertex v1 has successor -1, not in 0..2"]),
+        (replace(g, succ=[(5, -2), (1,), ()]), [f"vertex v0 has successor {u}, not in 0..2" for u in (5, -2)]),
+    ]
+    for bad, want in cases:
+        assert validate(bad) == reference_validate(bad) == want
 
 
 def test_validation_reads_the_proc_column_and_the_universe_keys():

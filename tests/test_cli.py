@@ -669,17 +669,21 @@ def test_a_command_starts_no_collector_pass(tmp_path, capsys, command, scale):
 
 
 # Bounds on the peak bytes per source byte of one in-process command, at
-# least 15 % above what was measured on Python 3.11 with the tree freed
-# procedure by procedure as it is lowered, successors built as tuples and
-# no list of transfer rules: chain (200 procedures) 20.4 for check, 22.8
-# for run, 20.4 for compare and 20.3 for stats --ignore-annotations; wide
-# (100 locals) 26.8, 26.2, 27.0 and 25.5.  With the tree freed only once
-# lowered they were 25.3, 23.6, 25.3 and 25.3 on chain, 30.3, 26.3, 30.9
-# and 29.4 on wide; with the tree alive through the command, 37.3 for check
-# on chain and 48.1 on wide.  Before 3.11 the caller's stack keeps the tree
-# until lower returns, so the earlier bounds apply there.
+# most 15 % above what was measured on Python 3.11 with the source lexed a
+# window of lines at a time, the tree freed procedure by procedure and
+# main's statements one by one as they are lowered, positions kept as
+# integers and equal parts of the graph, the states and the interpreter's
+# sites shared: chain (200 procedures) 14.2 for check, 15.2 for run, 14.2
+# for compare and 14.2 for stats --ignore-annotations; wide (100 locals)
+# 22.0, 22.2, 21.8 and 20.4.  With every token lexed first and no part
+# shared they were 18.5, 20.7, 18.5 and 18.5 on chain, 24.8, 24.1, 24.7 and
+# 23.4 on wide; with the tree freed only once lowered, 25.3, 23.6, 25.3 and
+# 25.3 on chain, 30.3, 26.3, 30.9 and 29.4 on wide; with the tree alive
+# through the command, 37.3 for check on chain and 48.1 on wide.  Before
+# 3.11 the caller's stack keeps the tree until lower returns, so the
+# earlier bounds apply there.
 _PER_BYTE_BOUNDS = (
-    [("chain", (23.5, 26.5, 23.5, 23.5)), ("wide", (31, 30.5, 31.5, 29.5))]
+    [("chain", (16, 17.5, 16, 16)), ("wide", (25, 25.5, 25, 23))]
     if sys.version_info >= (3, 11)
     else [("chain", (29.5, 27.5, 30.5, 29.5)), ("wide", (35, 31, 35.5, 35))]
 )
@@ -747,8 +751,10 @@ def _one_line(n):
     return "main { var x; x := null; " + "x := x; " * n + "return x; }"
 
 
-# A row fails strictly where the fixpoint's state per vertex, one byte per
-# variable of its procedure, grows with the program.
+# A row fails strictly where the fixpoint's states, one byte per variable of
+# the procedure at each vertex whose instruction changes its state, grow with
+# the program.  The locals row passes since a copy that changes no byte
+# passes its input state on: its copies share one state.
 _STATES = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -766,12 +772,13 @@ def _run(path):
     assert run(cfg).outcome == "final"
 
 
-# The rows that fail are sized so that their growth shows: 1,200 to 1,600
+# The rows that failed are sized so that their growth shows: 1,200 to 1,600
 # vertices at 8n.  The others reach about 600 at 8n (486 for nesting, at 120
 # levels), so that the table costs about 2 s.  Measured on Python 3.11, peak
-# bytes per source byte of check from n to 8n: &&/|| chains 172 -> 393
-# (2.3x), field chains 392 -> 995 (2.5x), locals 33 -> 78 (2.4x), the other
-# rows 0.9-1.1x; of run, 0.97-1.21x on every row.  CPU per vertex of check
+# bytes per source byte of check from n to 8n: &&/|| chains 148 -> 357
+# (2.4x), field chains 348 -> 940 (2.7x), locals 20.7 -> 21.2 (1.0x; 33 ->
+# 78 while every vertex held its own state), the other rows 0.9-1.1x; of
+# run, 0.97-1.21x on every row.  CPU per vertex of check
 # and run read 0.5-0.9x, since the smaller program pays a larger share of
 # fixed costs.
 @pytest.mark.parametrize(
@@ -779,7 +786,7 @@ def _run(path):
     [
         pytest.param(_and_or_chain, 150, marks=_STATES, id="and-or-chain"),
         pytest.param(_field_chain, 150, marks=_STATES, id="field-chain"),
-        pytest.param(_locals, 200, marks=_STATES, id="locals"),
+        pytest.param(_locals, 200, id="locals"),
         pytest.param(_procedures, 20, id="procedures"),
         pytest.param(_if_while, 8, id="if-while"),
         pytest.param(_nesting, 15, id="nesting"),

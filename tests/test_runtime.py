@@ -5,11 +5,11 @@ import re
 import typing
 
 import pytest
-from conftest import LOOP_SRC, growth_per_vertex, scenario_src
+from conftest import LOOP_SRC, growth_per_vertex, scenario_src, workload_source
 
 from graduator import cfg as cfg_module
 from graduator import runtime
-from graduator.analysis import _safety_bounds
+from graduator.analysis import _safety_bounds, kildall
 from graduator.cfg import (
     IAnd,
     IBranch,
@@ -499,11 +499,37 @@ def test_build_time_tables_agree_with_the_lattice():
         cfg = lower(parse(path.read_text()))
         for v, ins in enumerate(cfg.instr):
             bounds = dict(_safety_bounds(ins))
-            for x, required, admits in runtime._site(cfg, v)[1]:
+            for x, required, admits in runtime._site(cfg, v, {})[1]:
                 assert required == ceil(bounds[x]) and admits == runtime._ADMITS[bounds[x]]
                 assert not all(admits)
                 guarded += 1
     assert guarded > 0
+
+
+def test_equal_immutable_parts_are_shared_within_one_graph():
+    # One object per distinct value: the universes and the branch tests that
+    # lowering builds, the fixpoint's variable indexes, and the guards and
+    # `new` templates of the interpreter's sites.  Another graph shares none.
+    def value(part):
+        return tuple(sorted(part)) if type(part) is frozenset else tuple(part.items()) if type(part) is dict else part
+
+    def parts(cfg):
+        assert run(cfg).outcome == "final"
+        sites = [site for site in cfg._run_sites[0] if site is not None]
+        return {
+            "universes": list(cfg.universe.values()),
+            "tests": [ins for ins in cfg.instr if type(ins) in (IBranch, IIf, IElse)],
+            "indexes": list(kildall(cfg).numbering.values()),
+            "guards": [site[1] for site in sites if site[1]],
+            "templates": [site[4] for site in sites if site[0] == runtime._NEW],
+        }
+
+    graphs = [lower(parse(workload_source("chain", 1))) for _ in range(2)]
+    first, second = map(parts, graphs)
+    for name, objects in first.items():
+        distinct = len(set(map(value, objects)))
+        assert len(objects) > 2 * distinct and len(set(map(id, objects))) == distinct, name
+        assert not set(map(id, objects)) & set(map(id, second[name])), name
 
 
 EVERY_INSTR_SRC = (
@@ -523,7 +549,7 @@ def test_every_instruction_type_decodes_and_runs():
     kinds = typing.get_args(cfg_module.Instr)
     assert set(first) == set(kinds)
     for kind in kinds:
-        site = runtime._site(cfg, first[kind])
+        site = runtime._site(cfg, first[kind], {})
         assert type(site[0]) is int and type(site[1]) is tuple, kind.__name__
     for mode in ("plain", "gradual"):
         result = run(cfg, mode=mode, collect_trace=True)

@@ -1,8 +1,11 @@
 """Parser, surface checks, and the renderer round trip."""
 
+import gc
 import itertools
 import random
 import re
+import sys
+import tracemalloc
 
 import pytest
 
@@ -31,6 +34,7 @@ from graduator.syntax import (
     SReturn,
     SSkip,
     SWhile,
+    _Parser,
     _lex,
     check_surface,
     parse,
@@ -782,6 +786,88 @@ def test_lone_half_of_a_two_character_token_is_an_error(c):
     with pytest.raises(ParseError) as e:
         parse(f"main {{\n  var x; x {c} null;\n}}")
     assert (e.value.line, e.value.col, e.value.message) == (2, 12, f"unexpected character {c!r}")
+
+
+# ---------------------------------------------------------------------------
+# The parser's window: parse as if every token were lexed first
+# ---------------------------------------------------------------------------
+
+
+class _WholeLexer:
+    """A lexer that hands the parser every token in its first window, as _lex gives them."""
+
+    def __init__(self, src):
+        self.tokens = _lex(src)  # the lexer's first error raises here, before any parsing
+
+    def lex(self, texts, lines, cols, window):
+        for column, values in zip((texts, lines, cols), self.tokens):
+            column += values
+        return sys.maxsize
+
+
+def _outcome(parser_of, src):
+    """The tree, rendered, with every node's position; or the ParseError's message and position.
+
+    The rendering stands for the tree (parse . render is the identity up to
+    positions), and, unlike ==, it does not recurse down an operand chain.
+    """
+    try:
+        p = parser_of(src).program() if parser_of else parse(src)
+    except ParseError as e:
+        return str(e)
+    return render_program(p), _node_tokens(p)
+
+
+def _splice_mutants(rng, sources, count):
+    """Sources with one to three seeded splices of characters the lexer refuses, comments and braces."""
+    pieces = ["$", "é", "¼", "//", "{", "}", ";", "\n", "x := ;"]
+    out = []
+    for _ in range(count):
+        src = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randrange(len(src) + 1)
+            src = src[:at] + rng.choice(pieces) + src[at:]
+        out.append(src)
+    return out
+
+
+def test_parsing_by_window_equals_lexing_everything_first():
+    corpus = [path.read_text() for path in corpus_paths()]
+    long_file = workload_source("chain", 4)  # 200 procedures, many windows
+    late_error = "main { var x; x := ;\n" + "    skip;\n" * 100 + "$"
+    sources = corpus + [long_file, late_error]
+    sources += _splice_mutants(random.Random("window"), corpus + [long_file], 300)
+    # Input that ends inside a comment, after a statement and in one.
+    sources += [src + "// end" for src in corpus[:5]]
+    sources += [long_file[: long_file.index("\n", len(long_file) // 2)] + " // cut"]
+    sources += ["main { var x; x := null; // return x; }", "main { var x; x := null; return x; } // }"]
+    # A 20,000-operand chain on one line, and a 300,000-character identifier.
+    sources.append("main { var x; x := null; x := x" + " && x" * 19_999 + "; return x; }")
+    sources.append("main { var " + "a" * 300_000 + "; return x; }")
+    outcomes = [(_outcome(None, src), _outcome(lambda s: _Parser(_WholeLexer(s)), src)) for src in sources]
+    for src, (windowed, whole) in zip(sources, outcomes):
+        assert windowed == whole, src[:200]
+    # A lexer error past the parser's first error wins, as when lexing came first.
+    assert outcomes[len(corpus) + 1][0] == "102:1: unexpected character '$'"
+    errors = [windowed for windowed, _ in outcomes if type(windowed) is str]
+    assert sum("unexpected character" in e for e in errors) > 50 and len(errors) < len(outcomes) - 20
+
+
+def test_parse_holds_no_list_of_every_token():
+    # At most the tree and a constant: the window's tokens and the table that
+    # gives each distinct name one string.  Lexing first held the token lists
+    # beside the tree, about 400 KB more here.
+    source = workload_source("chain", 4)  # 200 procedures, about 57 KB
+    parse(source)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tree = parse(source)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.procs) == 200
+    assert peak - held <= 64_000, f"{peak - held} bytes above the tree"
 
 
 @pytest.mark.parametrize(
