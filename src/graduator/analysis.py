@@ -12,7 +12,7 @@ projection loses nothing, and ``flow`` is that projection for a single
 instruction.  A transfer rule that writes a constant ignores its input; a
 rule that reads an operand drops its target when the operand is not yet
 defined.  Entry instructions (main, proc) ignore their input entirely and
-seed every variable of the procedure's universe with Null, then bind the
+write Null to every variable of the procedure's universe, then bind the
 parameter to its annotation.
 
 The only rules where gradualization needs more than "run the same rule on
@@ -23,15 +23,18 @@ join's, are tabulated once per pair of fact bytes.
 
 ``_transfer`` is that one transfer function on byte states: one branch per
 instruction type, tested inline, and no rule object is built or kept, so
-the fixpoint holds its states and nothing per vertex beside them.  It
-returns its input state itself when the instruction writes nothing or
-writes each byte as it was, so vertices whose instructions change nothing
-share one state.  The fixpoint and the findings read the graph's columns by
-vertex number: vertex v's instruction is ``cfg.instr[v]`` and its procedure
-``cfg.proc[v]``.  Procedures with equal universes share one variable index.
-On a graph that ``validate`` accepts, each vertex's procedure has a universe
-and every variable its instruction names is in it (rules 2 and 7), so no
-rule looks up a variable that its state does not number.
+the fixpoint holds its states and nothing per vertex beside them.  It reads
+only the instruction, the variable index and the state: the index numbers
+exactly the procedure's universe, so an entry writes Null to every byte and
+then binds the parameter.  It returns its input state itself
+when the instruction writes nothing or writes each byte as it was, so
+vertices whose instructions change nothing share one state.  The fixpoint
+and the findings read the graph's columns by vertex number: vertex v's
+instruction is ``cfg.instr[v]`` and its procedure ``cfg.proc[v]``.
+Procedures with equal universes share one variable index.  On a graph that
+``validate`` accepts, each vertex's procedure has a universe and every
+variable its instruction names is in it (rules 2 and 7), so no rule looks up
+a variable that its state does not number.
 
 Fixpoints come from a worklist iteration seeded with every vertex (initial
 state: bottom, every variable undefined).  The result is order-independent;
@@ -45,9 +48,10 @@ Validity splits per position into three verdicts: the fact is consistent
 with the safety bound (fine), plausibly consistent but not provably so
 (a run-time check site), or provably inconsistent (a static warning).  A 7 x 7
 table over (fact byte, bound byte), built at import from ``lifted_leq`` and
-``base_leq`` on ceilings, holds every verdict; ``findings`` reads each
-position's fact byte from the states and looks its verdict up, in one walk
-over the vertices that skips those whose instruction has no safety bound.
+``base_leq`` on ceilings, holds every verdict.  An instruction bounds at most
+one operand, so a vertex has at most one position; ``findings`` reads its fact
+byte from the states and looks its verdict up, in one walk over the vertices
+that skips those whose instruction has no safety bound.
 """
 
 from __future__ import annotations
@@ -163,12 +167,13 @@ def _decode(state: bytes, names: Iterable[str]) -> GradState:
 _NULL, _NONNULL, _NULLABLE = (_CODE[g] for g in (GradAbst.NULL, GradAbst.NONNULL, GradAbst.NULLABLE))
 
 
-def _transfer(ins: Instr, index: dict[str, int], universe: Iterable[str], state: bytes) -> bytes:
-    """The state after ins, on states whose variables index numbers; universe is the procedure's.
+def _transfer(ins: Instr, index: dict[str, int], state: bytes) -> bytes:
+    """The state after ins, on states whose variables index numbers.
 
     state itself when ins writes nothing or writes each byte as it was, else
     a new bytearray.  Each instruction type is one branch, most often run
-    first; a rule that reads an operand looks its byte up in state.
+    first; a rule that reads an operand looks its byte up in state.  An
+    entry writes Null to every byte, so index numbers its procedure's universe.
     """
     kind = type(ins)
     if kind is IIf:
@@ -201,10 +206,8 @@ def _transfer(ins: Instr, index: dict[str, int], universe: Iterable[str], state:
         out[t], out[o] = _NULLABLE, _NONNULL
         return out
     elif kind is IMain or kind is IProc:
-        # An entry writes every byte: Null over universe, undefined elsewhere.
-        out = bytearray(len(state))
-        for x in universe:
-            out[index[x]] = _NULL
+        # An entry writes every byte.
+        out = bytearray((_NULL,)) * len(state)
         if kind is IProc:
             out[index[ins.param]] = _CODE[ins.param_ann]
         return state if out == state else out
@@ -229,12 +232,15 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
     of sigma and of ins, and returns its map in sorted key order.  A rule that
     writes a constant ignores its input; one that reads an operand drops its
     target when the operand is undefined; an entry seeds universe with Null
-    and binds the parameter to its annotation.
+    and binds the parameter to its annotation, so sigma's other variables are
+    undefined after it and its state does not number them.
     """
-    names = sorted(universe.union(sigma, (getattr(ins, a) for a in OPERANDS[type(ins)])))
+    kind = type(ins)
+    known = universe if kind is IMain or kind is IProc else universe.union(sigma)
+    names = sorted(known.union(getattr(ins, a) for a in OPERANDS[kind]))
     index = {x: i for i, x in enumerate(names)}
     state = bytes(_CODE[sigma.get(x)] for x in names)
-    return _decode(_transfer(ins, index, universe, state), names)
+    return _decode(_transfer(ins, index, state), names)
 
 
 def flow(ins: Instr, sigma: BaseState, universe: frozenset[str]) -> BaseState:
@@ -256,28 +262,29 @@ def safe(ins: Instr, x: str) -> Abst:
     return _exact_ann(lifted_safe(ins, x))
 
 
-# The bounds of each instruction type that constrains an operand.
-_BOUNDS: dict[type, Callable[..., tuple[tuple[str, GradAbst], ...]]] = {
-    ICall: lambda ins: ((ins.arg, ins.arg_ann),),
-    IReturn: lambda ins: ((ins.var, ins.ann),),
-    IFieldRead: lambda ins: ((ins.obj, GradAbst.NONNULL),),
-    IFieldWrite: lambda ins: ((ins.obj, GradAbst.NONNULL),),
+# The one (operand, safety bound) of each instruction type that constrains an
+# operand: every other operand's bound is Nullable.
+_BOUNDS: dict[type, Callable[..., tuple[str, GradAbst]]] = {
+    ICall: lambda ins: (ins.arg, ins.arg_ann),
+    IReturn: lambda ins: (ins.var, ins.ann),
+    IFieldRead: lambda ins: (ins.obj, GradAbst.NONNULL),
+    IFieldWrite: lambda ins: (ins.obj, GradAbst.NONNULL),
 }
 
 
-def _safety_bounds(ins: Instr) -> tuple[tuple[str, GradAbst], ...]:
-    """(variable, safety bound) for the operand that can be constrained, if any."""
-    bounds = _BOUNDS.get(type(ins))
-    return () if bounds is None else bounds(ins)
-
-
 def lifted_safe(ins: Instr, x: str) -> GradAbst:
-    return next((bound for y, bound in _safety_bounds(ins) if y == x), GradAbst.NULLABLE)
+    bound_of = _BOUNDS.get(type(ins))
+    if bound_of is not None:
+        y, bound = bound_of(ins)
+        if y == x:
+            return bound
+    return GradAbst.NULLABLE
 
 
 def constrained_vars(ins: Instr) -> tuple[str, ...]:
-    """Variables whose safety bound at this instruction can be non-trivial."""
-    return tuple(x for x, _ in _safety_bounds(ins))
+    """Variables whose safety bound at this instruction can be non-trivial: at most one."""
+    bound_of = _BOUNDS.get(type(ins))
+    return () if bound_of is None else (bound_of(ins)[0],)
 
 
 def site_category(ins: Instr) -> str:
@@ -370,7 +377,7 @@ def kildall(
     del indexes
     by_width: dict[int, bytes] = {}
     bottom = {proc: by_width.setdefault(len(index), bytes(len(index))) for proc, index in numbering.items()}
-    instr, procs, universe = cfg.instr, cfg.proc, cfg.universe
+    instr, procs = cfg.instr, cfg.proc
     bottoms = [bottom[proc] for proc in procs]
     states = list(bottoms)
     if seed_order is None:
@@ -384,8 +391,7 @@ def kildall(
     while work:
         v = work.popleft()
         queued[v] = 0
-        ins, proc = instr[v], procs[v]
-        out = _transfer(ins, numbering[proc], universe[proc], states[v])
+        out = _transfer(instr[v], numbering[procs[v]], states[v])
         for u in succ[v]:
             old = states[u]
             if old is out:
@@ -470,19 +476,19 @@ def findings(result: AnalysisResult) -> tuple[list[Finding], list[Finding]]:
     cfg, states, numbering = result.cfg, result.states, result.numbering
     procs = cfg.proc
     for v, ins in enumerate(cfg.instr):
-        bounds = _BOUNDS.get(type(ins))
-        if bounds is None:
+        bound_of = _BOUNDS.get(type(ins))
+        if bound_of is None:
             continue
-        for x, bound in bounds(ins):
-            i = numbering[procs[v]].get(x)
-            if i is None:
-                continue
-            code = states[v][i]
-            verdict = _VERDICT[7 * code + _CODE[bound]]
-            if verdict == _WARN:
-                warnings.append(_finding(WARN_STATIC, cfg, v, x, _FACT[code], bound))
-            elif verdict == _SITE:
-                checks.append(_finding(site_category(ins), cfg, v, x, _FACT[code], bound))
+        x, bound = bound_of(ins)
+        i = numbering[procs[v]].get(x)
+        if i is None:
+            continue
+        code = states[v][i]
+        verdict = _VERDICT[7 * code + _CODE[bound]]
+        if verdict == _WARN:
+            warnings.append(_finding(WARN_STATIC, cfg, v, x, _FACT[code], bound))
+        elif verdict == _SITE:
+            checks.append(_finding(site_category(ins), cfg, v, x, _FACT[code], bound))
     return warnings, checks
 
 

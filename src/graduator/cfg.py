@@ -298,7 +298,7 @@ class _Lowerer:
         self.prockey = MAIN
         self.universe: dict[str, frozenset[str]] = {}
         self.universes: dict[frozenset[str], frozenset[str]] = {}  # each distinct universe, once
-        self.tests: dict[str, tuple[IBranch, IIf, IElse]] = {}  # see test
+        self.tests: dict[str, tuple[IBranch, IIf, IElse]] = {}  # see branch_on
 
     def lower_region(
         self, name: str, head: Instr, pos: tuple[int, int], bound: set[str], body: Iterable[Stmt], ret_ann: GradAbst
@@ -322,12 +322,18 @@ class _Lowerer:
             self.succ[p] += (vid,)
         return vid
 
-    def test(self, var: str) -> tuple[IBranch, IIf, IElse]:
-        """branch(var) and its two arms: one triple per variable name, shared by every test of it."""
+    def branch_on(self, cond: Expr, pos: tuple[int, int], pending: list[int]) -> tuple[int, int]:
+        """Branch on cond, evaluated into a temporary unless it is a variable: the (if, else) vertices.
+
+        Every test of one variable shares its branch, if and else instructions.
+        """
+        var, pending = self.lower_operand(cond, pending)
         triple = self.tests.get(var)
         if triple is None:
             triple = self.tests[var] = (IBranch(var), IIf(var), IElse(var))
-        return triple
+        branch, if_, else_ = triple
+        b = self.emit(branch, pos, pending)
+        return self.emit(if_, pos, [b]), self.emit(else_, pos, [b])
 
     def fresh_temp(self) -> str:
         name = f"${self.temp_count}"
@@ -385,13 +391,7 @@ class _Lowerer:
             elif kind is SDecl:
                 self.vars.add(s.name)
             elif kind is SIf:
-                # A bare variable branches directly; anything else evaluates
-                # into a temporary first, and loops re-enter at that evaluation.
-                var, pending = self.lower_operand(s.cond, pending)
-                branch, if_, else_ = self.test(var)
-                b = self.emit(branch, s.pos, pending)
-                if_v = self.emit(if_, s.pos, [b])
-                else_v = self.emit(else_, s.pos, [b])
+                if_v, else_v = self.branch_on(s.cond, s.pos, pending)
                 nonnull_arm, null_arm = (s.then, s.els) if s.op == "!=" else (s.els, s.then)
                 exits_nonnull = self.lower_stmts(nonnull_arm, [if_v], ret_ann)
                 exits_null = self.lower_stmts(null_arm, [else_v], ret_ann)
@@ -402,13 +402,10 @@ class _Lowerer:
             elif kind is SFieldAssign:
                 pending = [self.emit(IFieldWrite(s.obj, s.fieldname, s.source), s.pos, pending)]
             elif kind is SWhile:
-                head_mark = len(self.instr)
-                var, cond_exits = self.lower_operand(s.cond, pending)
-                branch, if_, else_ = self.test(var)
-                b = self.emit(branch, s.pos, cond_exits)
-                head = head_mark if head_mark < len(self.instr) - 1 else b
-                if_v = self.emit(if_, s.pos, [b])
-                else_v = self.emit(else_, s.pos, [b])
+                # The body re-enters at the first vertex of the test: the
+                # condition's evaluation, or the branch on a bare variable.
+                head = len(self.instr)
+                if_v, else_v = self.branch_on(s.cond, s.pos, pending)
                 body_arm, exit_arm = (if_v, else_v) if s.op == "!=" else (else_v, if_v)
                 body_exits = self.lower_stmts(s.body, [body_arm], ret_ann)
                 for v in body_exits:

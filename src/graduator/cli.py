@@ -219,15 +219,13 @@ def cmd_stats(args) -> int:
         _, _, checks = analyze(cfg, "gradual")
         derefs, checked, eliminated = _deref_stats(cfg, checks)
         rows.append((str(path), derefs, checked, eliminated))
-    width = max(len("program"), *(len(r[0]) for r in rows)) if rows else len("program")
+    if len(rows) > 1:
+        _, *columns = zip(*rows)
+        rows.append(("TOTAL", *map(sum, columns)))
+    width = max(map(len, ["program", *(r[0] for r in rows)]))
     print(f"{'program':<{width}}  derefs  checks  eliminated   pct")
     for name, derefs, checked, eliminated in rows:
         print(f"{name:<{width}}  {derefs:6d}  {checked:6d}  {eliminated:10d}  {_pct(eliminated, derefs):3d}%")
-    if len(rows) > 1:
-        derefs = sum(r[1] for r in rows)
-        checked = sum(r[2] for r in rows)
-        eliminated = sum(r[3] for r in rows)
-        print(f"{'TOTAL':<{width}}  {derefs:6d}  {checked:6d}  {eliminated:10d}  {_pct(eliminated, derefs):3d}%")
     return 0
 
 

@@ -10,18 +10,21 @@ Calls push an empty frame parked at the callee's entry; the caller frame
 stays at the call vertex so the matching return can find the target variable
 and the continuation.  Parameter and return annotations act as contracts:
 plain execution gets stuck on a violated concrete annotation ('?' never
-blocks), while checked (gradual) execution consults the safety bounds
+blocks), while checked (gradual) execution consults the safety bound
 *before* every step and reports a structured error at the offending vertex
-instead of running into the violation.
+instead of running into the violation.  An instruction bounds at most one of
+its operands, so a step has one guard or none.
 
 One executor, `_execute`, runs every step in one loop.  On its first step a
 vertex is decoded from the graph's columns (`instr[v]`, `succ[v]`, and
 `proc[v]` for main's universe) into a site, kept on the graph: a flat tuple
 of a small-int opcode for its instruction type and the operands its rule
-reads, with annotations and safety bounds resolved to whether they admit
-null and non-null.  The loop tests the opcode inline and keeps the top frame's
-environment and vertex in locals, writing them back to the state when a call
-pushes a frame and when the loop ends.  It updates a `MachineState` in place:
+reads, with annotations and the safety bound resolved to whether they admit
+null and non-null.  A field read and a field write share one opcode, `_DEREF`,
+whose receiver checks are the same and which copies one way or the other.
+The loop tests the opcode inline and keeps the top frame's environment and
+vertex in locals, writing them back to the state when a call pushes a frame
+and when the loop ends.  It updates a `MachineState` in place:
 the frames are a list, the heap a dict, and the state keeps its next free
 location, so a step costs the same whatever the heap size and stack depth.
 Every stuck, annotation and safety-bound check runs before the first write,
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .analysis import GradState, _finding, _safety_bounds, site_category
+from .analysis import _BOUNDS, GradState, _finding, site_category
 from .cfg import (
     IAnd,
     IBranch,
@@ -146,72 +149,70 @@ Outcome = Union[Stepped, Final, Stuck, Errored]
 
 
 # A site is what one vertex's step needs from the graph, decoded once:
-#   (opcode, guards, next, operands...)
-# where the opcode names the instruction type's rule in `_execute`, guards are
-# the (variable, required, (admits 0, admits non-0)) triples of the safety
-# bounds that can fail, next is the first successor (a branch's `if` arm) or
-# None, and the operands are what the rule reads.  A site holds values taken
+#   (opcode, guard, next, operands...)
+# where the opcode names the instruction type's rule in `_execute`, guard is
+# () or the one (variable, required, (admits 0, admits non-0)) triple of a
+# safety bound that can fail, next is the first successor (a branch's `if` arm)
+# or None, and the operands are what the rule reads.  A site holds values taken
 # from the graph, never the graph itself: the graph keeps the sites, and a site
 # that held it would make a reference cycle.  The sites of one graph share
 # their equal parts through a table kept beside them, which lives as long as
-# they do: a guards tuple of one guard, as every bounded instruction has, and
-# the template that `new` copies are one object per distinct value (the
-# empty guards tuple is one already).
+# they do: a guard and the template that `new` copies are one object per
+# distinct value.
 _Site = tuple
 
 # Whether a fact admits (null, non-null): membership depends only on that.
 _ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in GradAbst}
-# A bound's (required, admits) when some value fails it, else ().
-_GUARD = {g: () if all(_ADMITS[g]) else (ceil(g), _ADMITS[g]) for g in GradAbst}
 
 # The opcodes, numbered in the order `_execute` tests them: about how often
 # the alloc workload runs each kind.
-_READ, _BRANCH, _SKIP, _CALL, _ENTER, _RETURN, _NEW, _WRITE, _COPY, _NULL, _AND_OR, _MAIN = range(12)
+_DEREF, _BRANCH, _SKIP, _CALL, _ENTER, _RETURN, _NEW, _COPY, _NULL, _AND_OR, _MAIN = range(11)
 
 
 def _site(cfg: ProgramCfg, v: int, shared: dict) -> _Site:
     """Vertex v's site; shared holds the parts already built for cfg's other sites."""
     ins = cfg.instr[v]
     kind = type(ins)
-    guards: tuple = ()
-    for x, bound in _safety_bounds(ins):
-        if guard := _GUARD[bound]:
+    guard: tuple = ()
+    bound_of = _BOUNDS.get(kind)
+    if bound_of is not None:
+        x, bound = bound_of(ins)
+        admits = _ADMITS[bound]
+        if not all(admits):
             # What a guard admits fixes what it requires, so (x, admits)
             # names it, and no enum is hashed.
-            one = shared.get(key := (x, guard[1]))
-            if one is None:
-                one = shared[key] = ((x, *guard),)
-            guards += one  # one itself when it is the only guard
+            guard = shared.get(key := (x, admits))
+            if guard is None:
+                guard = shared[key] = (x, ceil(bound), admits)
     succs = cfg.succ[v]
     nxt = succs[0] if succs else None
-    if kind is IFieldRead:
-        return (_READ, guards, nxt, ins.obj, ins.fieldname, ins.target)
+    if kind is IFieldRead or kind is IFieldWrite:
+        reads = kind is IFieldRead
+        return (_DEREF, guard, nxt, ins.obj, ins.fieldname, ins.target if reads else ins.source, reads)
     if kind is IBranch:
-        return (_BRANCH, guards, nxt, ins.var, succs[1])  # (if, else): see validate
+        return (_BRANCH, guard, nxt, ins.var, succs[1])  # (if, else): see validate
     if kind is IIf or kind is IElse:
-        return (_SKIP, guards, nxt)
+        return (_SKIP, guard, nxt)
     if kind is ICall:
-        return (_CALL, guards, nxt, cfg.proc_entry[ins.proc])
+        return (_CALL, guard, nxt, cfg.proc_entry[ins.proc])
     if kind is IProc:
         entry_env = dict.fromkeys(sorted(cfg.universe[ins.name]), 0)
-        return (_ENTER, guards, nxt, ins.name, ins.param, _ADMITS[ins.param_ann], ins.param_ann, entry_env)
+        return (_ENTER, guard, nxt, ins.name, ins.param, _ADMITS[ins.param_ann], ins.param_ann, entry_env)
     if kind is IReturn:
-        return (_RETURN, guards, nxt, ins.var, _ADMITS[ins.ann], ins.ann)
+        return (_RETURN, guard, nxt, ins.var, _ADMITS[ins.ann], ins.ann)
     if kind is INew:
         template = shared.get(ins.fields)
         if template is None:
             template = shared[ins.fields] = dict.fromkeys(ins.fields, 0)
-        return (_NEW, guards, nxt, ins.target, template)
-    if kind is IFieldWrite:
-        return (_WRITE, guards, nxt, ins.obj, ins.fieldname, ins.source)
+        return (_NEW, guard, nxt, ins.target, template)
     if kind is ICopy:
-        return (_COPY, guards, nxt, ins.target, ins.source)
+        return (_COPY, guard, nxt, ins.target, ins.source)
     if kind is IConstNull:
-        return (_NULL, guards, nxt, ins.target)
+        return (_NULL, guard, nxt, ins.target)
     if kind is IAnd or kind is IOr:
-        return (_AND_OR, guards, nxt, ins.target, ins.left, ins.right, kind is IAnd)
+        return (_AND_OR, guard, nxt, ins.target, ins.left, ins.right, kind is IAnd)
     if kind is IMain:
-        return (_MAIN, guards, nxt, dict.fromkeys(sorted(cfg.universe[cfg.proc[v]]), 0))
+        return (_MAIN, guard, nxt, dict.fromkeys(sorted(cfg.universe[cfg.proc[v]]), 0))
     raise AssertionError(f"unknown instruction {ins!r}")
 
 
@@ -226,7 +227,7 @@ def _execute(
     throughout.  A vertex's site is built on its first step and kept on cfg,
     so a vertex that cannot be decoded stops the run only once it is reached.
     A stop returns its outcome around m, into which it has written nothing.
-    With visited, each step appends its vertex once its guards pass: the
+    With visited, each step appends its vertex once its guard passes: the
     first `steps` of them are the vertices of the steps taken.
     """
     if cfg._run_sites is None:
@@ -243,23 +244,27 @@ def _execute(
             if checked and site[1]:
                 # Only the driving instruction's own operand carries a bound
                 # that can fail.
-                for x, required, admits in site[1]:
-                    if x in env:
-                        value = env[x]
-                        if not admits[value != 0]:
-                            return Errored(m, v, x, required, value), steps
+                x, required, admits = site[1]
+                if x in env:
+                    value = env[x]
+                    if not admits[value != 0]:
+                        return Errored(m, v, x, required, value), steps
             if visited is not None:
                 visited.append(v)
             op = site[0]
-            if op == _READ:
-                _, _, nxt, obj, fieldname, target = site
+            if op == _DEREF:
+                # A read copies the field into var, a write var into the field.
+                _, _, nxt, obj, fieldname, var, reads = site
                 r = env[obj]
                 if r == 0:
                     return Stuck(m, v, f"null dereference: {obj} is null"), steps
                 fields = heap.get(r)
                 if fields is None or fieldname not in fields:
                     return Stuck(m, v, f"object at {r} has no field {fieldname!r}"), steps
-                env[target] = fields[fieldname]
+                if reads:
+                    env[var] = fields[fieldname]
+                else:
+                    fields[fieldname] = env[var]
                 v = nxt
             elif op == _BRANCH:
                 v = site[2] if env[site[3]] > 0 else site[4]
@@ -304,16 +309,6 @@ def _execute(
                 heap[loc] = site[4].copy()
                 env[site[3]] = loc
                 v = site[2]
-            elif op == _WRITE:
-                _, _, nxt, obj, fieldname, source = site
-                r = env[obj]
-                if r == 0:
-                    return Stuck(m, v, f"null dereference: {obj} is null"), steps
-                fields = heap.get(r)
-                if fields is None or fieldname not in fields:
-                    return Stuck(m, v, f"object at {r} has no field {fieldname!r}"), steps
-                fields[fieldname] = env[source]
-                v = nxt
             elif op == _COPY:
                 env[site[3]] = env[site[4]]
                 v = site[2]
@@ -346,11 +341,11 @@ def step(cfg: ProgramCfg, state: MachineState) -> Union[Stepped, Final, Stuck]:
 
 
 def grad_step(cfg: ProgramCfg, state: MachineState) -> Outcome:
-    """One checked transition of state, in place: safety bounds first, then the plain step.
+    """One checked transition of state, in place: the safety bound first, then the plain step.
 
-    Only the driving instruction's own operands carry non-trivial bounds;
-    every other variable's bound is Nullable, which no value violates.  On a
-    violation the lexicographically first offending variable is reported.
+    Only one operand of the driving instruction carries a non-trivial bound;
+    every other variable's bound is Nullable, which no value violates.  A
+    violation reports that operand.
     """
     return _execute(cfg, state, True, 1)[0] or Stepped(state)
 

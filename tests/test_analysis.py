@@ -11,7 +11,6 @@ from graduator.analysis import (
     WARN_CHECK,
     WARN_STATIC,
     Finding,
-    _safety_bounds,
     analyze,
     check_sites,
     constrained_vars,
@@ -279,7 +278,7 @@ def test_byte_tables_agree_with_the_fact_rules():
     codes = range(len(analysis._FACT))
     assert analysis._FACT == (None, *ALL_GRAD)
     # Writes to x of a state over x (byte 0) and y (byte 1), and the fact each writes.
-    index, universe = {"x": 0, "y": 1}, frozenset({"x", "y"})
+    index = {"x": 0, "y": 1}
     constants = [
         (IConstNull("x"), GradAbst.NULL),
         (INew("x", ("f",)), GradAbst.NONNULL),
@@ -301,10 +300,17 @@ def test_byte_tables_agree_with_the_fact_rules():
             # a constant write ignores both bytes
             state = bytes([a, b])
             for ins, want in writes + constants:
-                out = analysis._transfer(ins, index, universe, state)
+                out = analysis._transfer(ins, index, state)
                 assert analysis._FACT[out[0]] is want and out[1] == b, ins
                 # the state itself when the write leaves its byte as it was, else a copy
                 assert (out is state) is (want is f), ins
+                assert state == bytes([a, b])
+            # an entry writes Null to every byte, then a procedure binds its parameter x
+            for ins, want in ((IMain(), GradAbst.NULL), *((IProc("p", g, "x", g), g) for g in ALL_GRAD)):
+                out = analysis._transfer(ins, index, state)
+                expected = bytes([analysis._CODE[want], analysis._CODE[GradAbst.NULL]])
+                assert out == expected, ins
+                assert (out is state) is (state == expected), ins
                 assert state == bytes([a, b])
     # no other entry is reachable: a digit pair is at most 7 * 6 + 6
     for table in (analysis._JOIN, analysis._AND, analysis._OR):
@@ -426,7 +432,8 @@ def findings_by_definition(result):
     warnings, checks = [], []
     cfg = result.cfg
     for v, ins in enumerate(cfg.instr):
-        for x, bound in _safety_bounds(ins):
+        for x in constrained_vars(ins):
+            bound = lifted_safe(ins, x)
             found = result.fact(v, x)
             if found is None:
                 continue

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -598,6 +599,105 @@ def test_in_process_calls_leak_no_state_between_them(capsys):
     for argv, output in zip(calls, outputs):
         fresh = subprocess.run([sys.executable, "-B", "-m", "graduator.cli", *argv], capture_output=True, text=True, env=env)
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == output, argv
+
+
+# The commands whose bytes the refactors keep identical, each run on every
+# pinned input.
+_PINNED_COMMANDS = (
+    ["check"],
+    ["check", "--format", "json"],
+    ["check", "--mode", "static"],
+    ["run"],
+    ["run", "--mode", "plain"],
+    ["run", "--trace", "--max-steps", "300"],
+    ["cfg"],
+    ["cfg", "--dot"],
+    ["stats"],
+    ["stats", "--ignore-annotations"],
+    ["compare"],
+)
+
+# Inputs that stop in the front end, print a note or stop a checked run at a
+# dereference, beside the corpus and the workloads at 1x.
+_PINNED_FAULTS = {
+    "lexer_error.picl": "main { var x; x := $null; return x; }",
+    "parse_error.picl": "main { var x; x := ; return x; }",
+    "surface_error.picl": "main { var x; var x; x := null; return x; }",
+    "lint_note.picl": NOTES_SRC,
+    "empty.picl": "",
+    "deref_error.picl": scenario_src(null_body=True),
+}
+
+# SHA-256 of every command's exit code, stdout and stderr on each input, and of
+# `stats` over every corpus and workload file at once (its TOTAL row).
+_PINNED_DIGESTS = {
+    "arg_check.picl": "1f8c7ecdc5c6b58b236e0fecc0fbde395b472a8435df9d5995087e853256284e",
+    "boolean_guard.picl": "4eff146c120556cbfd29f045e2a6e257887f5554ec3c4f4a5eeb713c9fd7849e",
+    "builder.picl": "256f2e67c573c6de59a17c5e1f2cb657d90ecaf9ac44b0d713ff54822a2bf548",
+    "cache.picl": "84a71ce3913daa868c729810e2c24feadcfb828bfa1dcc5234f1f934203dfa83",
+    "chain.picl": "c1fca316249aad680bd7d71883911a57cd56e7fd57ac72c481ea33ff1f6e69c8",
+    "copy_prop.picl": "cf876142565ad14f1e6d06b5233107f73bde6300fc0ad401c5510879dcc8ec1a",
+    "default_fill.picl": "0f948d176c7d60ededcaa11e8846d8673be0e324a2594172889d2dfb1f950c90",
+    "double_guard.picl": "9d0761580cca585ccf1fd593678f2e6e30b6383e638cc5cfed4a11ae2c63ae03",
+    "field_swap.picl": "b8ff2a08ec63c400473ddd7f0c92e78a44fe5f9d445c84303bce2072dd3f1f58",
+    "guarded_list.picl": "0d4b226972fcd245882eeef9ea5ff8f17375dca724583a5d56dbbf1a51b9e854",
+    "linked_pair.picl": "1be79e39735f735c64e71f98615665f068551ea08e963caf2368406bcffd9c96",
+    "maybe_head.picl": "9b3dd7d9ba802ba0e0e0ab59ffc71729a54156d23942f9c9318fbf8dabf46641",
+    "nested_if.picl": "7ede51132b287156779850e7534ede62af6fe073b878169c6d23d33797bfe9e5",
+    "new_heavy.picl": "02c6b715d1d56e4aab136f06b3f2bac7bf0e5998f6fa1b964a295e793c12094e",
+    "queue_pop.picl": "4d7a159c0aceda46ca51b2c3b82b08ca60c8206fac4eb111184b495c2afb1b05",
+    "reset_fields.picl": "c31c5fac1e8b4497db67c8c0f79cf628234030738a94860896f97ec8f1d85260",
+    "retry_loop.picl": "fd22563b1589e2065f915b7e0a9d2495415bddfc5a806d21df9a58760a714221",
+    "sentinel.picl": "bdb8116133699510f3b740d32334cf26265a95f018710d0c2016ddbaec3ed1d2",
+    "unannotated_calls.picl": "dd1bd7616164bf91eca08a0068a7480173a5738ce95d55d5fa49ae8472d05513",
+    "while_new.picl": "7a5183ba8be674bd17ba8626fa73d47d608e0685954b1f1e621e493251bfa3da",
+    "chain_1x.picl": "8c09b081bb13dbc36b4b569fb126cccfebe4349c1fc1e8200b85966f7b07434d",
+    "wide_1x.picl": "79f20b2ff4886d6104edaa0e2f57dc4095017ee99bf1f49837e15884fbcc808c",
+    "alloc_1x.picl": "eecfa13647162da861269d95723ea06116070dcf218a1c548bd9866f369d405e",
+    "lexer_error.picl": "abedae835d16c56ef78e2c08dc5e0104e8c4c774fe35b5bc57fb385cd9701f5a",
+    "parse_error.picl": "71e52987f167e5a3139686cb2b3b8655334b5a66bab540772e908697e7b3fcf0",
+    "surface_error.picl": "e4eb41e6eddc907f59c0b7bd1a5026fa8a0bf16801467fc2acbccdbe95e35758",
+    "lint_note.picl": "ff6e27547e9f54998a42e6f638a1cd9b9939cbdd42a7224e1803fdc873b353a8",
+    "empty.picl": "9ae65f8a6f0e8b2e5d2a623edb2913273d3803854af34dd1a9b25223ebb525dd",
+    "deref_error.picl": "9c47662317a65260a6fd6f34258c4cd53085a789bce1f4f8fa5b2b3674a57446",
+    "stats *": "7c9de1eb6394833396f123747c5ae75f9e631cec5364cf27b824a26bbe1934c9",
+}
+
+
+def _pinned_digests(capsys) -> dict:
+    """The digest of each pinned input, written to and named relative to the working directory.
+
+    A relative name keeps the output free of the directory, whose length
+    would otherwise set the width of `stats`' first column.
+    """
+    inputs = {p.name: p.read_text() for p in corpus_paths()}
+    inputs |= {f"{name}_1x.picl": workload_source(name, 1) for name in ("chain", "wide", "alloc")}
+    files = inputs | _PINNED_FAULTS
+    for name, src in files.items():
+        Path(name).write_text(src)
+
+    def digest(calls) -> str:
+        h = hashlib.sha256()
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            for part in (str(code), captured.out, captured.err):
+                h.update(part.encode() + b"\0")
+        return h.hexdigest()
+
+    digests = {name: digest([command[0], name, *command[1:]] for command in _PINNED_COMMANDS) for name in files}
+    digests["stats *"] = digest((["stats", *inputs], ["stats", *inputs, "--ignore-annotations"]))
+    return digests
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys, monkeypatch):
+    # A tripwire for byte identity: every digest was computed before the
+    # refactors it guards, and a mismatch names its input.
+    monkeypatch.chdir(tmp_path)
+    digests = _pinned_digests(capsys)
+    assert digests.keys() == _PINNED_DIGESTS.keys()
+    for name, expected in _PINNED_DIGESTS.items():
+        assert digests[name] == expected, name
 
 
 @pytest.mark.parametrize(

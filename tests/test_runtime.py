@@ -9,7 +9,7 @@ from conftest import LOOP_SRC, growth_per_vertex, scenario_src, workload_source
 
 from graduator import cfg as cfg_module
 from graduator import runtime
-from graduator.analysis import _safety_bounds, kildall
+from graduator.analysis import constrained_vars, kildall, lifted_safe
 from graduator.cfg import (
     IAnd,
     IBranch,
@@ -494,15 +494,18 @@ def test_build_time_tables_agree_with_the_lattice():
     for g in GradAbst:
         for n in (0, 1, 2, 1000):
             assert runtime._ADMITS[g][n != 0] == grad_conc_contains(g, n), (g, n)
+    # A site's guard is () or the one bound that some value fails.
     guarded = 0
     for path in corpus_paths():
         cfg = lower(parse(path.read_text()))
         for v, ins in enumerate(cfg.instr):
-            bounds = dict(_safety_bounds(ins))
-            for x, required, admits in runtime._site(cfg, v, {})[1]:
-                assert required == ceil(bounds[x]) and admits == runtime._ADMITS[bounds[x]]
-                assert not all(admits)
-                guarded += 1
+            expected = ()
+            for x in constrained_vars(ins):
+                bound = lifted_safe(ins, x)
+                if not all(runtime._ADMITS[bound]):
+                    expected = (x, ceil(bound), runtime._ADMITS[bound])
+            assert runtime._site(cfg, v, {})[1] == expected, (path.name, v)
+            guarded += bool(expected)
     assert guarded > 0
 
 
@@ -558,6 +561,19 @@ def test_every_instruction_type_decodes_and_runs():
         assert ran == set(kinds), mode
 
 
+def test_each_instruction_bounds_at_most_one_operand():
+    # A site holds one guard or none: an instruction type that bounded two
+    # operands must fail here, not slip past the executor's one guard.
+    cfg = lower(parse(EVERY_INSTR_SRC))
+    assert {type(ins) for ins in cfg.instr} == set(typing.get_args(cfg_module.Instr))
+    for ins in cfg.instr:
+        bounded = constrained_vars(ins)
+        assert len(bounded) <= 1, ins
+        for y in (getattr(ins, a) for a in cfg_module.OPERANDS[type(ins)]):
+            if y not in bounded:
+                assert lifted_safe(ins, y) is GradAbst.NULLABLE, (ins, y)
+
+
 def test_a_call_to_a_missing_procedure_sticks_only_when_reached():
     # A hand-built graph whose call names no procedure entry: the call's site
     # cannot be built, and that stops the run only at the call itself.
@@ -584,9 +600,8 @@ _REF_ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in 
 def ref_site(cfg, v):
     ins = cfg.instr[v]
     succs = cfg.succ[v]
-    guards = tuple(
-        (x, bound, _REF_ADMITS[bound]) for x, bound in _safety_bounds(ins) if not all(_REF_ADMITS[bound])
-    )
+    bounds = ((x, lifted_safe(ins, x)) for x in constrained_vars(ins))
+    guards = tuple((x, bound, _REF_ADMITS[bound]) for x, bound in bounds if not all(_REF_ADMITS[bound]))
     arms = entry_env = None
     if isinstance(ins, IBranch):
         arms = cfg.succ[v]
