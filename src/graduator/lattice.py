@@ -19,6 +19,13 @@ the same way.  The closed-form join table is kept in the test suite as an
 independent oracle.  The same goes for alpha itself.  A four-element lifting
 that drops ?Null/?NonNull loses associativity of the join; the regression
 for that lives in the testkit.
+
+Both domains share one base, so a fact prints as its value and hashes by
+identity: a lookup keyed by a fact makes no Python-level call.  The hash
+differs from run to run, as the string hash it replaces already did, so no
+output may depend on it: where a set of facts is iterated, as in ``ceil``,
+``alpha`` and ``lift``, the result is a join or a subset test, which
+ignores the order.
 """
 
 from __future__ import annotations
@@ -27,18 +34,22 @@ import enum
 from typing import Callable, Iterable
 
 
-class Abst(enum.Enum):
+class _Fact(enum.Enum):
+    """A fact prints as its value and hashes by identity, as its members are singletons."""
+
+    def __str__(self) -> str:
+        return self.value
+
+    __repr__ = __str__
+    __hash__ = object.__hash__
+
+
+class Abst(_Fact):
     """Base nullness facts, ordered by set inclusion of their denotations."""
 
     NULL = "Null"
     NONNULL = "NonNull"
     NULLABLE = "Nullable"
-
-    def __str__(self) -> str:
-        return self.value
-
-    def __repr__(self) -> str:
-        return self.value
 
 
 ALL_ABST: tuple[Abst, ...] = (Abst.NULL, Abst.NONNULL, Abst.NULLABLE)
@@ -68,7 +79,7 @@ def base_join(a: Abst, b: Abst) -> Abst:
 BASE_HEIGHT = 1
 
 
-class GradAbst(enum.Enum):
+class GradAbst(_Fact):
     """Gradual nullness facts: base elements plus partially-unknown ones."""
 
     NULL = "Null"
@@ -77,12 +88,6 @@ class GradAbst(enum.Enum):
     UNKNOWN = "?"
     UNKNOWN_NULL = "?Null"
     UNKNOWN_NONNULL = "?NonNull"
-
-    def __str__(self) -> str:
-        return self.value
-
-    def __repr__(self) -> str:
-        return self.value
 
 
 ALL_GRAD: tuple[GradAbst, ...] = (

@@ -180,7 +180,7 @@ def _site(cfg: ProgramCfg, v: int, shared: dict) -> _Site:
         admits = _ADMITS[bound]
         if not all(admits):
             # What a guard admits fixes what it requires, so (x, admits)
-            # names it, and no enum is hashed.
+            # names it as well as (x, bound) would.
             guard = shared.get(key := (x, admits))
             if guard is None:
                 guard = shared[key] = (x, ceil(bound), admits)

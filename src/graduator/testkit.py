@@ -128,25 +128,12 @@ from .syntax import (
 # ---------------------------------------------------------------------------
 
 # The shape of every generated program: at most MAX_PROCS procedures, at most
-# MAX_STMTS statement draws per top-level block (half that in nested ones),
-# if/while nesting at most MAX_DEPTH deep, and the relative odds of each kind
-# of statement.
+# MAX_STMTS statement draws per top-level block (half that in nested ones) and
+# if/while nesting at most MAX_DEPTH deep.  The relative odds of each kind of
+# statement are in _STMT_KINDS, after the generator.
 MAX_PROCS = 3
 MAX_STMTS = 6
 MAX_DEPTH = 2
-STMT_WEIGHTS: tuple[tuple[str, float], ...] = (
-    ("decl", 1.2),
-    ("null", 1.0),
-    ("copy", 1.0),
-    ("new", 1.4),
-    ("bool", 0.8),
-    ("fieldread", 1.2),
-    ("fieldwrite", 0.7),
-    ("call", 1.3),
-    ("if", 1.0),
-    ("while", 0.6),
-    ("skip", 0.2),
-)
 
 
 class GenConfig(Record, frozen=True):
@@ -211,19 +198,14 @@ class _Gen:
         return out
 
     def gen_stmt(self, out: list[Stmt], depth: int, scope: _Scope, avail: int) -> None:
-        kinds: list[str] = []
+        rules: list[Callable[..., None]] = []
         weights: list[float] = []
-        for kind, w in STMT_WEIGHTS:
-            if kind in ("copy", "bool", "fieldread", "fieldwrite", "if", "while") and not scope.assigned:
+        for rule, weight, reads, calls, nests in _STMT_KINDS:
+            if (reads and not scope.assigned) or (calls and avail == 0) or (nests and depth >= MAX_DEPTH):
                 continue
-            if kind == "call" and avail == 0:
-                continue
-            if kind in ("if", "while") and depth >= MAX_DEPTH:
-                continue
-            kinds.append(kind)
-            weights.append(w)
-        kind = self.rng.choices(kinds, weights)[0]
-        getattr(self, f"_stmt_{kind}")(out, depth, scope, avail)
+            rules.append(rule)
+            weights.append(weight)
+        self.rng.choices(rules, weights)[0](self, out, depth, scope, avail)
 
     def _stmt_decl(self, out, depth, scope, avail) -> None:
         name = self.fresh()
@@ -380,6 +362,24 @@ class _Gen:
             self.bind_fresh(main, scope, ENull())
         main.append(SReturn(rng.choice(scope.assigned)))
         return Program(fields, tuple(procs), tuple(main))
+
+
+# Each kind of statement once, in draw order: its rule, its relative odds, and
+# whether it needs an assigned variable to read, an earlier procedure to call
+# or room to nest.  A kind whose need is unmet is left out of the draw.
+_STMT_KINDS: tuple[tuple[Callable[..., None], float, bool, bool, bool], ...] = (
+    (_Gen._stmt_decl, 1.2, False, False, False),
+    (_Gen._stmt_null, 1.0, False, False, False),
+    (_Gen._stmt_copy, 1.0, True, False, False),
+    (_Gen._stmt_new, 1.4, False, False, False),
+    (_Gen._stmt_bool, 0.8, True, False, False),
+    (_Gen._stmt_fieldread, 1.2, True, False, False),
+    (_Gen._stmt_fieldwrite, 0.7, True, False, False),
+    (_Gen._stmt_call, 1.3, False, True, False),
+    (_Gen._stmt_if, 1.0, True, False, True),
+    (_Gen._stmt_while, 0.6, True, False, True),
+    (_Gen._stmt_skip, 0.2, False, False, False),
+)
 
 
 def gen_program(config: GenConfig) -> Program:
@@ -681,61 +681,59 @@ def _describing_sigma(rng: random.Random, env: dict[str, int], names) -> dict[st
     return sigma
 
 
-def _random_instr(rng: random.Random):
-    kind = rng.choice(
-        (
-            "copy",
-            "null",
-            "new",
-            "and",
-            "or",
-            "fieldread",
-            "fieldwrite",
-            "branch",
-            "if",
-            "else",
-            "main",
-        )
-    )
-    v = lambda: rng.choice(_VARS)
-    f = lambda: rng.choice(_FIELDS)
-    if kind == "copy":
-        return ICopy(v(), v())
-    if kind == "null":
-        return IConstNull(v())
-    if kind == "new":
-        n = rng.randint(1, len(_FIELDS))
-        return INew(v(), tuple(rng.sample(_FIELDS, n)))
-    if kind == "and":
-        return IAnd(v(), v(), v())
-    if kind == "or":
-        return IOr(v(), v(), v())
-    if kind == "fieldread":
-        # Distinct names: the field-read transfer narrows the receiver, so
-        # the local-soundness claim is about reads that keep it around.
-        # The aliased corner (x := x.f) is pinned by its own regression test.
-        target = v()
-        obj = rng.choice([w for w in _VARS if w != target])
-        return IFieldRead(target, obj, f())
-    if kind == "fieldwrite":
-        return IFieldWrite(v(), f(), v())
-    if kind == "branch":
-        return IBranch(v())
-    if kind == "if":
-        return IIf(v())
-    if kind == "else":
-        return IElse(v())
-    return IMain()
+def _var(rng: random.Random) -> str:
+    return rng.choice(_VARS)
+
+
+def _field(rng: random.Random) -> str:
+    return rng.choice(_FIELDS)
+
+
+def _new(rng: random.Random) -> INew:
+    n = rng.randint(1, len(_FIELDS))
+    return INew(_var(rng), tuple(rng.sample(_FIELDS, n)))
+
+
+def _fieldread(rng: random.Random) -> IFieldRead:
+    # Distinct names: the field-read transfer narrows the receiver, so
+    # the local-soundness claim is about reads that keep it around.
+    # The aliased corner (x := x.f) is pinned by its own regression test.
+    target = _var(rng)
+    obj = rng.choice([w for w in _VARS if w != target])
+    return IFieldRead(target, obj, _field(rng))
+
+
+# One builder per instruction kind the oracle drives alone; each reads the rng
+# left to right, so a seed draws the same instructions in the same order.
+_INSTR_BUILDERS: tuple[Callable[[random.Random], object], ...] = (
+    lambda rng: ICopy(_var(rng), _var(rng)),
+    lambda rng: IConstNull(_var(rng)),
+    _new,
+    lambda rng: IAnd(_var(rng), _var(rng), _var(rng)),
+    lambda rng: IOr(_var(rng), _var(rng), _var(rng)),
+    _fieldread,
+    lambda rng: IFieldWrite(_var(rng), _field(rng), _var(rng)),
+    lambda rng: IBranch(_var(rng)),
+    lambda rng: IIf(_var(rng)),
+    lambda rng: IElse(_var(rng)),
+    lambda rng: IMain(),
+)
 
 
 def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
-    """Stepping a described state lands in the pushed-through description."""
+    """Stepping a described state lands in the pushed-through description.
+
+    Each trial builds a graph, a state and a sigma describing its top frame,
+    and names the instruction whose transfer judges the step and the region
+    whose universe that transfer reads.  The region is named, not read from
+    the stepped state, so a step to a wrong vertex cannot pick its own.
+    """
     ck = _Checker("local-soundness")
     rng = random.Random(f"local-soundness-{seed}")
     for _ in range(trials):
         which = rng.random()
         if which < 0.7:
-            ins = _random_instr(rng)
+            ins = rng.choice(_INSTR_BUILDERS)(rng)
             cfg = _single_cfg(ins)
             env = _random_env(rng, _VARS)
             if type(ins) is IIf and env[ins.var] == 0:
@@ -745,26 +743,14 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             state = MachineState([(dict(env), 0)], _random_heap(rng))
             sigma = _describing_sigma(rng, env, _VARS)
             assert lifted_desc(env, sigma)
-            out = step(cfg, state)
-            if type(out) is not Stepped:
-                continue
-            ck.check(
-                lifted_desc(out.state.top.env, lifted_flow(ins, sigma, cfg.universe[MAIN])),
-                f"local soundness fails: {ins!r} env={env} sigma={sigma}",
-            )
+            judged, region, where = ins, MAIN, f": {ins!r} env={env} sigma={sigma}"
         elif which < 0.85:
             # Procedure entry: binding the parameter under its annotation.
             cfg, call, proc = _call_cfg(rng.choice(_ANNS), rng.choice(_ANNS))
             caller_env = _random_env(rng, ("x", "y"))
             state = MachineState([(caller_env, 1), ({}, 3)], _random_heap(rng))
             sigma = _describing_sigma(rng, {}, ("w", "r"))
-            out = step(cfg, state)
-            if type(out) is not Stepped:
-                continue  # argument violated the annotation: no step to judge
-            ck.check(
-                lifted_desc(out.state.top.env, lifted_flow(proc, sigma, cfg.universe["q"])),
-                f"local soundness fails at proc entry: {proc!r} arg={caller_env['y']} sigma={sigma}",
-            )
+            judged, region, where = proc, "q", f" at proc entry: {proc!r} arg={caller_env['y']} sigma={sigma}"
         else:
             # Return: the caller's frame steps by the call's transfer rule.
             cfg, call, proc = _call_cfg(rng.choice(_ANNS), rng.choice(_ANNS))
@@ -773,13 +759,14 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             state = MachineState([(caller_env, 1), (callee_env, 5)], _random_heap(rng))
             sigma = _describing_sigma(rng, caller_env, ("x", "y"))
             assert lifted_desc(caller_env, sigma)
-            out = step(cfg, state)
-            if type(out) is not Stepped:
-                continue  # return value violated the annotation
-            ck.check(
-                lifted_desc(out.state.top.env, lifted_flow(call, sigma, cfg.universe[MAIN])),
-                f"local soundness fails at return: ret={callee_env['r']} sigma={sigma}",
-            )
+            judged, region, where = call, MAIN, f" at return: ret={callee_env['r']} sigma={sigma}"
+        out = step(cfg, state)
+        if type(out) is not Stepped:
+            continue  # a fault, or an argument or return value its annotation rejects: no step to judge
+        ck.check(
+            lifted_desc(out.state.top.env, lifted_flow(judged, sigma, cfg.universe[region])),
+            f"local soundness fails{where}",
+        )
     return ck.report()
 
 

@@ -320,12 +320,32 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
+def _stdlib_imports() -> list[str]:
+    """Every standard-library module that a package file imports, at any depth."""
+    names = set()
+    for path in (SRC / "graduator").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if type(node) is ast.Import:
+                names.update(alias.name for alias in node.names)
+            elif type(node) is ast.ImportFrom and node.level == 0:
+                names.add(node.module)
+    return sorted(n for n in names if n.split(".")[0] in sys.stdlib_module_names)
+
+
 def test_import_leaves_no_cyclic_garbage():
     # Each record class is created once: a class made and then discarded
-    # would linger as cyclic garbage until the first collector pass.
+    # would linger as cyclic garbage until the first collector pass.  The
+    # standard library's own imports leave some on some versions (none on
+    # 3.11, over a hundred objects on 3.10, 3.12 and 3.13), so the child
+    # imports those modules and collects before it imports the package.
+    stdlib = _stdlib_imports()
+    assert {"argparse", "enum", "typing"} <= set(stdlib), stdlib  # the scan sees the imports
     code = (
-        "import gc, sys\n"
+        "import gc, importlib, sys\n"
         "gc.disable()\n"
+        f"for name in {stdlib!r}:\n"
+        "    importlib.import_module(name)\n"
+        "gc.collect()\n"
         f"sys.path[:0] = [{str(SRC)!r}]\n"
         "import graduator.cli, graduator.testkit\n"
         "print(gc.collect())\n"

@@ -4,6 +4,7 @@ The oracles are only trustworthy if they can fail, so a few tests corrupt
 an ingredient (the join, a transfer rule, the site list) and demand a FAIL.
 """
 
+import hashlib
 import typing
 
 import pytest
@@ -11,7 +12,8 @@ from conftest import LOOP_SRC, scenario_src
 
 from graduator import testkit
 from graduator.analysis import analyze, static_warnings, kildall
-from graduator.cfg import IIf, Instr, annotation_sites, is_fully_annotated, lower, validate
+from graduator.cli import main
+from graduator.cfg import ICall, IIf, IProc, Instr, annotation_sites, is_fully_annotated, lower, validate
 from graduator.lattice import GradAbst
 from graduator.runtime import run
 from graduator.syntax import check_surface, parse, render_program
@@ -41,6 +43,23 @@ def test_generation_is_deterministic():
         assert a == b
         assert render_program(a) == render_program(b)
     assert gen_program(GenConfig(seed=1)) != gen_program(GenConfig(seed=2))
+
+
+# SHA-256 of `selftest --seed 3`'s stdout, and of the generator's rendered
+# programs for seeds 0-199 at densities 0, 0.5 and 1, computed before the
+# refactors they guard.
+_SELFTEST_DIGEST = "0ec791c24fb66aac5dc147389f39643d2d0e0bf8404ecf2bfee54f8012b7f270"
+_GENERATED_DIGEST = "0557c299a4e29b1f7bd1981969a5bc9a139debc982fe68db44e2886ef44f8b50"
+
+
+def test_selftest_and_generated_programs_are_pinned(capsys):
+    assert main(["selftest", "--seed", "3"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _SELFTEST_DIGEST
+    h = hashlib.sha256()
+    for density in (0, 0.5, 1.0):
+        for seed in range(200):
+            h.update(render_program(gen_program(GenConfig(seed=seed, annotation_density=density))).encode())
+    assert h.hexdigest() == _GENERATED_DIGEST
 
 
 def test_generated_programs_are_well_formed():
@@ -133,13 +152,16 @@ def test_oracle_local_soundness_passes():
     assert report.checks > 1000
 
 
-def test_oracle_local_soundness_catches_a_broken_transfer(monkeypatch):
+@pytest.mark.parametrize("kind, name", [(IIf, "var"), (IProc, "param"), (ICall, "target")])
+def test_oracle_local_soundness_catches_a_broken_transfer(monkeypatch, kind, name):
+    # One case per trial shape: a single instruction, a procedure entry and a
+    # return, each judged by its own instruction's transfer.
     from graduator.analysis import lifted_flow as real
 
     def broken(ins, sigma, universe):
         out = real(ins, sigma, universe)
-        if isinstance(ins, IIf):
-            out[ins.var] = GradAbst.NULL  # exactly backwards
+        if type(ins) is kind:
+            out[getattr(ins, name)] = GradAbst.NULL  # wrong whenever the name holds an object
         return out
 
     monkeypatch.setattr(testkit, "lifted_flow", broken)
