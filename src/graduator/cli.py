@@ -12,14 +12,15 @@ Subcommands:
 
 Exit codes.  check: 0 clean, 1 static warnings, 2 front-end failure.
 run: 0 final, 2 front-end failure, 3 checked-execution error, 4 stuck,
-5 fuel exhausted.  cfg/stats/compare: 0 or 2.  selftest: 0 or 1.  Any
+5 fuel exhausted.  cfg/stats/compare: 0 or 2.  selftest: 0, 1 or 2.  Any
 command whose standard output closes early (`graduator run p --trace |
 head`) stops there and exits 141, 128 + SIGPIPE as a shell reports a process
 that the signal ended, with nothing on standard error.
 
 The environment variable GRADUATOR_MAX_STEPS overrides the default fuel;
 an explicit --max-steps beats both.  Fuel is a count of steps: 0 or more,
-and a negative value exits 2.
+and a negative value exits 2, as does a negative selftest --trials or
+--programs.
 
 Every command holds one representation of the program at a time.  parse
 lexes the source a window of lines at a time as it builds the tree, so no
@@ -252,6 +253,9 @@ def cmd_compare(args) -> int:
 def cmd_selftest(args) -> int:
     from . import testkit
 
+    for flag, count in (("--trials", args.trials), ("--programs", args.programs)):
+        if count < 0:
+            raise _Fail(2, f"{flag} must not be negative, got {count}")
     reports = [
         testkit.oracle_lattice(),
         testkit.oracle_local_soundness(trials=args.trials, seed=args.seed),

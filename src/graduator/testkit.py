@@ -22,11 +22,17 @@ paths they judge:
   erasing annotations never introduces warnings, only grows denotations,
   and never changes behavior before the original's first error, and checked
   execution of valid programs never gets stuck and only errors at declared
-  check sites while staying described by the fixpoint.
+  check sites while staying described by the fixpoint.  Each claim judges a
+  lowered graph, which the oracle lowers once per program, with one
+  `analyze` per graph and mode; one function, `lockstep`, runs both the
+  plain-against-checked and the precise-against-erased comparisons.
 - oracle_frontend_fuzz feeds an in-process `check` seeded token-level
   mutants of the corpus and blocks and calls nested at the limit and one
   level past it: each must exit 0, 1 or 2 without raising and print the same
   bytes twice, and each that parses must survive a render round trip.
+
+Every oracle counts its checks in an OracleReport, and a check formats its
+failure text from a template and its parts only when it fails.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ import tempfile
 from pathlib import Path
 from typing import Callable, Optional
 
-from .analysis import check_sites, kildall, lifted_flow, static_warnings
+from .analysis import analyze, lifted_flow
 from .cli import main
 from .cfg import (
     MAIN,
@@ -94,7 +100,7 @@ from .runtime import (
     lifted_desc,
     step,
 )
-from .record import Record, replace
+from .record import Record, field, replace
 from .syntax import (
     MAX_NESTING,
     EAnd,
@@ -405,7 +411,7 @@ def gen_valid_programs(config: GenConfig, n: int) -> list[Program]:
             raise RuntimeError(f"validity yield too low: {len(found)}/{n} after {i} seeds")
         p = gen_program(replace(config, seed=config.seed + i))
         i += 1
-        if not static_warnings(kildall(lower(p), "gradual")):
+        if not analyze(lower(p))[1]:
             found.append(p)
     return found
 
@@ -423,31 +429,32 @@ def corpus_paths() -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
+# The failure texts a report keeps; later failures are counted, not kept.
+_KEPT_FAILURES = 25
+
+
 class OracleReport(Record):
+    """An oracle's verdict: its name, the checks it made and the texts of its first failures."""
+
     name: str
-    passed: bool
-    checks: int
-    failures: list[str]
+    checks: int = field(default=0, init=False)
+    failures: list[str] = field(init=False)
 
+    def __post_init__(self) -> None:
+        self.failures = []
 
-class _Checker:
-    CAP = 25  # failure messages kept per oracle
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
-    def __init__(self, name: str):
-        self.name = name
-        self.checks = 0
-        self.failures: list[str] = []
-
-    def check(self, ok: bool, message: str) -> None:
+    def check(self, ok: bool, message: str, *args: object) -> None:
+        """Count one check; if it failed, keep message.format(*args), formatted only then."""
         self.checks += 1
         if not ok:
-            if len(self.failures) < self.CAP:
-                self.failures.append(message)
-            elif len(self.failures) == self.CAP:
+            if len(self.failures) < _KEPT_FAILURES:
+                self.failures.append(message.format(*args))
+            elif len(self.failures) == _KEPT_FAILURES:
                 self.failures.append("... more failures suppressed")
-
-    def report(self) -> OracleReport:
-        return OracleReport(self.name, not self.failures, self.checks, self.failures)
 
 
 # ---------------------------------------------------------------------------
@@ -524,36 +531,31 @@ def oracle_lattice(
     join_fn: Callable[[GradAbst, GradAbst], GradAbst] = lifted_join,
     leq_fn: Callable[[GradAbst, GradAbst], bool] = lifted_leq,
 ) -> OracleReport:
-    ck = _Checker("lattice")
+    report = OracleReport("lattice")
+    check = report.check
 
     # The base embedding: exact elements behave exactly like base elements.
     for a in ALL_ABST:
         for b in ALL_ABST:
-            ck.check(
-                join_fn(exact(a), exact(b)) is exact(base_join(a, b)),
-                f"embedding: join({a}, {b}) != base join",
-            )
-            ck.check(
-                leq_fn(exact(a), exact(b)) == base_leq(a, b),
-                f"embedding: leq({a}, {b}) != base order",
-            )
+            check(join_fn(exact(a), exact(b)) is exact(base_join(a, b)), "embedding: join({}, {}) != base join", a, b)
+            check(leq_fn(exact(a), exact(b)) == base_leq(a, b), "embedding: leq({}, {}) != base order", a, b)
 
     # Semilattice laws.
     for a in ALL_GRAD:
-        ck.check(join_fn(a, a) is a, f"idempotence fails at {a}")
+        check(join_fn(a, a) is a, "idempotence fails at {}", a)
         for b in ALL_GRAD:
-            ck.check(join_fn(a, b) is join_fn(b, a), f"commutativity fails at ({a}, {b})")
+            check(join_fn(a, b) is join_fn(b, a), "commutativity fails at ({}, {})", a, b)
             for c in ALL_GRAD:
                 left = join_fn(a, join_fn(b, c))
                 right = join_fn(join_fn(a, b), c)
-                ck.check(left is right, f"associativity fails at ({a}, {b}, {c}): {left} != {right}")
+                check(left is right, "associativity fails at ({}, {}, {}): {} != {}", a, b, c, left, right)
 
     # Closed form vs. the shipped join, all 36 pairs.
     for a in ALL_GRAD:
         for b in ALL_GRAD:
             want = closed_form_join(a, b)
             got = join_fn(a, b)
-            ck.check(got is want, f"join table: ({a}, {b}) -> {got}, closed form says {want}")
+            check(got is want, "join table: ({}, {}) -> {}, closed form says {}", a, b, got, want)
 
     # Galois conditions for every nonempty subset of base facts.
     subsets: list[frozenset[Abst]] = []
@@ -561,27 +563,24 @@ def oracle_lattice(
         subsets.append(frozenset(a for i, a in enumerate(ALL_ABST) if mask & (1 << i)))
     for sub in subsets:
         ga = alpha(sub)
-        ck.check(sub <= gamma(ga), f"alpha soundness fails on {set(sub)}")
+        check(sub <= gamma(ga), "alpha soundness fails on {}", set(sub))
         for g in ALL_GRAD:
             if sub <= gamma(g):
-                ck.check(
-                    precision_leq(ga, g),
-                    f"alpha optimality fails on {set(sub)}: alpha={ga} not below {g}",
-                )
+                check(precision_leq(ga, g), "alpha optimality fails on {}: alpha={} not below {}", set(sub), ga, g)
 
     # gamma is injective and alpha inverts it.
     seen: dict[frozenset[Abst], GradAbst] = {}
     for g in ALL_GRAD:
         dup = seen.get(gamma(g))
-        ck.check(dup is None, f"gamma not injective: {g} and {dup}")
+        check(dup is None, "gamma not injective: {} and {}", g, dup)
         seen[gamma(g)] = g
-        ck.check(alpha(gamma(g)) is g, f"alpha(gamma({g})) != {g}")
+        check(alpha(gamma(g)) is g, "alpha(gamma({0})) != {0}", g)
 
     # Consistent order is definitionally the existential one.
     for a in ALL_GRAD:
         for b in ALL_GRAD:
             want = any(base_leq(x, y) for x in gamma(a) for y in gamma(b))
-            ck.check(leq_fn(a, b) == want, f"consistent order wrong at ({a}, {b})")
+            check(leq_fn(a, b) == want, "consistent order wrong at ({}, {})", a, b)
 
     # Induced order: Hasse diagram and height.
     strict = {
@@ -595,30 +594,31 @@ def oracle_lattice(
         for (a, b) in strict
         if not any((a, c) in strict and (c, b) in strict for c in ALL_GRAD)
     }
-    ck.check(
-        hasse == set(EXPECTED_HASSE),
-        f"Hasse diagram differs: unexpected {sorted(map(str, hasse - set(EXPECTED_HASSE)))}, "
-        f"missing {sorted(map(str, set(EXPECTED_HASSE) - hasse))}",
+    check(
+        hasse == EXPECTED_HASSE,
+        "Hasse diagram differs: unexpected {}, missing {}",
+        sorted(map(str, hasse - EXPECTED_HASSE)),
+        sorted(map(str, EXPECTED_HASSE - hasse)),
     )
 
     def longest_from(g: GradAbst) -> int:
         return max((1 + longest_from(b) for (a, b) in hasse if a is g), default=0)
 
     height = max(longest_from(g) for g in ALL_GRAD)
-    ck.check(height == BASE_HEIGHT + 1, f"height {height}, expected {BASE_HEIGHT + 1}")
+    check(height == BASE_HEIGHT + 1, "height {}, expected {}", height, BASE_HEIGHT + 1)
 
     # Pessimistic reading.
     for g, want in EXPECTED_CEIL.items():
-        ck.check(ceil(g) is want, f"ceil({g}) = {ceil(g)}, expected {want}")
+        check(ceil(g) is want, "ceil({}) = {}, expected {}", g, ceil(g), want)
 
     # Regression: the four-element lifting is not associative.
     left = naive_lifted_join(GradAbst.NULL, naive_lifted_join(GradAbst.NONNULL, GradAbst.UNKNOWN))
     right = naive_lifted_join(naive_lifted_join(GradAbst.NULL, GradAbst.NONNULL), GradAbst.UNKNOWN)
-    ck.check(left is GradAbst.UNKNOWN, f"four-element left association gave {left}, expected ?")
-    ck.check(right is GradAbst.NULLABLE, f"four-element right association gave {right}, expected Nullable")
-    ck.check(left is not right, "four-element lifting unexpectedly associative on (Null, NonNull, ?)")
+    check(left is GradAbst.UNKNOWN, "four-element left association gave {}, expected ?", left)
+    check(right is GradAbst.NULLABLE, "four-element right association gave {}, expected Nullable", right)
+    check(left is not right, "four-element lifting unexpectedly associative on (Null, NonNull, ?)")
 
-    return ck.report()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -726,9 +726,11 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
     Each trial builds a graph, a state and a sigma describing its top frame,
     and names the instruction whose transfer judges the step and the region
     whose universe that transfer reads.  The region is named, not read from
-    the stepped state, so a step to a wrong vertex cannot pick its own.
+    the stepped state, so a step to a wrong vertex cannot pick its own.  The
+    parts of a failure's text are read before the step, which updates the
+    state in place.
     """
-    ck = _Checker("local-soundness")
+    report = OracleReport("local-soundness")
     rng = random.Random(f"local-soundness-{seed}")
     for _ in range(trials):
         which = rng.random()
@@ -743,14 +745,16 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             state = MachineState([(dict(env), 0)], _random_heap(rng))
             sigma = _describing_sigma(rng, env, _VARS)
             assert lifted_desc(env, sigma)
-            judged, region, where = ins, MAIN, f": {ins!r} env={env} sigma={sigma}"
+            judged, region = ins, MAIN
+            where, parts = ": {!r} env={} sigma={}", (ins, env, sigma)
         elif which < 0.85:
             # Procedure entry: binding the parameter under its annotation.
             cfg, call, proc = _call_cfg(rng.choice(_ANNS), rng.choice(_ANNS))
             caller_env = _random_env(rng, ("x", "y"))
             state = MachineState([(caller_env, 1), ({}, 3)], _random_heap(rng))
             sigma = _describing_sigma(rng, {}, ("w", "r"))
-            judged, region, where = proc, "q", f" at proc entry: {proc!r} arg={caller_env['y']} sigma={sigma}"
+            judged, region = proc, "q"
+            where, parts = " at proc entry: {!r} arg={} sigma={}", (proc, caller_env["y"], sigma)
         else:
             # Return: the caller's frame steps by the call's transfer rule.
             cfg, call, proc = _call_cfg(rng.choice(_ANNS), rng.choice(_ANNS))
@@ -759,106 +763,81 @@ def oracle_local_soundness(trials: int = 10_000, seed: int = 0) -> OracleReport:
             state = MachineState([(caller_env, 1), (callee_env, 5)], _random_heap(rng))
             sigma = _describing_sigma(rng, caller_env, ("x", "y"))
             assert lifted_desc(caller_env, sigma)
-            judged, region, where = call, MAIN, f" at return: ret={callee_env['r']} sigma={sigma}"
+            judged, region = call, MAIN
+            where, parts = " at return: ret={} sigma={}", (callee_env["r"], sigma)
         out = step(cfg, state)
         if type(out) is not Stepped:
             continue  # a fault, or an argument or return value its annotation rejects: no step to judge
-        ck.check(
+        report.check(
             lifted_desc(out.state.top.env, lifted_flow(judged, sigma, cfg.universe[region])),
-            f"local soundness fails{where}",
+            "local soundness fails" + where,
+            *parts,
         )
-    return ck.report()
+    return report
 
 
 # ---------------------------------------------------------------------------
-# Proposition checks (per program, reused by the test suite)
+# Proposition checks (per lowered program, reused by the test suite)
 # ---------------------------------------------------------------------------
 
 
-def lockstep_modes(cfg: ProgramCfg, fuel: int) -> Optional[str]:
-    """Plain and checked execution agree step for step (annotated + valid)."""
-    s_plain = initial_state(cfg)
-    s_grad = initial_state(cfg)
-    for k in range(fuel):
-        o1 = step(cfg, s_plain)
-        o2 = grad_step(cfg, s_grad)
-        if type(o1) is not type(o2):
-            return f"step {k}: plain {type(o1).__name__} vs checked {type(o2).__name__}"
-        kind = type(o1)
-        if kind is Final:
-            return None if o1.state == o2.state else f"step {k}: final states differ"
-        if kind is Stuck or kind is Errored:
-            return f"step {k}: unexpected {kind.__name__}"
-        assert kind is Stepped
-        if o1.state != o2.state:
-            return f"step {k}: states diverge at v{o1.state.top.vertex}/v{o2.state.top.vertex}"
-    return None
+def lockstep(cfg1: ProgramCfg, step1: Callable, cfg2: ProgramCfg, step2: Callable, fuel: int) -> Optional[str]:
+    """Where step1 on cfg1 and step2 on cfg2 first part ways, or None.
 
-
-def lockstep_precision(cfg1: ProgramCfg, cfg2: ProgramCfg, fuel: int) -> Optional[str]:
-    """Erasing annotations cannot change behavior before the first error.
-
-    cfg1 is the more annotated program, cfg2 its erasure; vertex ids align.
-    Comparison stops at cfg1's first error (cfg2 is unconstrained after).
+    Both run from their initial states, one step each at a time, until cfg1
+    errors (nothing after that is constrained), both finish or fuel runs out.
+    Until then both must step or both finish, in equal states; a stuck step
+    on either side diverges.  States hold vertex ids, so the graphs number
+    their vertices alike, as an erasure and its original do.  step never
+    errors, so lockstep(cfg, step, cfg, grad_step, fuel) compares a graph's
+    plain and checked runs.
     """
-    s1 = initial_state(cfg1)
-    s2 = initial_state(cfg2)
+    s1, s2 = initial_state(cfg1), initial_state(cfg2)
     for k in range(fuel):
-        o1 = grad_step(cfg1, s1)
+        o1 = step1(cfg1, s1)
         kind = type(o1)
         if kind is Errored:
             return None
-        o2 = grad_step(cfg2, s2)
+        o2 = step2(cfg2, s2)
+        if kind is Stuck or type(o2) is not kind or o1.state != o2.state:
+            at1, at2 = o1.state.top.vertex, o2.state.top.vertex
+            return f"step {k}: {kind.__name__} at v{at1} vs {type(o2).__name__} at v{at2}"
         if kind is Final:
-            if type(o2) is Final and o1.state == o2.state:
-                return None
-            return f"step {k}: precise program final, erased program {type(o2).__name__}"
-        if kind is Stuck:
-            return f"step {k}: precise program stuck ({o1.reason})"
-        if type(o2) is not Stepped:
-            return f"step {k}: erased program stopped early with {type(o2).__name__}"
-        assert kind is Stepped
-        if o1.state != o2.state:
-            return f"step {k}: states diverge at v{o1.state.top.vertex}/v{o2.state.top.vertex}"
+            return None
     return None
 
 
-def check_conservative_extension(p: Program, fuel: int = 2000) -> list[str]:
+def check_conservative_extension(cfg: ProgramCfg, fuel: int = 2000) -> list[str]:
     """Fully annotated programs: both analyses and both executions agree."""
     failures: list[str] = []
-    cfg = lower(p)
-    rs = kildall(cfg, "static")
-    rg = kildall(cfg, "gradual")
+    rs, ws, _ = analyze(cfg, "static")
+    rg, wg, sites = analyze(cfg, "gradual")
     for v in range(len(cfg.instr)):
         if {x: exact(a) for x, a in rs.pi[v].items()} != rg.pi[v]:
             failures.append(f"pi differs at v{v}: static {rs.pi[v]} vs gradual {rg.pi[v]}")
-    ws, wg = static_warnings(rs), static_warnings(rg)
     if ws != wg:
         failures.append(f"warnings differ: static {len(ws)} vs gradual {len(wg)}")
-    sites = check_sites(rg)
     if sites:
         failures.append(f"fully annotated program has {len(sites)} check sites")
     if not wg:
-        diverged = lockstep_modes(cfg, fuel)
+        diverged = lockstep(cfg, step, cfg, grad_step, fuel)
         if diverged:
             failures.append(diverged)
     return failures
 
 
-def check_erasure_guarantees(p: Program, subsets: list[set[str]], fuel: int = 2000) -> list[str]:
-    """Statically valid p: erasing annotation subsets keeps every guarantee."""
+def check_erasure_guarantees(cfg1: ProgramCfg, subsets: list[set[str]], fuel: int = 2000) -> list[str]:
+    """Statically valid cfg1: erasing annotation subsets keeps every guarantee."""
     failures: list[str] = []
-    cfg1 = lower(p)
-    r1 = kildall(cfg1, "gradual")
-    if static_warnings(r1):
+    r1, w1, _ = analyze(cfg1)
+    if w1:
         return ["precondition violated: program is not statically valid"]
     for subset in subsets:
         cfg2 = erase_annotations(cfg1, subset)
         if not precision_leq_cfg(cfg1, cfg2):
             failures.append(f"erasure {sorted(subset)} not precision-related")
             continue
-        r2 = kildall(cfg2, "gradual")
-        w2 = static_warnings(r2)
+        r2, w2, _ = analyze(cfg2)
         if w2:
             failures.append(f"erasure {sorted(subset)} introduced warnings: {w2[0].render()}")
         for v in range(len(cfg1.instr)):
@@ -870,21 +849,20 @@ def check_erasure_guarantees(p: Program, subsets: list[set[str]], fuel: int = 20
                     failures.append(
                         f"erasure {sorted(subset)}: denotation shrank at v{v}[{x}]: {g1} vs {g2}"
                     )
-        diverged = lockstep_precision(cfg1, cfg2, fuel)
+        diverged = lockstep(cfg1, grad_step, cfg2, grad_step, fuel)
         if diverged:
             failures.append(f"erasure {sorted(subset)}: {diverged}")
     return failures
 
 
-def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool = False) -> list[str]:
-    """Valid p under checked execution: no Stuck, errors only at check sites,
+def check_progress_and_sites(cfg: ProgramCfg, fuel: int = 2000, check_described: bool = False) -> list[str]:
+    """Valid cfg under checked execution: no Stuck, errors only at check sites,
     and (optionally) every frame stays described by the fixpoint."""
     failures: list[str] = []
-    cfg = lower(p)
-    r = kildall(cfg, "gradual")
-    if static_warnings(r):
+    r, warnings, checks = analyze(cfg)
+    if warnings:
         return ["precondition violated: program is not statically valid"]
-    sites = {(c.vertex, c.variable) for c in check_sites(r)}
+    sites = {(c.vertex, c.variable) for c in checks}
     pi = r.pi if check_described else []
     state = initial_state(cfg)
     for _ in range(fuel):
@@ -910,30 +888,31 @@ def check_progress_and_sites(p: Program, fuel: int = 2000, check_described: bool
 
 
 def oracle_propositions(programs: int = 40, seed: int = 0, fuel: int = 1500) -> OracleReport:
-    ck = _Checker("propositions")
+    report = OracleReport("propositions")
 
     base = GenConfig(seed=seed, annotation_density=1.0)
     for p in gen_programs(base, programs):
-        for msg in check_conservative_extension(p, fuel):
-            ck.check(False, f"[annotated seed-batch] {msg}")
-        ck.check(True, "conservative extension")
+        for msg in check_conservative_extension(lower(p), fuel):
+            report.check(False, "[annotated seed-batch] {}", msg)
+        report.check(True, "conservative extension")
 
     rng = random.Random(f"erasure-{seed}")
     valid = gen_valid_programs(GenConfig(seed=seed + 100_000, annotation_density=0.6), programs)
     for p in valid:
-        sites = [k for k, _ in annotation_sites(lower(p))]
+        cfg = lower(p)
+        sites = [k for k, _ in annotation_sites(cfg)]
         subsets = [
             {s for s in sites if rng.random() < 0.5},
             set(sites),
         ]
-        for msg in check_erasure_guarantees(p, subsets, fuel):
-            ck.check(False, f"[erasure] {msg}")
-        ck.check(True, "erasure guarantees")
-        for msg in check_progress_and_sites(p, fuel, check_described=True):
-            ck.check(False, f"[progress] {msg}")
-        ck.check(True, "progress and check sites")
+        for msg in check_erasure_guarantees(cfg, subsets, fuel):
+            report.check(False, "[erasure] {}", msg)
+        report.check(True, "erasure guarantees")
+        for msg in check_progress_and_sites(cfg, fuel, check_described=True):
+            report.check(False, "[progress] {}", msg)
+        report.check(True, "progress and check sites")
 
-    return ck.report()
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -994,7 +973,7 @@ def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
     without raising, and print the same bytes when run again; every input that
     parses must come back from a render round trip equal.
     """
-    ck = _Checker("frontend-fuzz")
+    report = OracleReport("frontend-fuzz")
     rng = random.Random(f"frontend-fuzz-{seed}")
     tokens = [_lex(path.read_text())[0][:-1] for path in corpus_paths()]
     cases = [
@@ -1020,8 +999,8 @@ def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
             path = Path(tmp) / f"{name}.picl"
             path.write_text(src, encoding="utf-8")
             first = check(path)
-            ck.check(first[0] in (0, 1, 2), f"{name}: check gave {first[0]}, not exit 0, 1 or 2")
-            ck.check(check(path) == first, f"{name}: a second check printed other bytes")
+            report.check(first[0] in (0, 1, 2), f"{name}: check gave {first[0]}, not exit 0, 1 or 2")
+            report.check(check(path) == first, f"{name}: a second check printed other bytes")
             try:
                 p: Optional[Program] = parse(src)
             except ParseError:
@@ -1029,12 +1008,12 @@ def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
             except Exception:
                 continue  # the check above has reported it
             if must_parse is not None:
-                ck.check((p is not None) == must_parse, f"{name}: parse {'failed' if must_parse else 'passed'}")
+                report.check((p is not None) == must_parse, f"{name}: parse {'failed' if must_parse else 'passed'}")
             if p is None:
-                ck.check(first[0] == 2, f"{name}: parse failed but check exited {first[0]}")
+                report.check(first[0] == 2, f"{name}: parse failed but check exited {first[0]}")
                 continue
             try:
-                ck.check(parse(render_program(p)) == p, f"{name}: parse(render_program(p)) != p")
+                report.check(parse(render_program(p)) == p, f"{name}: parse(render_program(p)) != p")
             except (ParseError, ValueError) as exc:
-                ck.check(False, f"{name}: render round trip raised {exc}")
-    return ck.report()
+                report.check(False, f"{name}: render round trip raised {exc}")
+    return report

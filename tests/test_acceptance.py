@@ -182,7 +182,7 @@ def test_criterion_5_annotated_programs_gain_nothing_and_lose_nothing():
         for i, p in enumerate(programs):
             cfg = lower(p)
             assert is_fully_annotated(cfg)
-            failures = check_conservative_extension(p)
+            failures = check_conservative_extension(cfg)
             assert failures == [], f"program {i}: {failures}"
             static = kildall(cfg, "static")
             gradual = kildall(cfg, "gradual")
@@ -214,9 +214,10 @@ def test_criterion_6_erasure_only_coarsens():
         assert len(programs) == 200
         erasures = 0
         for i, p in enumerate(programs):
-            sites = [k for k, _ in annotation_sites(lower(p))]
+            cfg = lower(p)
+            sites = [k for k, _ in annotation_sites(cfg)]
             subsets = [{s for s in sites if rng.random() < 0.5} for _ in range(3)]
-            failures = check_erasure_guarantees(p, subsets)
+            failures = check_erasure_guarantees(cfg, subsets)
             assert failures == [], f"program {i}: {failures}"
             erasures += len(subsets)
         elapsed = time.perf_counter() - t0
@@ -234,9 +235,10 @@ def test_criterion_7_checked_execution_never_sticks():
         assert len(programs) == 500
         outcomes = {"final": 0, "error": 0, "fuel": 0, "stuck": 0}
         for i, p in enumerate(programs):
-            failures = check_progress_and_sites(p, fuel=10_000)
+            cfg = lower(p)
+            failures = check_progress_and_sites(cfg, fuel=10_000)
             assert failures == [], f"program {i}: {failures}"
-            outcomes[run(lower(p), mode="gradual", max_steps=10_000).outcome] += 1
+            outcomes[run(cfg, mode="gradual", max_steps=10_000).outcome] += 1
         assert outcomes["stuck"] == 0
         assert outcomes["error"] >= 1, "the error path never fired; the claim would be vacuous"
         elapsed = time.perf_counter() - t0

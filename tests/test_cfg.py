@@ -807,3 +807,14 @@ def test_the_benchmarks_traced_counters_read_the_vertices_view():
     assert got["cfg.vertices"] == len(cfg.instr)
     assert got["cfg.max_region"] == max(Counter(cfg.proc).values())
     assert [(v.instr, v.proc, v.pos) for v in cfg.vertices] == list(zip(cfg.instr, cfg.proc, cfg.pos))
+
+
+def test_the_benchmarks_layer_boundaries_resolve():
+    # bench/spans.py times each layer under --trace 1 by patching these
+    # attributes by name.  analysis.static_warnings and check_sites have no
+    # caller in the package, so removing either would break only the traced
+    # benchmark run, which tier 1 does not start.
+    boundaries = bench_module("spans").BOUNDARIES
+    assert len(boundaries) == 9
+    for module, attribute, _ in boundaries:
+        assert callable(getattr(module, attribute, None)), f"{module.__name__}.{attribute}"

@@ -557,6 +557,22 @@ def test_selftest(capsys, monkeypatch, caller_thresholds):
     )
 
 
+def test_selftest_rejects_negative_counts(capsys, monkeypatch):
+    assert main(["selftest", "--trials", "-5"]) == 2
+    assert capsys.readouterr() == ("", "--trials must not be negative, got -5\n")
+    assert main(["selftest", "--programs", "-3"]) == 2
+    assert capsys.readouterr() == ("", "--programs must not be negative, got -3\n")
+    # zero is a count like any other; the fuzz oracle is stubbed out for time
+    monkeypatch.setattr(testkit, "oracle_frontend_fuzz", lambda seed: testkit.OracleReport("frontend-fuzz"))
+    assert main(["selftest", "--trials", "0", "--programs", "0"]) == 0
+    assert capsys.readouterr().out == (
+        "PASS  lattice  (394 checks)\n"
+        "PASS  local-soundness  (0 checks)\n"
+        "PASS  propositions  (0 checks)\n"
+        "PASS  frontend-fuzz  (0 checks)\n"
+    )
+
+
 def test_frontend_fuzz_leaves_little_garbage_at_mains_threshold(caller_thresholds):
     # Each of the oracle's ~400 main calls leaves its argparse tree as cyclic
     # garbage, and no collector pass runs at this threshold unless the oracle

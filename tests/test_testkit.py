@@ -1,7 +1,7 @@
 """Generator contracts and the built-in oracles, including mutation checks.
 
 The oracles are only trustworthy if they can fail, so a few tests corrupt
-an ingredient (the join, a transfer rule, the site list) and demand a FAIL.
+an ingredient (the join, a transfer rule, the site list, a step) and demand a FAIL.
 """
 
 import hashlib
@@ -11,11 +11,11 @@ import pytest
 from conftest import LOOP_SRC, scenario_src
 
 from graduator import testkit
-from graduator.analysis import analyze, static_warnings, kildall
+from graduator.analysis import analyze
 from graduator.cli import main
 from graduator.cfg import ICall, IIf, IProc, Instr, annotation_sites, is_fully_annotated, lower, validate
 from graduator.lattice import GradAbst
-from graduator.runtime import run
+from graduator.runtime import Final, Stuck, grad_step, run, step
 from graduator.syntax import check_surface, parse, render_program
 from graduator.testkit import (
     GenConfig,
@@ -27,7 +27,7 @@ from graduator.testkit import (
     gen_program,
     gen_programs,
     gen_valid_programs,
-    lockstep_modes,
+    lockstep,
     naive_alpha,
     naive_lifted_join,
     oracle_lattice,
@@ -82,13 +82,14 @@ def test_valid_generator_filters_out_warnings():
     programs = gen_valid_programs(GenConfig(seed=3, annotation_density=0.5), 15)
     assert len(programs) == 15
     for p in programs:
-        assert static_warnings(kildall(lower(p))) == []
+        assert analyze(lower(p))[1] == []
 
 
 def test_valid_generator_can_demand_full_annotations():
     for p in gen_valid_programs(GenConfig(seed=3, annotation_density=1.0), 8):
-        assert is_fully_annotated(lower(p))
-        assert static_warnings(kildall(lower(p))) == []
+        cfg = lower(p)
+        assert is_fully_annotated(cfg)
+        assert analyze(cfg)[1] == []
 
 
 def test_every_instruction_kind_appears_quickly():
@@ -171,36 +172,85 @@ def test_oracle_local_soundness_catches_a_broken_transfer(monkeypatch, kind, nam
 
 
 def test_conservative_extension_on_fixtures():
-    assert check_conservative_extension(parse(LOOP_SRC)) == []
+    assert check_conservative_extension(lower(parse(LOOP_SRC))) == []
     # the checker compares against the static analysis, so it needs every
     # annotation present; close the scenario's open parameter
     full = scenario_src(ret_ann="NonNull").replace("(str)", "(str @Nullable)")
-    assert check_conservative_extension(parse(full)) == []
+    assert check_conservative_extension(lower(parse(full))) == []
 
 
 def test_erasure_guarantees_on_fixtures():
-    p = parse(LOOP_SRC)
-    sites = [k for k, _ in annotation_sites(lower(p))]
-    assert check_erasure_guarantees(p, [set(), {sites[0]}, set(sites)]) == []
+    cfg = lower(parse(LOOP_SRC))
+    sites = [k for k, _ in annotation_sites(cfg)]
+    assert check_erasure_guarantees(cfg, [set(), {sites[0]}, set(sites)]) == []
 
 
 def test_progress_allows_errors_only_at_sites():
-    assert check_progress_and_sites(parse(scenario_src(null_body=True)), check_described=True) == []
-    invalid = parse(scenario_src(ret_ann="Nullable"))
+    assert check_progress_and_sites(lower(parse(scenario_src(null_body=True))), check_described=True) == []
+    invalid = lower(parse(scenario_src(ret_ann="Nullable")))
     assert check_progress_and_sites(invalid) == [
         "precondition violated: program is not statically valid"
     ]
 
 
 def test_progress_check_catches_undeclared_sites(monkeypatch):
-    monkeypatch.setattr(testkit, "check_sites", lambda result: [])
-    failures = check_progress_and_sites(parse(scenario_src(null_body=True)))
+    # The analysis finds no check site, so the run's checked error is undeclared.
+    monkeypatch.setattr(testkit, "analyze", lambda cfg, mode="gradual": (*analyze(cfg, mode)[:2], []))
+    failures = check_progress_and_sites(lower(parse(scenario_src(null_body=True))))
     assert len(failures) == 1
     assert "not a declared check site" in failures[0]
 
 
-def test_lockstep_modes_on_a_clean_program():
-    assert lockstep_modes(lower(parse(LOOP_SRC)), fuel=500) is None
+def _rewritten_after(k):
+    """grad_step, but after its k-th step (from 0) one value in main's frame is off by one."""
+    taken = []
+
+    def rewritten(cfg, state):
+        out = grad_step(cfg, state)
+        if len(taken) == k:
+            env = state.frames[0][0]
+            env[min(env)] += 1
+        taken.append(out)
+        return out
+
+    return rewritten
+
+
+def _final_heap_grows(cfg, state):
+    """grad_step, but a final state gains an object."""
+    out = grad_step(cfg, state)
+    if type(out) is Final:
+        state.heap[len(state.heap) + 1] = {}
+    return out
+
+
+def _stuck(cfg, state):
+    """grad_step, but it calls the state it reaches stuck."""
+    grad_step(cfg, state)
+    return Stuck(state, state.top.vertex, "no step")
+
+
+_NULL_BODY = scenario_src(null_body=True)
+
+# name -> (source, a function that makes (step1, step2), and what lockstep
+# reports: None, or the step where the runs part and each side's outcome).
+_LOCKSTEP_CASES = {
+    "plain-and-checked-agree": (LOOP_SRC, lambda: (step, grad_step), None),
+    "state-rewritten": (LOOP_SRC, lambda: (grad_step, _rewritten_after(3)), "step 3: Stepped at v4 vs Stepped at v4"),
+    "step2-stuck": (LOOP_SRC, lambda: (grad_step, _stuck), "step 0: Stepped at v10 vs Stuck at v10"),
+    "plain-stuck-checked-errors": (_NULL_BODY, lambda: (step, grad_step), "step 15: Stuck at v12 vs Errored at v12"),
+    "both-stuck": (_NULL_BODY, lambda: (step, step), "step 15: Stuck at v12 vs Stuck at v12"),
+    "cfg1-errors-first": (_NULL_BODY, lambda: (grad_step, step), None),
+    "finals-differ": (LOOP_SRC, lambda: (grad_step, _final_heap_grows), "step 13: Final at v12 vs Final at v12"),
+}
+
+
+@pytest.mark.parametrize("case", _LOCKSTEP_CASES)
+def test_lockstep_reports_divergence(case):
+    source, make_steps, reported = _LOCKSTEP_CASES[case]
+    cfg = lower(parse(source))
+    step1, step2 = make_steps()
+    assert lockstep(cfg, step1, cfg, step2, fuel=500) == reported
 
 
 def test_oracle_propositions_passes_small():
