@@ -8,12 +8,12 @@ variable.  ``lifted_flow`` applies the same byte rules to a partial map from
 variables to facts, encoding it and decoding the result.  The static
 analysis is the gradual fixpoint of a fully annotated program read through
 ``as_exact``: on exact inputs every rule yields exact outputs, so the
-projection loses nothing, and ``flow`` is that projection for a single
-instruction.  A transfer rule that writes a constant ignores its input; a
-rule that reads an operand drops its target when the operand is not yet
-defined.  Entry instructions (main, proc) ignore their input entirely and
-write Null to every variable of the procedure's universe, then bind the
-parameter to its annotation.
+projection loses nothing, and no base rule is kept beside the gradual one.
+A transfer rule that writes a constant ignores its input; a rule that reads
+an operand drops its target when the operand is not yet defined.  Entry
+instructions (main, proc) ignore their input entirely and write Null to
+every variable of the procedure's universe, then bind the parameter to its
+annotation.
 
 The only rules where gradualization needs more than "run the same rule on
 gradual inputs" are the boolean operators: their case analysis branches on
@@ -38,7 +38,7 @@ a variable that its state does not number.
 
 Fixpoints come from a worklist iteration seeded with every vertex (initial
 state: bottom, every variable undefined).  The result is order-independent;
-the default order is the vertex order, which lowering makes a topological
+the worklist starts in vertex order, which lowering makes a topological
 order up to loop back edges, so most vertices see their predecessors' final
 states on their first visit.  ``AnalysisResult`` keeps the byte states:
 ``pi`` and ``grad_pi`` decode them into per-vertex maps once, on first
@@ -85,14 +85,12 @@ from .lattice import (
     as_exact,
     base_leq,
     ceil,
-    exact,
     lift,
     lifted_join,
     lifted_leq,
 )
 from .record import Record, field
 
-BaseState = dict[str, Abst]
 GradState = dict[str, GradAbst]
 
 WARN_STATIC = "GRADUAL_STATIC"
@@ -221,7 +219,7 @@ def _transfer(ins: Instr, index: dict[str, int], state: bytes) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Transfer functions
+# Transfer function on partial maps
 # ---------------------------------------------------------------------------
 
 
@@ -243,23 +241,9 @@ def lifted_flow(ins: Instr, sigma: GradState, universe: frozenset[str]) -> GradS
     return _decode(_transfer(ins, index, state), names)
 
 
-def flow(ins: Instr, sigma: BaseState, universe: frozenset[str]) -> BaseState:
-    """Base transfer function: lifted_flow on exact facts, projected back.
-
-    Raises ValueError when the instruction writes a '?' annotation.
-    """
-    out = lifted_flow(ins, {x: exact(a) for x, a in sigma.items()}, universe)
-    return {x: _exact_ann(g) for x, g in out.items()}
-
-
 # ---------------------------------------------------------------------------
 # Safety bounds
 # ---------------------------------------------------------------------------
-
-
-def safe(ins: Instr, x: str) -> Abst:
-    """Strongest fact x must satisfy for the instruction to be safe."""
-    return _exact_ann(lifted_safe(ins, x))
 
 
 # The one (operand, safety bound) of each instruction type that constrains an
@@ -270,21 +254,6 @@ _BOUNDS: dict[type, Callable[..., tuple[str, GradAbst]]] = {
     IFieldRead: lambda ins: (ins.obj, GradAbst.NONNULL),
     IFieldWrite: lambda ins: (ins.obj, GradAbst.NONNULL),
 }
-
-
-def lifted_safe(ins: Instr, x: str) -> GradAbst:
-    bound_of = _BOUNDS.get(type(ins))
-    if bound_of is not None:
-        y, bound = bound_of(ins)
-        if y == x:
-            return bound
-    return GradAbst.NULLABLE
-
-
-def constrained_vars(ins: Instr) -> tuple[str, ...]:
-    """Variables whose safety bound at this instruction can be non-trivial: at most one."""
-    bound_of = _BOUNDS.get(type(ins))
-    return () if bound_of is None else (bound_of(ins)[0],)
 
 
 def site_category(ins: Instr) -> str:
@@ -337,23 +306,19 @@ class AnalysisResult(Record):
         return None if i is None else _FACT[self.states[v][i]]
 
 
-def kildall(
-    cfg: ProgramCfg,
-    mode: Mode = "gradual",
-    seed_order: Optional[Iterable[int]] = None,
-) -> AnalysisResult:
+def kildall(cfg: ProgramCfg, mode: Mode = "gradual") -> AnalysisResult:
     """Worklist fixpoint of the gradual transfer function.
 
     Every vertex starts at bottom, all bytes 0 (one shared object per state
-    width), and is processed at least once, first in seed_order (by default
-    the vertex order; see lower); a successor re-enters the worklist
-    whenever its state grows.  Each visit runs _transfer on the vertex's
-    instruction, so no list of rules sits beside the states, and a vertex
-    whose instruction leaves its state as it was passes that same object on,
-    so the vertices along a run of such instructions share one state.  The
-    procedures share one variable index per distinct universe.  The result
-    does not depend on seed_order
-    (that is a tested property, not a hope).
+    width), and is processed at least once, first in vertex order (see
+    lower); a successor re-enters the worklist whenever its state grows.
+    Each visit runs _transfer on the vertex's instruction, so no list of
+    rules sits beside the states, and a vertex whose instruction leaves its
+    state as it was passes that same object on, so the vertices along a run
+    of such instructions share one state.  The procedures share one variable
+    index per distinct universe.  The result does not depend on the visiting
+    order: the tests compare it with a round-robin fixpoint that visits the
+    vertices in reverse order.
 
     Static mode is the same fixpoint, read through base facts.  A '?' enters
     the fixpoint only as a call result or a parameter annotation, and those
@@ -380,12 +345,7 @@ def kildall(
     instr, procs = cfg.instr, cfg.proc
     bottoms = [bottom[proc] for proc in procs]
     states = list(bottoms)
-    if seed_order is None:
-        order: Iterable[int] = range(len(states))
-    else:
-        order = list(seed_order)
-        assert sorted(order) == list(range(len(states))), "seed order must cover every vertex"
-    work = deque(order)
+    work = deque(range(len(states)))
     queued = bytearray(b"\1") * len(states)
     succ = cfg.succ
     while work:

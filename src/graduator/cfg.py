@@ -211,7 +211,9 @@ class Positions:
 
     Lowering keeps one (line, col) tuple per vertex, shared with the tree,
     and when it ends stores them as two array('L') of integers, so the
-    tuples are freed with the tree.  Reading vertex v builds its tuple.
+    tuples are freed with the tree.  Reading vertex v builds its tuple.  A
+    graph's value leaves its positions out, and a Positions compares by
+    identity: list(cfg.pos) is the column's value.
     """
 
     __slots__ = ("lines", "cols")
@@ -226,11 +228,6 @@ class Positions:
 
     def __getitem__(self, v: int) -> tuple[int, int]:
         return self.lines[v], self.cols[v]
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Positions:
-            return NotImplemented
-        return self.lines == other.lines and self.cols == other.cols
 
 
 class ProgramCfg(Record):
@@ -254,18 +251,6 @@ class ProgramCfg(Record):
     def vertices(self) -> list[Vertex]:
         """One Vertex per vertex, built on each read: only bench/run.py's traced counters() reads it."""
         return list(map(Vertex, self.instr, self.proc, self.pos))
-
-    def descend(self, root: int) -> set[int]:
-        """Vertices reachable from root, root included."""
-        seen = {root}
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for u in self.succ[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return seen
 
 
 # ---------------------------------------------------------------------------

@@ -388,31 +388,38 @@ _STMT_KINDS: tuple[tuple[Callable[..., None], float, bool, bool, bool], ...] = (
 )
 
 
-def gen_program(config: GenConfig) -> Program:
-    """Deterministic program generation; always surface- and CFG-valid."""
+def _generate(config: GenConfig) -> tuple[Program, ProgramCfg]:
+    """One generated program and its graph, lowered once and checked surface- and CFG-valid."""
     p = _Gen(config).gen()
     errors = [d for d in check_surface(p) if d.severity == "error"]
     assert not errors, f"generator produced surface errors: {errors[:3]}"
-    bad = validate(lower(p))
+    cfg = lower(p)
+    bad = validate(cfg)
     assert not bad, f"generator produced a malformed graph: {bad[:3]}"
-    return p
+    return p, cfg
 
 
-def gen_programs(config: GenConfig, n: int) -> list[Program]:
-    return [gen_program(replace(config, seed=config.seed + i)) for i in range(n)]
+def gen_program(config: GenConfig) -> Program:
+    """Deterministic program generation; always surface- and CFG-valid."""
+    return _generate(config)[0]
 
 
-def gen_valid_programs(config: GenConfig, n: int) -> list[Program]:
-    """First n statically-valid programs along the config's seed stream."""
-    found: list[Program] = []
+def gen_graphs(config: GenConfig, n: int) -> list[ProgramCfg]:
+    """The graphs of the n programs along the config's seed stream."""
+    return [_generate(replace(config, seed=config.seed + i))[1] for i in range(n)]
+
+
+def gen_valid_graphs(config: GenConfig, n: int) -> list[ProgramCfg]:
+    """The graphs of the first n statically-valid programs along the config's seed stream."""
+    found: list[ProgramCfg] = []
     i = 0
     while len(found) < n:
         if i >= 200 * max(n, 1):
             raise RuntimeError(f"validity yield too low: {len(found)}/{n} after {i} seeds")
-        p = gen_program(replace(config, seed=config.seed + i))
+        cfg = _generate(replace(config, seed=config.seed + i))[1]
         i += 1
-        if not analyze(lower(p))[1]:
-            found.append(p)
+        if not analyze(cfg)[1]:
+            found.append(cfg)
     return found
 
 
@@ -527,34 +534,31 @@ def naive_lifted_join(g1: GradAbst, g2: GradAbst) -> GradAbst:
     return naive_alpha(frozenset(base_join(a, b) for a in gamma(g1) for b in gamma(g2)))
 
 
-def oracle_lattice(
-    join_fn: Callable[[GradAbst, GradAbst], GradAbst] = lifted_join,
-    leq_fn: Callable[[GradAbst, GradAbst], bool] = lifted_leq,
-) -> OracleReport:
+def oracle_lattice() -> OracleReport:
     report = OracleReport("lattice")
     check = report.check
 
     # The base embedding: exact elements behave exactly like base elements.
     for a in ALL_ABST:
         for b in ALL_ABST:
-            check(join_fn(exact(a), exact(b)) is exact(base_join(a, b)), "embedding: join({}, {}) != base join", a, b)
-            check(leq_fn(exact(a), exact(b)) == base_leq(a, b), "embedding: leq({}, {}) != base order", a, b)
+            check(lifted_join(exact(a), exact(b)) is exact(base_join(a, b)), "embedding: join({}, {}) != base join", a, b)
+            check(lifted_leq(exact(a), exact(b)) == base_leq(a, b), "embedding: leq({}, {}) != base order", a, b)
 
     # Semilattice laws.
     for a in ALL_GRAD:
-        check(join_fn(a, a) is a, "idempotence fails at {}", a)
+        check(lifted_join(a, a) is a, "idempotence fails at {}", a)
         for b in ALL_GRAD:
-            check(join_fn(a, b) is join_fn(b, a), "commutativity fails at ({}, {})", a, b)
+            check(lifted_join(a, b) is lifted_join(b, a), "commutativity fails at ({}, {})", a, b)
             for c in ALL_GRAD:
-                left = join_fn(a, join_fn(b, c))
-                right = join_fn(join_fn(a, b), c)
+                left = lifted_join(a, lifted_join(b, c))
+                right = lifted_join(lifted_join(a, b), c)
                 check(left is right, "associativity fails at ({}, {}, {}): {} != {}", a, b, c, left, right)
 
     # Closed form vs. the shipped join, all 36 pairs.
     for a in ALL_GRAD:
         for b in ALL_GRAD:
             want = closed_form_join(a, b)
-            got = join_fn(a, b)
+            got = lifted_join(a, b)
             check(got is want, "join table: ({}, {}) -> {}, closed form says {}", a, b, got, want)
 
     # Galois conditions for every nonempty subset of base facts.
@@ -580,14 +584,14 @@ def oracle_lattice(
     for a in ALL_GRAD:
         for b in ALL_GRAD:
             want = any(base_leq(x, y) for x in gamma(a) for y in gamma(b))
-            check(leq_fn(a, b) == want, "consistent order wrong at ({}, {})", a, b)
+            check(lifted_leq(a, b) == want, "consistent order wrong at ({}, {})", a, b)
 
     # Induced order: Hasse diagram and height.
     strict = {
         (a, b)
         for a in ALL_GRAD
         for b in ALL_GRAD
-        if a is not b and join_fn(a, b) is b
+        if a is not b and lifted_join(a, b) is b
     }
     hasse = {
         (a, b)
@@ -891,15 +895,13 @@ def oracle_propositions(programs: int = 40, seed: int = 0, fuel: int = 1500) -> 
     report = OracleReport("propositions")
 
     base = GenConfig(seed=seed, annotation_density=1.0)
-    for p in gen_programs(base, programs):
-        for msg in check_conservative_extension(lower(p), fuel):
+    for cfg in gen_graphs(base, programs):
+        for msg in check_conservative_extension(cfg, fuel):
             report.check(False, "[annotated seed-batch] {}", msg)
         report.check(True, "conservative extension")
 
     rng = random.Random(f"erasure-{seed}")
-    valid = gen_valid_programs(GenConfig(seed=seed + 100_000, annotation_density=0.6), programs)
-    for p in valid:
-        cfg = lower(p)
+    for cfg in gen_valid_graphs(GenConfig(seed=seed + 100_000, annotation_density=0.6), programs):
         sites = [k for k, _ in annotation_sites(cfg)]
         subsets = [
             {s for s in sites if rng.random() < 0.5},
@@ -999,8 +1001,8 @@ def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
             path = Path(tmp) / f"{name}.picl"
             path.write_text(src, encoding="utf-8")
             first = check(path)
-            report.check(first[0] in (0, 1, 2), f"{name}: check gave {first[0]}, not exit 0, 1 or 2")
-            report.check(check(path) == first, f"{name}: a second check printed other bytes")
+            report.check(first[0] in (0, 1, 2), "{}: check gave {}, not exit 0, 1 or 2", name, first[0])
+            report.check(check(path) == first, "{}: a second check printed other bytes", name)
             try:
                 p: Optional[Program] = parse(src)
             except ParseError:
@@ -1008,12 +1010,12 @@ def oracle_frontend_fuzz(seed: int = 0) -> OracleReport:
             except Exception:
                 continue  # the check above has reported it
             if must_parse is not None:
-                report.check((p is not None) == must_parse, f"{name}: parse {'failed' if must_parse else 'passed'}")
+                report.check((p is not None) == must_parse, "{}: parse {}", name, "failed" if must_parse else "passed")
             if p is None:
-                report.check(first[0] == 2, f"{name}: parse failed but check exited {first[0]}")
+                report.check(first[0] == 2, "{}: parse failed but check exited {}", name, first[0])
                 continue
             try:
-                report.check(parse(render_program(p)) == p, f"{name}: parse(render_program(p)) != p")
+                report.check(parse(render_program(p)) == p, "{}: parse(render_program(p)) != p", name)
             except (ParseError, ValueError) as exc:
-                report.check(False, f"{name}: render round trip raised {exc}")
+                report.check(False, "{}: render round trip raised {}", name, exc)
     return report

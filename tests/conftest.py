@@ -16,6 +16,11 @@ scenario_src builds the producer/consumer family used to exercise the
 warning and check placement: a `reverse`-style procedure that is safe or
 null-returning, with an optional return annotation, and a caller that
 dereferences the result exactly once.
+
+flow and bound state the base transfer rule and the safety bound of one
+instruction through the package's single rules (lifted_flow and
+analysis._BOUNDS); union_join and reference_fixpoint compute fixpoints over
+per-vertex maps, as references for kildall.
 """
 
 import gc
@@ -31,6 +36,9 @@ from typing import Optional
 # src/ would let later launches skip compiling the package, so how fast
 # graduator starts would depend on whether the checkout had run its tests.
 sys.dont_write_bytecode = True
+
+from graduator import analysis  # noqa: E402
+from graduator.lattice import exact, lifted_join  # noqa: E402
 
 # One line per acceptance criterion, printed as a summary section at the end
 # of the run (see pytest_terminal_summary below); test_acceptance.py appends.
@@ -184,3 +192,53 @@ def bench_module(name: str):
 def workload_source(name: str, scale: int) -> str:
     """The source of the benchmark's sized workload name at scale (1, 4 or 16), seed 1."""
     return bench_module("workloads").SIZED[name](1, scale).source
+
+
+def flow(ins, sigma, universe):
+    """The base transfer rule: lifted_flow on exact facts, projected back.
+
+    Raises ValueError where the instruction writes a '?' annotation.
+    """
+    out = analysis.lifted_flow(ins, {x: exact(a) for x, a in sigma.items()}, universe)
+    return {x: analysis._exact_ann(g) for x, g in out.items()}
+
+
+def bound(ins):
+    """The (operand, safety bound) pair of ins, or None; every other operand's bound is Nullable."""
+    bound_of = analysis._BOUNDS.get(type(ins))
+    return None if bound_of is None else bound_of(ins)
+
+
+def union_join(s1, s2, join=lifted_join):
+    """s1 joined with s2, variable by variable, as a fresh map: an undefined side gives the other's fact.
+
+    A plain loop over s2, with no shortcut for bottom or for equal states.
+    """
+    out = dict(s1)
+    for x, g in s2.items():
+        f = out.get(x)
+        if f is not g:
+            out[x] = g if f is None else join(f, g)
+    return out
+
+
+def reference_fixpoint(cfg):
+    """The gradual facts per vertex, by round-robin iteration over maps until no state changes.
+
+    Each round visits the vertices in reverse order, against the vertex
+    order that kildall's worklist starts in, and joins lifted_flow's output
+    into each successor's state with union_join.  No byte codes, no
+    worklist.
+    """
+    pi = [{} for _ in cfg.instr]
+    changed = True
+    while changed:
+        changed = False
+        for v in reversed(range(len(cfg.instr))):
+            out = analysis.lifted_flow(cfg.instr[v], pi[v], cfg.universe[cfg.proc[v]])
+            for u in cfg.succ[v]:
+                grown = union_join(pi[u], out)
+                if grown != pi[u]:
+                    pi[u] = grown
+                    changed = True
+    return pi

@@ -35,8 +35,8 @@ from graduator.testkit import (
     check_erasure_guarantees,
     check_progress_and_sites,
     corpus_paths,
-    gen_programs,
-    gen_valid_programs,
+    gen_graphs,
+    gen_valid_graphs,
     naive_lifted_join,
     oracle_lattice,
 )
@@ -177,10 +177,8 @@ def test_criterion_4_scenario_matrix():
 def test_criterion_5_annotated_programs_gain_nothing_and_lose_nothing():
     with criterion(5) as note:
         t0 = time.perf_counter()
-        programs = gen_programs(GenConfig(seed=0, annotation_density=1.0), 200)
         lockstepped = 0
-        for i, p in enumerate(programs):
-            cfg = lower(p)
+        for i, cfg in enumerate(gen_graphs(GenConfig(seed=0, annotation_density=1.0), 200)):
             assert is_fully_annotated(cfg)
             failures = check_conservative_extension(cfg)
             assert failures == [], f"program {i}: {failures}"
@@ -210,11 +208,10 @@ def test_criterion_6_erasure_only_coarsens():
     with criterion(6) as note:
         t0 = time.perf_counter()
         rng = random.Random("acc6")
-        programs = gen_valid_programs(GenConfig(seed=100, annotation_density=0.6), 200)
-        assert len(programs) == 200
+        graphs = gen_valid_graphs(GenConfig(seed=100, annotation_density=0.6), 200)
+        assert len(graphs) == 200
         erasures = 0
-        for i, p in enumerate(programs):
-            cfg = lower(p)
+        for i, cfg in enumerate(graphs):
             sites = [k for k, _ in annotation_sites(cfg)]
             subsets = [{s for s in sites if rng.random() < 0.5} for _ in range(3)]
             failures = check_erasure_guarantees(cfg, subsets)
@@ -231,11 +228,10 @@ def test_criterion_6_erasure_only_coarsens():
 def test_criterion_7_checked_execution_never_sticks():
     with criterion(7) as note:
         t0 = time.perf_counter()
-        programs = gen_valid_programs(GenConfig(seed=7000, annotation_density=0.5), 500)
-        assert len(programs) == 500
+        graphs = gen_valid_graphs(GenConfig(seed=7000, annotation_density=0.5), 500)
+        assert len(graphs) == 500
         outcomes = {"final": 0, "error": 0, "fuel": 0, "stuck": 0}
-        for i, p in enumerate(programs):
-            cfg = lower(p)
+        for i, cfg in enumerate(graphs):
             failures = check_progress_and_sites(cfg, fuel=10_000)
             assert failures == [], f"program {i}: {failures}"
             outcomes[run(cfg, mode="gradual", max_steps=10_000).outcome] += 1

@@ -1,9 +1,17 @@
 """Transfer functions, the worklist fixpoint, and derived findings."""
 
-import random
-
 import pytest
-from conftest import LOOP_SRC, growth_per_vertex, scenario_src, wide_src
+from conftest import (
+    LOOP_SRC,
+    bound,
+    flow,
+    growth_per_vertex,
+    reference_fixpoint,
+    scenario_src,
+    union_join,
+    wide_src,
+    workload_source,
+)
 
 from graduator import analysis
 from graduator.analysis import (
@@ -13,12 +21,8 @@ from graduator.analysis import (
     Finding,
     analyze,
     check_sites,
-    constrained_vars,
-    flow,
     kildall,
     lifted_flow,
-    lifted_safe,
-    safe,
     site_category,
     static_warnings,
 )
@@ -56,7 +60,7 @@ from graduator.lattice import (
     lifted_leq,
 )
 from graduator.syntax import parse
-from graduator.testkit import GenConfig, corpus_paths, gen_program
+from graduator.testkit import GenConfig, corpus_paths, gen_graphs, gen_program
 
 U = frozenset({"x", "y", "z"})
 NULL, NONNULL, NULLABLE = Abst.NULL, Abst.NONNULL, Abst.NULLABLE
@@ -146,26 +150,18 @@ def test_lifted_flow_boolean_cases():
 
 
 def test_safety_bounds():
+    # One operand per instruction is bounded; the target and every other
+    # operand are unconstrained (Nullable).
     call = ICall("x", "p", GradAbst.NONNULL, "y", GradAbst.NULLABLE)
-    assert lifted_safe(call, "y") is GradAbst.NULLABLE
-    assert lifted_safe(call, "x") is GradAbst.NULLABLE  # target unconstrained
+    assert bound(call) == ("y", GradAbst.NULLABLE)
     ret = IReturn("x", GradAbst.NONNULL)
-    assert lifted_safe(ret, "x") is GradAbst.NONNULL
-    assert safe(ret, "x") is NONNULL
+    assert bound(ret) == ("x", GradAbst.NONNULL)
+    assert bound(IReturn("x", GradAbst.UNKNOWN)) == ("x", GradAbst.UNKNOWN)
     read = IFieldRead("x", "y", "f")
-    assert lifted_safe(read, "y") is GradAbst.NONNULL
-    assert lifted_safe(read, "x") is GradAbst.NULLABLE
+    assert bound(read) == ("y", GradAbst.NONNULL)
     write = IFieldWrite("y", "f", "x")
-    assert lifted_safe(write, "y") is GradAbst.NONNULL
-    assert lifted_safe(write, "x") is GradAbst.NULLABLE
-    with pytest.raises(ValueError):
-        safe(IReturn("x", GradAbst.UNKNOWN), "x")
-
-    assert constrained_vars(call) == ("y",)
-    assert constrained_vars(ret) == ("x",)
-    assert constrained_vars(read) == ("y",)
-    assert constrained_vars(write) == ("y",)
-    assert constrained_vars(IConstNull("x")) == ()
+    assert bound(write) == ("y", GradAbst.NONNULL)
+    assert bound(IConstNull("x")) is None
 
     assert site_category(read) == WARN_CHECK
     assert site_category(write) == WARN_CHECK
@@ -205,30 +201,17 @@ def _facts_with_key_order(result):
 
 
 def test_fixpoint_ignores_seed_order():
-    rng = random.Random(41)
-    for seed in range(12):
-        cfg = lower(gen_program(GenConfig(seed=seed, annotation_density=0.6)))
-        baseline = kildall(cfg)
-        ids = list(range(len(cfg.instr)))
-        for _ in range(3):
-            rng.shuffle(ids)
-            result = kildall(cfg, seed_order=list(ids))
-            assert result.pi == baseline.pi
-            # key order too: every state is in sorted variable order
-            facts = _facts_with_key_order(result)
-            assert facts == _facts_with_key_order(baseline)
-            assert all([x for x, _ in sigma] == sorted(x for x, _ in sigma) for sigma in facts)
-
-
-def _merge_only_join(s1, s2, join=lifted_join):
-    # The union-join as a plain loop over s2: no shortcut for bottom or for
-    # equal states, and always a fresh map.
-    out = dict(s1)
-    for x, g in s2.items():
-        f = out.get(x)
-        if f is not g:
-            out[x] = g if f is None else join(f, g)
-    return out
+    # kildall's worklist starts in vertex order and the reference visits the
+    # vertices in reverse, round after round, so equal facts show that the
+    # visiting order does not matter.
+    cfgs = [lower(parse(path.read_text())) for path in corpus_paths()]
+    cfgs += [lower(parse(workload_source(name, 1))) for name in ("chain", "wide", "alloc")]
+    cfgs += [cfg for density in (0, 0.6) for cfg in gen_graphs(GenConfig(annotation_density=density), 150)]
+    for cfg in cfgs:
+        result = kildall(cfg)
+        assert result.grad_pi == reference_fixpoint(cfg)
+        # key order too: every state is in sorted variable order
+        assert all(list(sigma) == sorted(sigma) for sigma in result.grad_pi)
 
 
 def _reference_fixpoint(cfg, mode):
@@ -245,7 +228,7 @@ def _reference_fixpoint(cfg, mode):
             v = work.pop(0)
             out = transfer(cfg.instr[v], pi[v], cfg.universe[cfg.proc[v]])
             for u in cfg.succ[v]:
-                grown = _merge_only_join(pi[u], out, join)
+                grown = union_join(pi[u], out, join)
                 if grown != pi[u]:
                     pi[u] = grown
                     if u not in work:
@@ -338,12 +321,6 @@ def test_check_stats_and_compare_build_no_per_vertex_map(monkeypatch):
             assert main(argv) in (0, 1, 2)
 
 
-def test_seed_order_must_cover_every_vertex():
-    cfg = lower(parse(LOOP_SRC))
-    with pytest.raises(AssertionError):
-        kildall(cfg, seed_order=[0, 1])
-
-
 def test_static_mode_requires_annotations():
     cfg = lower(parse("proc id(y) { return y; } main { var a; a := id(null); return a; }"))
     with pytest.raises(ValueError, match="fully annotated"):
@@ -420,8 +397,8 @@ def test_unannotated_positions_are_never_sites():
 
 
 def test_warnings_and_checks_partition_the_judged_positions():
-    for seed in range(30):
-        result = kildall(lower(gen_program(GenConfig(seed=seed, annotation_density=0.5))))
+    for cfg in gen_graphs(GenConfig(annotation_density=0.5), 30):
+        result = kildall(cfg)
         warn_at = {(f.vertex, f.variable) for f in static_warnings(result)}
         check_at = {(f.vertex, f.variable) for f in check_sites(result)}
         assert not warn_at & check_at
@@ -432,16 +409,15 @@ def findings_by_definition(result):
     warnings, checks = [], []
     cfg = result.cfg
     for v, ins in enumerate(cfg.instr):
-        for x in constrained_vars(ins):
-            bound = lifted_safe(ins, x)
+        for x, required in filter(None, [bound(ins)]):
             found = result.fact(v, x)
             if found is None:
                 continue
             line, col = cfg.pos[v]
-            args = (cfg.proc[v], v, line, col, x, str(ceil(bound)), str(found))
-            if not lifted_leq(found, bound):
+            args = (cfg.proc[v], v, line, col, x, str(ceil(required)), str(found))
+            if not lifted_leq(found, required):
                 warnings.append(Finding(WARN_STATIC, *args))
-            elif not base_leq(ceil(found), ceil(bound)):
+            elif not base_leq(ceil(found), ceil(required)):
                 checks.append(Finding(site_category(ins), *args))
     return warnings, checks
 

@@ -41,7 +41,7 @@ from graduator.lattice import GradAbst
 from graduator.record import replace
 from graduator.runtime import run
 from graduator.syntax import parse
-from graduator.testkit import GenConfig, corpus_paths, gen_program
+from graduator.testkit import GenConfig, corpus_paths, gen_graphs, gen_program
 
 
 def lowered(src):
@@ -256,6 +256,18 @@ def test_validation_reports_rule_three_in_region_and_vertex_order():
     ]
 
 
+def reachable(succ, root):
+    """The vertices that the successor lists succ reach from root, root included."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for u in succ[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
 def reference_validate(cfg):
     """validate as it was with per-region sets and a list of predecessors per vertex: the reference."""
     instrs = cfg.instr
@@ -299,7 +311,7 @@ def reference_validate(cfg):
             proc_ret[ins.name] = ins.ret_ann
             proc_param[ins.name] = ins.param_ann
 
-    regions: dict[str, set[int]] = {name: cfg.descend(root) for name, root in entries}
+    regions: dict[str, set[int]] = {name: reachable(cfg.succ, root) for name, root in entries}
     covered: list[Optional[str]] = [None] * len(instrs)
     for name, region in regions.items():
         for vid in region:
@@ -471,7 +483,7 @@ def _malformed(cfg, rng, faults=_FAULTS):
 def test_validate_agrees_with_the_reference():
     cfgs = [lower(parse(path.read_text())) for path in corpus_paths()]
     cfgs += [lower(parse(workload_source(name, 1))) for name in ("chain", "wide", "alloc")]
-    cfgs += [lower(gen_program(GenConfig(seed=seed))) for seed in range(150)]
+    cfgs += gen_graphs(GenConfig(), 150)
     rng = random.Random("validate-reference")
     malformed = [_malformed(cfg, rng) for cfg in cfgs for _ in range(2)]
     for cfg in cfgs:
@@ -570,7 +582,7 @@ def test_the_back_end_is_total_on_every_graph_that_validate_accepts():
     # Whatever validate accepts, the analysis, both runs and both renderings
     # take without an exception; a run may stick.
     cfgs = [lower(parse(path.read_text())) for path in corpus_paths()]
-    cfgs += [lower(gen_program(GenConfig(seed=seed))) for seed in range(150)]
+    cfgs += gen_graphs(GenConfig(), 150)
     rng = random.Random("back end totality")
     mutants = accepted = edited = 0
     for cfg in cfgs:
@@ -669,7 +681,7 @@ def test_validation_branch_successor_shape():
 
 def test_every_edge_to_an_earlier_vertex_is_a_loop_back_edge():
     # lower's order guarantee: an edge u -> v with v <= u closes a cycle,
-    # so v reaches u.  kildall's default order relies on it for speed.
+    # so v reaches u.  kildall's vertex-order start relies on it for speed.
     programs = [parse(path.read_text()) for path in corpus_paths()]
     programs += [parse(workload_source(name, scale)) for name in ("chain", "wide", "alloc") for scale in (1, 4)]
     programs += [gen_program(GenConfig(seed=seed)) for seed in range(200)]
@@ -677,7 +689,7 @@ def test_every_edge_to_an_earlier_vertex_is_a_loop_back_edge():
         cfg = lower(p)
         for u, succs in enumerate(cfg.succ):
             for v in succs:
-                assert v > u or u in cfg.descend(v), (u, v)
+                assert v > u or u in reachable(cfg.succ, v), (u, v)
 
 
 def _fill(default):
@@ -694,7 +706,7 @@ POLICIES = {
 
 def _graph_value(cfg):
     # ProgramCfg equality leaves out pos, so the positions are compared too.
-    return cfg.instr, cfg.proc, cfg.pos, cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe
+    return cfg.instr, cfg.proc, list(cfg.pos), cfg.succ, cfg.entry, cfg.proc_entry, cfg.universe
 
 
 def _tree_sites(p):

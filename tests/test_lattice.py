@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from graduator import testkit
 from graduator.analysis import _and_case, _or_case
 from graduator.lattice import (
     ALL_ABST,
@@ -171,13 +172,14 @@ def test_lattice_oracle_passes():
     assert report.checks > 300
 
 
-def test_lattice_oracle_catches_a_corrupted_join():
+def test_lattice_oracle_catches_a_corrupted_join(monkeypatch):
     def bad_join(a, b):
         if {a, b} == {exact(N), Q}:
             return exact(NB)  # should be ?Null
         return lifted_join(a, b)
 
-    report = oracle_lattice(join_fn=bad_join)
+    monkeypatch.setattr(testkit, "lifted_join", bad_join)
+    report = oracle_lattice()
     assert not report.passed
     assert any("Null" in f and "?" in f for f in report.failures)
 

@@ -5,11 +5,11 @@ import re
 import typing
 
 import pytest
-from conftest import LOOP_SRC, growth_per_vertex, scenario_src, workload_source
+from conftest import LOOP_SRC, bound, growth_per_vertex, scenario_src, workload_source
 
 from graduator import cfg as cfg_module
 from graduator import runtime
-from graduator.analysis import constrained_vars, kildall, lifted_safe
+from graduator.analysis import kildall
 from graduator.cfg import (
     IAnd,
     IBranch,
@@ -500,10 +500,9 @@ def test_build_time_tables_agree_with_the_lattice():
         cfg = lower(parse(path.read_text()))
         for v, ins in enumerate(cfg.instr):
             expected = ()
-            for x in constrained_vars(ins):
-                bound = lifted_safe(ins, x)
-                if not all(runtime._ADMITS[bound]):
-                    expected = (x, ceil(bound), runtime._ADMITS[bound])
+            for x, required in filter(None, [bound(ins)]):
+                if not all(runtime._ADMITS[required]):
+                    expected = (x, ceil(required), runtime._ADMITS[required])
             assert runtime._site(cfg, v, {})[1] == expected, (path.name, v)
             guarded += bool(expected)
     assert guarded > 0
@@ -562,16 +561,14 @@ def test_every_instruction_type_decodes_and_runs():
 
 
 def test_each_instruction_bounds_at_most_one_operand():
-    # A site holds one guard or none: an instruction type that bounded two
-    # operands must fail here, not slip past the executor's one guard.
+    # A site holds one guard or none, and the analysis's bounds table holds
+    # one (operand, bound) pair or none per instruction type: the pair must
+    # name one of the instruction's operands, which the guard reads.
     cfg = lower(parse(EVERY_INSTR_SRC))
     assert {type(ins) for ins in cfg.instr} == set(typing.get_args(cfg_module.Instr))
     for ins in cfg.instr:
-        bounded = constrained_vars(ins)
-        assert len(bounded) <= 1, ins
-        for y in (getattr(ins, a) for a in cfg_module.OPERANDS[type(ins)]):
-            if y not in bounded:
-                assert lifted_safe(ins, y) is GradAbst.NULLABLE, (ins, y)
+        for x, _ in filter(None, [bound(ins)]):
+            assert x in [getattr(ins, a) for a in cfg_module.OPERANDS[type(ins)]], ins
 
 
 def test_a_call_to_a_missing_procedure_sticks_only_when_reached():
@@ -600,8 +597,8 @@ _REF_ADMITS = {g: (grad_conc_contains(g, 0), grad_conc_contains(g, 1)) for g in 
 def ref_site(cfg, v):
     ins = cfg.instr[v]
     succs = cfg.succ[v]
-    bounds = ((x, lifted_safe(ins, x)) for x in constrained_vars(ins))
-    guards = tuple((x, bound, _REF_ADMITS[bound]) for x, bound in bounds if not all(_REF_ADMITS[bound]))
+    bounds = filter(None, [bound(ins)])
+    guards = tuple((x, required, _REF_ADMITS[required]) for x, required in bounds if not all(_REF_ADMITS[required]))
     arms = entry_env = None
     if isinstance(ins, IBranch):
         arms = cfg.succ[v]
@@ -617,11 +614,11 @@ def ref_execute(cfg, site, m, checked):
     env, v = frames[-1]
     ins, nxt, arms, guards, entry_env = site
     if checked:
-        for x, bound, admits in guards:
+        for x, required, admits in guards:
             if x in env:
                 value = env[x]
                 if not admits[value != 0]:
-                    return Errored(m, v, x, ceil(bound), value)
+                    return Errored(m, v, x, ceil(required), value)
 
     if isinstance(ins, IReturn) and len(frames) == 1:
         return Final(m)

@@ -24,9 +24,9 @@ from graduator.testkit import (
     check_progress_and_sites,
     corpus_dir,
     corpus_paths,
+    gen_graphs,
     gen_program,
-    gen_programs,
-    gen_valid_programs,
+    gen_valid_graphs,
     lockstep,
     naive_alpha,
     naive_lifted_join,
@@ -63,31 +63,35 @@ def test_selftest_and_generated_programs_are_pinned(capsys):
 
 
 def test_generated_programs_are_well_formed():
-    for p in gen_programs(GenConfig(seed=5, annotation_density=0.4), 40):
+    graphs = gen_graphs(GenConfig(seed=5, annotation_density=0.4), 40)
+    for seed, cfg in enumerate(graphs, 5):
+        p = gen_program(GenConfig(seed=seed, annotation_density=0.4))
         assert [d for d in check_surface(p) if d.severity == "error"] == []
-        assert validate(lower(p)) == []
+        want = lower(p)
+        assert validate(want) == []
+        # gen_graphs gives each program's graph, positions included
+        assert cfg == want and list(cfg.pos) == list(want.pos)
 
 
 def test_density_one_annotates_everything():
-    for p in gen_programs(GenConfig(seed=11, annotation_density=1.0), 30):
-        assert is_fully_annotated(lower(p))
+    for cfg in gen_graphs(GenConfig(seed=11, annotation_density=1.0), 30):
+        assert is_fully_annotated(cfg)
 
 
 def test_density_zero_annotates_nothing():
-    for p in gen_programs(GenConfig(seed=11, annotation_density=0.0), 30):
-        assert all(v is GradAbst.UNKNOWN for _, v in annotation_sites(lower(p)))
+    for cfg in gen_graphs(GenConfig(seed=11, annotation_density=0.0), 30):
+        assert all(v is GradAbst.UNKNOWN for _, v in annotation_sites(cfg))
 
 
 def test_valid_generator_filters_out_warnings():
-    programs = gen_valid_programs(GenConfig(seed=3, annotation_density=0.5), 15)
-    assert len(programs) == 15
-    for p in programs:
-        assert analyze(lower(p))[1] == []
+    graphs = gen_valid_graphs(GenConfig(seed=3, annotation_density=0.5), 15)
+    assert len(graphs) == 15
+    for cfg in graphs:
+        assert analyze(cfg)[1] == []
 
 
 def test_valid_generator_can_demand_full_annotations():
-    for p in gen_valid_programs(GenConfig(seed=3, annotation_density=1.0), 8):
-        cfg = lower(p)
+    for cfg in gen_valid_graphs(GenConfig(seed=3, annotation_density=1.0), 8):
         assert is_fully_annotated(cfg)
         assert analyze(cfg)[1] == []
 
@@ -95,8 +99,8 @@ def test_valid_generator_can_demand_full_annotations():
 def test_every_instruction_kind_appears_quickly():
     every_kind = set(typing.get_args(Instr))
     seen = set()
-    for p in gen_programs(GenConfig(seed=0), 200):
-        seen |= set(map(type, lower(p).instr))
+    for cfg in gen_graphs(GenConfig(seed=0), 200):
+        seen |= set(map(type, cfg.instr))
         if seen == every_kind:
             break
     assert seen == every_kind
@@ -123,7 +127,7 @@ def test_oracle_lattice_passes():
     assert report.checks > 300
 
 
-def test_oracle_lattice_catches_a_corrupted_join():
+def test_oracle_lattice_catches_a_corrupted_join(monkeypatch):
     def bad_join(g1, g2):
         if {g1, g2} == {GradAbst.NULL, GradAbst.UNKNOWN_NONNULL}:
             return GradAbst.UNKNOWN  # should be Nullable
@@ -131,12 +135,13 @@ def test_oracle_lattice_catches_a_corrupted_join():
 
         return lifted_join(g1, g2)
 
-    report = oracle_lattice(join_fn=bad_join)
+    monkeypatch.setattr(testkit, "lifted_join", bad_join)
+    report = oracle_lattice()
     assert not report.passed
     assert any("Null" in f and "?NonNull" in f for f in report.failures)
 
 
-def test_oracle_lattice_catches_a_corrupted_order():
+def test_oracle_lattice_catches_a_corrupted_order(monkeypatch):
     def bad_leq(g1, g2):
         from graduator.lattice import lifted_leq
 
@@ -144,7 +149,8 @@ def test_oracle_lattice_catches_a_corrupted_order():
             return False  # consistency is symmetric-ish here; this breaks it
         return lifted_leq(g1, g2)
 
-    assert not oracle_lattice(leq_fn=bad_leq).passed
+    monkeypatch.setattr(testkit, "lifted_leq", bad_leq)
+    assert not oracle_lattice().passed
 
 
 def test_oracle_local_soundness_passes():
@@ -169,6 +175,15 @@ def test_oracle_local_soundness_catches_a_broken_transfer(monkeypatch, kind, nam
     report = oracle_local_soundness(trials=1500, seed=0)
     assert not report.passed
     assert any("local soundness fails" in f for f in report.failures)
+
+
+def test_oracle_frontend_fuzz_keeps_a_failure_text_that_holds_a_brace(monkeypatch):
+    # A render that drops every body makes each round trip raise "expected '{'":
+    # the report keeps that text as it is, not as a format template.
+    monkeypatch.setattr(testkit, "render_program", lambda p: "main")
+    report = testkit.oracle_frontend_fuzz(seed=0)
+    assert not report.passed
+    assert report.failures[0].endswith(": render round trip raised 1:5: expected '{'")
 
 
 def test_conservative_extension_on_fixtures():
